@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the two hot kernels on both backends (numba jit vs pure numpy).
 
+The histogram kernel is timed on every exponent and on the one-per-p-orbit
+subset that GaussTable computes.
+
 The numpy fallback is selected exactly the way production selects it, by
 setting GAUSSLAB_NO_NUMBA=1 (the dispatch reads the environment per call).
 Outputs a small table and verifies that both paths produce identical arrays.
@@ -16,6 +19,7 @@ import time
 import numpy as np
 
 from gausslab import _accel
+from gausslab.chars import orbit_minima
 from gausslab.ff import _mul_by_matrix, smallest_irreducible
 
 
@@ -60,21 +64,27 @@ def bench_power_table(p, d, repeats):
     return row
 
 
-def bench_gauss_counts(p, n, repeats):
+def bench_gauss_counts(p, n, repeats, orbit_rows=False):
     N = p**n - 1
     m = p * N
     rng = np.random.default_rng(1)
     offsets = rng.integers(0, m, size=N).astype(np.int64)
+    exps = None
+    label = f"gauss_counts p={p} n={n} ({N}^2 terms)"
+    if orbit_rows:
+        # one row per orbit of e -> p*e mod N, as GaussTable computes
+        exps = np.flatnonzero(orbit_minima(N, p, n) == np.arange(N))
+        label = f"gauss_counts p={p} n={n} ({len(exps)} orbit rows)"
+
+    def call():
+        return _accel.gauss_counts(p, m, offsets, exps=exps)
+
     if _accel.HAS_NUMBA:
-        with_backend("numba", _accel.gauss_counts, p, m, offsets)  # compile
-    t_np, out_np = with_backend(
-        "numpy", lambda: time_call(_accel.gauss_counts, p, m, offsets, repeats=repeats)
-    )
-    row = [f"gauss_counts p={p} n={n} ({N}^2 terms)", t_np, None, True]
+        with_backend("numba", call)  # compile
+    t_np, out_np = with_backend("numpy", lambda: time_call(call, repeats=repeats))
+    row = [label, t_np, None, True]
     if _accel.numba_enabled():
-        t_nb, out_nb = with_backend(
-            "numba", lambda: time_call(_accel.gauss_counts, p, m, offsets, repeats=repeats)
-        )
+        t_nb, out_nb = with_backend("numba", lambda: time_call(call, repeats=repeats))
         row[2] = t_nb
         row[3] = np.array_equal(out_np, out_nb)
     return row
@@ -98,6 +108,7 @@ def main():
         rows.append(bench_power_table(p, d, repeats))
     for p, n in count_cases:
         rows.append(bench_gauss_counts(p, n, repeats))
+        rows.append(bench_gauss_counts(p, n, repeats, orbit_rows=True))
 
     print(f"{'kernel':44s} {'numpy':>9s} {'numba':>9s} {'speedup':>8s}  equal")
     for name, t_np, t_nb, equal in rows:

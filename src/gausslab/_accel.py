@@ -2,8 +2,8 @@
 
 Two loops dominate runtime: building the multiplicative power table of a
 field generator (O(q^n * (fn)^2) small-int work) and accumulating the
-exponent histograms of all Gauss sums at once (O(q^(2n))).  Both exist in
-two semantically identical versions:
+exponent histograms of a family of Gauss sums at once (O(q^n) per sum).
+Both exist in two semantically identical versions:
 
 * `@njit` kernels, used when numba imports and jitting is not disabled;
 * vectorized numpy versions (the power table advances in chunks through a
@@ -122,47 +122,50 @@ def power_table(mul_mat: np.ndarray, p: int, count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-sum histograms: counts[e, (p*e*j + off[j]) % m] += 1 for all e, j
+# Gauss-sum histograms: counts[r, (p*exps[r]*j + off[j]) % m] += 1 for all r, j
 
 
-def _gauss_counts_numpy(p: int, m: int, offsets: np.ndarray) -> np.ndarray:
-    n_exp = offsets.shape[0]
-    counts = np.empty((n_exp, m), dtype=np.int64)
-    j = np.arange(n_exp, dtype=np.int64)
-    for e in range(n_exp):
+def _gauss_counts_numpy(p: int, m: int, offsets: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    counts = np.empty((exps.shape[0], m), dtype=np.int64)
+    j = np.arange(offsets.shape[0], dtype=np.int64)
+    for r, e in enumerate(exps):
         idx = (p * e * j + offsets) % m
-        counts[e] = np.bincount(idx, minlength=m)
+        counts[r] = np.bincount(idx, minlength=m)
     return counts
 
 
 if HAS_NUMBA:
 
     @numba.njit(cache=True, parallel=True)
-    def _gauss_counts_njit(p: int, m: int, offsets: np.ndarray) -> np.ndarray:  # pragma: no cover - jitted
-        n_exp = offsets.shape[0]
-        counts = np.zeros((n_exp, m), dtype=np.int64)
-        for e in numba.prange(n_exp):
-            base = (p * e) % m
+    def _gauss_counts_njit(p: int, m: int, offsets: np.ndarray, exps: np.ndarray) -> np.ndarray:  # pragma: no cover - jitted
+        n_terms = offsets.shape[0]
+        counts = np.zeros((exps.shape[0], m), dtype=np.int64)
+        for r in numba.prange(exps.shape[0]):
+            base = (p * exps[r]) % m
             phase = 0
-            for j in range(n_exp):
+            for j in range(n_terms):
                 idx = phase + offsets[j]
                 if idx >= m:
                     idx -= m
-                counts[e, idx] += 1
+                counts[r, idx] += 1
                 phase += base
                 if phase >= m:
                     phase -= m
         return counts
 
 
-def gauss_counts(p: int, m: int, offsets: np.ndarray) -> np.ndarray:
-    """Exponent histograms over Z/m for the whole character family at once.
+def gauss_counts(p: int, m: int, offsets: np.ndarray, exps: np.ndarray | None = None) -> np.ndarray:
+    """Exponent histograms over Z/m for a character family at once.
 
-    Row e collects the multiset {p*e*j + offsets[j] mod m : j}, i.e. the
-    unreduced cyclotomic-exponent counts of the e-th Gauss sum.
+    Row r collects the multiset {p*exps[r]*j + offsets[j] mod m : j}, i.e.
+    the unreduced cyclotomic-exponent counts of the Gauss sum of exponent
+    exps[r]; `exps` defaults to every exponent 0 .. len(offsets)-1.
     offsets[j] must already lie in [0, m).
     """
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    if exps is None:
+        exps = np.arange(offsets.shape[0], dtype=np.int64)
+    exps = np.ascontiguousarray(exps, dtype=np.int64)
     if numba_enabled():
-        return _gauss_counts_njit(p, m, offsets)
-    return _gauss_counts_numpy(p, m, offsets)
+        return _gauss_counts_njit(p, m, offsets, exps)
+    return _gauss_counts_numpy(p, m, offsets, exps)

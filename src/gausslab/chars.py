@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import cyclo, numth
 from .errors import ArgumentError
 from .ff import FieldTower
@@ -106,19 +108,23 @@ def regular_exponents(tower: FieldTower) -> list[int]:
     return [e for e in range(tower.mult_order) if MultChar(tower, e).is_regular()]
 
 
+def orbit_minima(N: int, mult: int, period: int) -> np.ndarray:
+    """Smallest member of the orbit of e under e -> mult*e mod N, for every
+    e in [0, N); `period` must satisfy mult^period = 1 mod N."""
+    e = np.arange(N, dtype=np.int64)
+    out = e.copy()
+    x = e
+    for _ in range(period - 1):
+        x = x * mult % N
+        np.minimum(out, x, out=out)
+    return out
+
+
 def orbit_reps(tower: FieldTower, regular_only: bool = True) -> list[int]:
     """Smallest member of each Frobenius orbit, optionally regular ones only."""
-    N, q = tower.mult_order, tower.q
-    seen = bytearray(N)
-    reps = []
-    for e in range(N):
-        if seen[e]:
-            continue
-        x = e
-        for _ in range(tower.n):
-            if x < N:
-                seen[x] = 1
-            x = (x * q) % N
-        if not regular_only or MultChar(tower, e).is_regular():
-            reps.append(e)
+    N = tower.mult_order
+    mins = orbit_minima(N, tower.q, tower.n)
+    reps = np.flatnonzero(mins == np.arange(N)).tolist()
+    if regular_only:
+        reps = [e for e in reps if MultChar(tower, e).is_regular()]
     return reps

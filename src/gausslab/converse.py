@@ -4,8 +4,11 @@ Twist signatures: the tuple over all base-field twists k of the exact Gauss
 sum S(chi_{e + k*(q^n-1)/(q-1)}).  Two characters index isomorphic cuspidal
 data iff they share a Frobenius orbit, and the converse statements under
 test say the signature separates orbits (within their stated populations).
-Signature classes are grouped by the full canonical coefficient tuples, so
-no hash re-verification step is needed: the grouping key is the exact value.
+Every scan groups through `signature_classes`, keyed by `canonical_key` of
+the stacked canonical Gauss-table rows of the twists (their int64 bytes, or
+Python-int tuples past 2^62).  Equal keys mean equal coefficients and a dict
+compares keys in full, so no hash re-verification step is needed: the
+grouping key is the exact value.
 
 Scans never compare floating point and never sample: populations are
 exhaustive over the stated character sets.
@@ -17,9 +20,11 @@ import math
 from dataclasses import dataclass, field
 from math import lcm
 
+import numpy as np
+
 from . import digits, numth
-from .chars import MultChar, orbit_reps, ring_for, twist_offset
-from .cyclo import CycloElement
+from .chars import MultChar, orbit_minima, orbit_reps, ring_for, twist_offset
+from .cyclo import CycloElement, canonical_key
 from .errors import ArgumentError
 from .ff import FieldTower, build_tower
 from .gauss import GaussTable, gauss_table, subfield_gauss_sum
@@ -70,9 +75,17 @@ def distinguishable(tower: FieldTower, a: int, b: int) -> bool:
     return signature(tower, a).key() != signature(tower, b).key()
 
 
-def _signature_key(tab: GaussTable, e: int, stride: int, n_twists: int) -> tuple:
-    N = tab.tower.mult_order
-    return tuple(tab.key((e + k * stride) % N) for k in range(n_twists))
+def _signature_key(tab: GaussTable, e: int, stride: int, n_twists: int) -> bytes | tuple:
+    return canonical_key(tab.rows(e + stride * np.arange(n_twists)))
+
+
+def signature_classes(tab: GaussTable, exps, stride: int, n_twists: int) -> list[list[int]]:
+    """Partition `exps` by the exact sums of their twists e + k*stride,
+    k < n_twists: classes in first-seen order, members in input order."""
+    classes: dict = {}
+    for e in exps:
+        classes.setdefault(_signature_key(tab, e, stride, n_twists), []).append(e)
+    return list(classes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -96,31 +109,17 @@ class ScanReport:
     n_classes: int
     collision_classes: list[list[int]]
     assertions: list[Assertion] = field(default_factory=list)
-    wall_time_s: float | None = None  # diagnostic only; omitted from serialized reports
 
     @property
     def ok(self) -> bool:
         return all(a.status in ("pass", "expected") for a in self.assertions)
 
 
-def _orbits_under(exponents, mult: int, N: int) -> list[int]:
-    """Orbit minima of the exponent set under multiplication by `mult`."""
-    exps = set(exponents)
-    reps = []
-    seen = set()
-    for e in sorted(exps):
-        if e in seen:
-            continue
-        x = e
-        orbit = []
-        while x not in orbit:
-            orbit.append(x)
-            x = (x * mult) % N
-            if x == e:
-                break
-        seen.update(orbit)
-        reps.append(min(orbit))
-    return reps
+def _orbits_under(exponents, mult: int, N: int, period: int) -> list[int]:
+    """Sorted orbit minima of an exponent set closed under e -> mult*e mod N;
+    `period` must satisfy mult^period = 1 mod N."""
+    mins = orbit_minima(N, mult, period)
+    return sorted(set(mins[np.asarray(exponents, dtype=np.int64)].tolist()))
 
 
 def scan_converse(tower: FieldTower, population: str = "regular") -> ScanReport:
@@ -135,10 +134,8 @@ def scan_converse(tower: FieldTower, population: str = "regular") -> ScanReport:
     N, q = tower.mult_order, tower.q
     stride = N // (q - 1)
     reps = orbit_reps(tower, regular_only=(population == "regular"))
-    classes: dict[tuple, list[int]] = {}
-    for rep in reps:
-        classes.setdefault(_signature_key(tab, rep, stride, q - 1), []).append(rep)
-    collisions = sorted(v for v in classes.values() if len(v) > 1)
+    classes = signature_classes(tab, reps, stride, q - 1)
+    collisions = sorted(v for v in classes if len(v) > 1)
     report = ScanReport(
         kind="converse-scan",
         stamp=convention_stamp(tower),
@@ -156,7 +153,7 @@ def scan_converse(tower: FieldTower, population: str = "regular") -> ScanReport:
         )
     )
     # partition property: every orbit in exactly one class
-    total = sum(len(v) for v in classes.values())
+    total = sum(len(v) for v in classes)
     report.assertions.append(
         Assertion(name="classes-partition-orbits", status="pass" if total == len(reps) else "fail")
     )
@@ -206,11 +203,9 @@ def primitive_scan(p: int, f: int, n: int, r: int, **tower_kwargs) -> ScanReport
                 return size
 
     regular_full = [e for e in range(1, N) if full_orbit_size(e) == n]
-    reps = _orbits_under(regular_full, Q, N)
-    classes: dict[tuple, list[int]] = {}
-    for rep in reps:
-        classes.setdefault(_signature_key(tab, rep, stride, Q - 1), []).append(rep)
-    collisions = sorted(v for v in classes.values() if len(v) > 1)
+    reps = _orbits_under(regular_full, Q, N, r)
+    classes = signature_classes(tab, reps, stride, Q - 1)
+    collisions = sorted(v for v in classes if len(v) > 1)
     stamp = convention_stamp(tower)
     stamp["original_base"] = {"p": p, "f": f, "q": q, "n": n, "r": r}
     report = ScanReport(
@@ -272,7 +267,7 @@ def counterexample_search(t: int, p: int = 3, **tower_kwargs) -> CounterexampleR
     N = tower.mult_order
     tab = gauss_table(tower)
     family = [a * (p**t - 1) % N for a in range(1, d) if math.gcd(a, d) == 1]
-    reps = _orbits_under(family, p, N)
+    reps = _orbits_under(family, p, N, n)
     values: list[int] = []
     all_int = True
     for e in family:
@@ -285,10 +280,8 @@ def counterexample_search(t: int, p: int = 3, **tower_kwargs) -> CounterexampleR
     all_match = all_int and all(v == expected for v in values)
     # group the family orbits by full twist signature
     stride = N // (p - 1)
-    classes: dict[tuple, list[int]] = {}
-    for rep in reps:
-        classes.setdefault(_signature_key(tab, rep, stride, p - 1), []).append(rep)
-    colliding = sorted(v for v in classes.values() if len(v) > 1)
+    classes = signature_classes(tab, reps, stride, p - 1)
+    colliding = sorted(v for v in classes if len(v) > 1)
     report = CounterexampleReport(
         p=p,
         t=t,
@@ -346,8 +339,11 @@ class MersenneReport:
 def mersenne_spectrum(n: int, e: int) -> dict[int, int]:
     """j -> s(e*j mod 2^n-1) over canonical coset representatives of
     (Z/(2^n-1))^x modulo the subgroup generated by 2."""
+    return _spectrum(n, e, _coset_reps_mod2(n))
+
+
+def _spectrum(n: int, e: int, reps: list[int]) -> dict[int, int]:
     N = 2**n - 1
-    reps = _coset_reps_mod2(n)
     return {j: digits.digit_sum(digits.expand(2, n, e * j % N)) for j in reps}
 
 
@@ -356,7 +352,7 @@ def _coset_reps_mod2(n: int) -> list[int]:
     if not numth.is_prime(N):
         fac = numth.prime_divisors(N)
         raise ArgumentError(f"2^{n}-1 = {N} is not prime (factor {fac[0]})")
-    return _orbits_under(range(1, N), 2, N)
+    return _orbits_under(range(1, N), 2, N, n)
 
 
 def mersenne_check(n: int) -> MersenneReport:
@@ -366,7 +362,7 @@ def mersenne_check(n: int) -> MersenneReport:
     spectra = {}
     clash = None
     for a in reps:
-        key = tuple(mersenne_spectrum(n, a)[j] for j in reps)
+        key = tuple(_spectrum(n, a, reps).values())
         if key in spectra:
             clash = {"orbits": [spectra[key], a], "spectrum": list(key)}
             break
@@ -461,18 +457,17 @@ def lemma_suite(tower: FieldTower) -> LemmaSuiteReport:
     vecs = {e: digits.expand(p, n, e) for e in regular}
 
     # groups by equal single sums S(omega^alpha)
-    by_S: dict[tuple, list[int]] = {}
-    for e in regular:
-        by_S.setdefault(tab.key(e), []).append(e)
-    # groups by equal full twist signatures of omega^{-alpha}
-    by_sig: dict[tuple, list[int]] = {}
-    for e in regular:
-        key = tuple(tab.key((-(e + k * stride)) % N) for k in range(p - 1))
-        by_sig.setdefault(key, []).append(e)
+    by_S = signature_classes(tab, regular, stride, 1)
+    # groups by equal full twist signatures of omega^{-alpha}: the twists of
+    # -e with stride -stride are the exponents -(e + k*stride)
+    by_sig = [
+        [(-x) % N for x in cls]
+        for cls in signature_classes(tab, [(-e) % N for e in regular], -stride % N, p - 1)
+    ]
 
     r_sandt = LemmaResult("equal-sums-match-digit-sum-and-factorial", 0, 0, [])
     r_windows = LemmaResult("equal-sums-match-windowed-products", 0, 0, [])
-    for group in by_S.values():
+    for group in by_S:
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 a, b = group[i], group[j]
@@ -494,7 +489,7 @@ def lemma_suite(tower: FieldTower) -> LemmaSuiteReport:
 
     r_extremes = LemmaResult("equal-signatures-match-extreme-digits", 0, 0, [])
     r_multiset = LemmaResult("equal-signatures-match-digit-multisets", 0, 0, [])
-    for group in by_sig.values():
+    for group in by_sig:
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 a, b = group[i], group[j]
@@ -527,7 +522,7 @@ def lemma_suite(tower: FieldTower) -> LemmaSuiteReport:
         )
 
     r_consec = LemmaResult("equal-signatures-match-consecutive-runs", 0, 0, [])
-    for group in by_sig.values() if n <= 5 else []:
+    for group in by_sig if n <= 5 else []:
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 a, b = group[i], group[j]

@@ -89,6 +89,30 @@ def cyclotomic_poly(m: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# exact keys
+
+
+def canonical_key(coeffs: np.ndarray) -> bytes | tuple[int, ...]:
+    """Exact, dtype-insensitive key of an integer coefficient array.
+
+    Values that all lie strictly inside (-2^62, 2^62) key as the bytes of
+    their int64 form; two int64 arrays of one length have equal bytes
+    exactly when their coefficients are equal, and a dict compares keys in
+    full after hashing, so no hash collision can merge two values.  Any
+    larger value sends the whole array to a tuple of Python ints.  The tier
+    depends on the values alone, so int64 and object arrays holding the same
+    integers get the same key.
+    """
+    a = np.asarray(coeffs)
+    if a.dtype != object and -_I64_SAFE < int(a.min(initial=0)) and int(a.max(initial=0)) < _I64_SAFE:
+        return a.astype(np.int64, copy=False).tobytes()
+    flat = [int(c) for c in a.flat]
+    if -_I64_SAFE < min(flat, default=0) and max(flat, default=0) < _I64_SAFE:
+        return np.array(flat, dtype=np.int64).tobytes()
+    return tuple(flat)
+
+
+# ---------------------------------------------------------------------------
 # exact linear algebra with tiered precision
 
 
@@ -260,10 +284,10 @@ class CycloElement:
     # -- identity ---------------------------------------------------------
 
     @property
-    def key(self) -> tuple[int, ...]:
-        """Value-based canonical key (dtype-insensitive)."""
+    def key(self) -> bytes | tuple[int, ...]:
+        """Value-based canonical key (see `canonical_key`)."""
         if self._key is None:
-            self._key = tuple(int(c) for c in self.coeffs)
+            self._key = canonical_key(self.coeffs)
         return self._key
 
     def __eq__(self, other) -> bool:

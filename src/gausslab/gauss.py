@@ -7,7 +7,8 @@ Conventions, fixed once for the whole artifact:
   absolute trace: psi(Tr x) = zeta_p^(Tr_{F_{q^n}/F_p} x).  In the shared
   ring Z[zeta_m], m = p*(q^n-1), this is zeta_m^((q^n-1)*t).
 * S(chi_e) = sum_j zeta_{q^n-1}^(e*j) * psi(Tr g^j); the whole family is one
-  histogram pass per character (see _accel), reduced in a single matrix step.
+  histogram pass per p-orbit of exponents (S(chi_{pe}) = S(chi_e); see
+  GaussTable and _accel), reduced in a single matrix step.
 * G(beta, psi) = sum_a beta(a) psi(Tr a^{-1}) = S(beta^{-1}).
 
 Sums over proper subfields (Hasse-Davenport, etale scans) are evaluated
@@ -27,7 +28,7 @@ from math import lcm
 import numpy as np
 
 from . import _accel, cyclo
-from .chars import MultChar, conductor, ring_for, twist_offset
+from .chars import MultChar, orbit_minima, ring_for, twist_offset
 from .errors import ArgumentError
 from .ff import EtaleAlgebra, FieldTower
 
@@ -37,22 +38,35 @@ from .ff import EtaleAlgebra, FieldTower
 
 
 class GaussTable:
-    """Canonical coefficients of S(chi_e) for every exponent e of a tower."""
+    """Canonical coefficients of S(chi_e) for every exponent e of a tower.
+
+    x -> x^p permutes F_{q^n}^x and fixes the absolute trace, so
+    S(chi_{pe}) = S(chi_e): the table computes one row per orbit of
+    e -> p*e mod N (N = q^n - 1, orbit lengths dividing f*n), at the orbit
+    minimum, and `row_of[e]` names the row of S that holds S(chi_e).
+    """
 
     def __init__(self, tower: FieldTower, max_conductor: int = cyclo.DEFAULT_MAX_CONDUCTOR):
         self.tower = tower
         self.ring = ring_for(tower, max_conductor=max_conductor)
         N, p, m = tower.mult_order, tower.p, self.ring.m
+        mins = orbit_minima(N, p, tower.f * tower.n)
+        reps = np.flatnonzero(mins == np.arange(N))
+        self.row_of = np.searchsorted(reps, mins)
         offsets = (np.int64(N) * tower.trace_abs.astype(np.int64)) % m
-        counts = _accel.gauss_counts(p, m, offsets)
+        counts = _accel.gauss_counts(p, m, offsets, exps=reps)
         self.S = self.ring.reduce_matrix(counts)
 
+    def rows(self, es) -> np.ndarray:
+        """Canonical rows of S(chi_e) stacked in the order of `es`."""
+        return self.S[self.row_of[np.asarray(es) % self.tower.mult_order]]
+
     def element(self, e: int) -> cyclo.CycloElement:
-        row = self.S[e % self.tower.mult_order]
+        row = self.S[self.row_of[e % self.tower.mult_order]]
         return cyclo.CycloElement(self.ring, row.copy())
 
-    def key(self, e: int) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.S[e % self.tower.mult_order])
+    def key(self, e: int) -> bytes | tuple[int, ...]:
+        return cyclo.canonical_key(self.S[self.row_of[e % self.tower.mult_order]])
 
 
 _TABLE_CACHE: dict[int, tuple[FieldTower, GaussTable]] = {}

@@ -49,9 +49,12 @@ def test_gauss_counts_backends_agree(monkeypatch):
     rng = np.random.default_rng(2)
     offsets = rng.integers(0, 72, size=26).astype(np.int64)
     monkeypatch.setenv("GAUSSLAB_NO_NUMBA", "1")
+    exps = np.array([0, 1, 5, 7, 25])  # an exponent subset, as orbit tables pass
     a = _accel.gauss_counts(3, 72, offsets)
+    a_sub = _accel.gauss_counts(3, 72, offsets, exps=exps)
     assert a.shape == (26, 72)
     assert np.all(a.sum(axis=1) == 26)
+    assert np.array_equal(a_sub, a[exps])
     if not (_accel.HAS_NUMBA):
         pytest.skip("numba unavailable")
     monkeypatch.delenv("GAUSSLAB_NO_NUMBA")
@@ -59,7 +62,9 @@ def test_gauss_counts_backends_agree(monkeypatch):
     if not _accel.numba_enabled():
         pytest.skip("jit disabled in this environment")
     b = _accel.gauss_counts(3, 72, offsets)
+    b_sub = _accel.gauss_counts(3, 72, offsets, exps=exps)
     assert np.array_equal(a, b)
+    assert np.array_equal(a_sub, b_sub)
 
 
 def test_whole_pipeline_on_numpy_backend(force_numpy):

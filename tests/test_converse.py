@@ -3,7 +3,7 @@ import json
 import pytest
 
 from gausslab import build_tower
-from gausslab.chars import MultChar
+from gausslab.chars import MultChar, orbit_reps, regular_exponents
 from gausslab.converse import (
     convention_stamp,
     counterexample_search,
@@ -15,8 +15,10 @@ from gausslab.converse import (
     primitive_scan,
     scan_converse,
     signature,
+    signature_classes,
 )
 from gausslab.errors import ArgumentError
+from gausslab.gauss import gauss_table
 from gausslab import digits as D
 
 
@@ -162,3 +164,50 @@ def test_convention_stamp_fields(f9):
     s = convention_stamp(f9)
     assert s["p"] == 3 and s["modulus"] == [1, 0, 1] and s["generator"] == 4
     assert "version" in s
+
+
+def _tuple_classes(tab, exps, twists_of):
+    """Reference grouping: tuple-of-tuples keys of every twist's coefficients."""
+    classes = {}
+    for e in exps:
+        key = tuple(tuple(int(c) for c in tab.element(x).coeffs) for x in twists_of(e))
+        classes.setdefault(key, []).append(e)
+    return list(classes.values())
+
+
+def test_signature_classes_match_tuple_grouping_on_scan(f729):
+    tab = gauss_table(f729)
+    N, q = f729.mult_order, f729.q
+    stride = N // (q - 1)
+    reps = orbit_reps(f729, regular_only=False)
+    classes = signature_classes(tab, reps, stride, q - 1)
+    ref = _tuple_classes(tab, reps, lambda e: [(e + k * stride) % N for k in range(q - 1)])
+    assert classes == ref
+    rep = scan_converse(f729, "all")
+    assert rep.n_classes == len(ref)
+    assert rep.collision_classes == sorted(c for c in ref if len(c) > 1)
+
+
+def test_signature_classes_match_tuple_grouping_on_lemmas():
+    T = build_tower(3, 1, 5)
+    tab = gauss_table(T)
+    p, N = T.p, T.mult_order
+    stride = N // (p - 1)
+    regular = regular_exponents(T)
+    ref_S = _tuple_classes(tab, regular, lambda e: [e])
+    ref_sig = _tuple_classes(tab, regular, lambda e: [-(e + k * stride) % N for k in range(p - 1)])
+    assert signature_classes(tab, regular, stride, 1) == ref_S
+    neg = signature_classes(tab, [-e % N for e in regular], -stride % N, p - 1)
+    assert [[-x % N for x in c] for c in neg] == ref_sig
+
+    def pairs(classes):
+        return sum(len(c) * (len(c) - 1) // 2 for c in classes)
+
+    results = {r.name: r for r in lemma_suite(T).results}
+    assert results["equal-sums-match-digit-sum-and-factorial"].pairs_tested == pairs(ref_S)
+    assert results["equal-signatures-match-extreme-digits"].pairs_tested == pairs(ref_sig)
+
+
+def test_mersenne_check_n13():
+    rep = mersenne_check(13)
+    assert rep.ok and rep.n_orbits == (2**13 - 2) // 13

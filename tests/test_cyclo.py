@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausslab.cyclo import CycloElement, cyclotomic_poly, get_ring
+from gausslab.cyclo import CycloElement, canonical_key, cyclotomic_poly, get_ring
 from gausslab.errors import ArgumentError, ResourceCapError
 from gausslab.numth import divisors, euler_phi
 
@@ -124,3 +124,37 @@ def test_object_fallback_for_huge_coefficients():
 def test_conductor_cap():
     with pytest.raises(ResourceCapError, match="max_conductor"):
         get_ring(50000)
+
+
+def test_canonical_key_is_dtype_insensitive():
+    vals = [3, -7, 0, 2**40, -(2**62) + 1, 2**62 - 1]
+    a = np.array(vals, dtype=np.int64)
+    b = np.array(vals, dtype=object)
+    assert isinstance(canonical_key(a), bytes)
+    assert canonical_key(a) == canonical_key(b)
+    assert hash(canonical_key(a)) == hash(canonical_key(b))
+    assert canonical_key(a) != canonical_key(a[::-1])
+
+
+def test_canonical_key_large_values_take_the_exact_tuple_tier():
+    big = 2**62
+    for vals in ([big, 1], [-big, 1], [2**63 - 1, 0], [3**50, -1]):
+        key = canonical_key(np.array(vals, dtype=object))
+        assert key == tuple(vals)
+        assert hash(key) == hash(canonical_key(np.array(vals, dtype=object)))
+    # an int64 array past the bound keys like the object array of its values
+    assert canonical_key(np.array([big, 1], dtype=np.int64)) == (big, 1)
+    assert canonical_key(np.array([3**50, 0], dtype=object)) != canonical_key(
+        np.array([3**50 + 1, 0], dtype=object)
+    )
+    assert canonical_key(np.array([big - 1, 0])) != canonical_key(np.array([big, 0], dtype=object))
+
+
+def test_element_keys_agree_across_dtypes():
+    R = get_ring(24)
+    x = R.element(np.arange(1, 9, dtype=np.int64))
+    y = CycloElement(R, x.coeffs.astype(object))
+    assert x == y and hash(x) == hash(y)
+    big = R.from_int(2**70)
+    assert isinstance(big.key, tuple)
+    assert big == R.from_int(2**70) and big != R.from_int(2**70 + 1)

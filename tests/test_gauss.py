@@ -7,7 +7,9 @@ from gausslab import build_tower, build_etale
 from gausslab.chars import MultChar, ring_for, twist_offset
 from gausslab.errors import ArgumentError
 from gausslab.gauss import (
+    GaussTable,
     ScaledCyclo,
+    _single_sum,
     etale_gauss,
     etale_gauss_signed,
     gamma_n_by_1,
@@ -268,3 +270,17 @@ def test_composed_exponent_identity():
     # direct: exponent of zeta_{q^2-1} is e * dlog_h(Nr(g)) = e * 1
     rhs = ring_for(big).zeta_pow(big.p * e * scale)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("p,f,n", [(3, 1, 4), (2, 1, 6), (5, 2, 2), (2, 2, 3)])
+def test_orbit_table_matches_single_sums(p, f, n):
+    T = build_tower(p, f, n)
+    N = T.mult_order
+    tab = GaussTable(T)
+    orbits = {frozenset(e * p**k % N for k in range(f * n)) for e in range(N)}
+    assert tab.S.shape[0] == len(orbits)  # one row per p-orbit
+    for e in range(N):
+        assert tab.row_of[e] == tab.row_of[p * e % N]
+        assert tab.element(e) == _single_sum(T, e)
+    es = [N - 1, 0, 7 % N, 7 % N]
+    assert np.array_equal(tab.rows(es), np.stack([tab.element(e).coeffs for e in es]))
