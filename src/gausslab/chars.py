@@ -31,7 +31,7 @@ def ring_for(tower: FieldTower, max_conductor: int = cyclo.DEFAULT_MAX_CONDUCTOR
 
 def twist_offset(tower: FieldTower, k: int = 1) -> int:
     """k-hat = k*(q^n-1)/(q-1), the exponent shift of twisting by eta_k o Nr."""
-    return k * (tower.mult_order // (tower.q - 1))
+    return numth.k_hat(tower.q, tower.n, k)
 
 
 @dataclass(frozen=True)

@@ -599,7 +599,7 @@ class EtaleScanReport:
 
     @property
     def ok(self) -> bool:
-        return all(a.status == "pass" for a in self.assertions)
+        return all(a.status != "fail" for a in self.assertions)
 
 
 def etale_signature_scan(p: int, f: int, n: int, **tower_kwargs) -> EtaleScanReport:

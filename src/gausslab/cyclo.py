@@ -399,10 +399,21 @@ class CycloElement:
 
     # -- integer divisibility -------------------------------------------------
 
+    def _int64_divisor(self, c: int) -> bool:
+        # int64 remainder and floor division are exact for a nonzero int64 c
+        return self.coeffs.dtype != object and 0 < abs(c) < _I64_SAFE
+
     def divisible_by_int(self, c: int) -> bool:
+        if self._int64_divisor(c):
+            return not np.any(np.remainder(self.coeffs, c))
         return all(int(x) % c == 0 for x in self.coeffs)
 
     def divide_exact_int(self, c: int) -> "CycloElement":
+        if self._int64_divisor(c):
+            quo, rem = np.divmod(self.coeffs, c)
+            if np.any(rem):
+                raise ArgumentError(f"element is not divisible by {c}")
+            return CycloElement(self.ring, quo)
         out = np.empty(self.ring.phi, dtype=object)
         for i, x in enumerate(self.coeffs):
             q, r = divmod(int(x), c)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArgumentError
-from .numth import is_prime
+from .numth import is_prime, k_hat
 
 
 @dataclass(frozen=True)
@@ -90,18 +90,13 @@ def digit_factorial_mod_p(v: DigitVector) -> int:
     return out
 
 
-def twist_offset(p: int, n: int, k: int = 1) -> int:
-    """k-hat = k * (p^n-1)/(p-1)."""
-    return k * (p**n - 1) // (p - 1)
-
-
 def digit_sum_shifted(p: int, n: int, e: int, k: int) -> int:
     """s(e + k-hat) with the carry-faithful representative of the zero class.
 
     Adding a positive k-hat to a nonzero class can only reach the zero class
     through the all-(p-1) digit vector, so that representative is used.
     """
-    shifted = (e + twist_offset(p, n, k)) % (p**n - 1)
+    shifted = (e + k_hat(p, n, k)) % (p**n - 1)
     rep = "full" if (shifted == 0 and k > 0) else "zero"
     return digit_sum(expand(p, n, shifted, zero_rep=rep))
 

@@ -87,3 +87,9 @@ def radical(n: int) -> int:
     for p in factorize(n):
         out *= p
     return out
+
+
+def k_hat(q: int, n: int, k: int = 1) -> int:
+    """k-hat = k*(q^n-1)/(q-1): twisting a character of F_{q^n}^x by the k-th
+    character of F_q^x through the norm shifts its exponent by k-hat."""
+    return k * ((q**n - 1) // (q - 1))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from gausslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, main
+from gausslab.converse import etale_signature_scan
 
 
 def run(capsys, *argv):
@@ -119,6 +120,17 @@ def test_tensor_rhs_command(capsys):
 def test_etale_scan_command(capsys):
     status, out, _ = run(capsys, "etale-scan", "--p", "5", "--n", "2")
     assert status == EXIT_OK
+
+
+@pytest.mark.parametrize("p", [3, 13])
+def test_etale_scan_ok_agrees_with_exit_code(capsys, p):
+    rep = etale_signature_scan(p, 1, 2)
+    status, out, _ = run(capsys, "etale-scan", "--p", str(p), "--n", "2")
+    assert status == (EXIT_OK if rep.ok else EXIT_VIOLATION)
+    statuses = {a["name"]: a["status"] for a in json.loads(out)["assertions"]}
+    assert statuses == {a.name: a.status for a in rep.assertions}
+    # q = 3 misses the appendix bound: one assertion is inconclusive, none fails
+    assert rep.ok and ("inconclusive" in statuses.values()) == (p == 3)
 
 
 def test_primitive_scan_command(capsys):

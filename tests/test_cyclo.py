@@ -113,6 +113,25 @@ def test_integer_helpers():
     assert not R.zeta_pow(1).is_integer()
 
 
+def test_integer_division_object_path_matches_int64():
+    R = get_ring(12)
+    vals = np.array([-18, 0, 27, -9], dtype=np.int64)
+    x = CycloElement(R, vals)
+    for c in (9, -9, 3, -3, 5, 2):
+        y = CycloElement(R, vals.astype(object))
+        assert x.divisible_by_int(c) == y.divisible_by_int(c) == all(v % c == 0 for v in vals)
+        if x.divisible_by_int(c):
+            assert x.divide_exact_int(c) == y.divide_exact_int(c)
+            assert x.divide_exact_int(c).coeffs.tolist() == [v // c for v in vals]
+        else:
+            for z in (x, y):
+                with pytest.raises(ArgumentError):
+                    z.divide_exact_int(c)
+    big = CycloElement(R, np.array([3**90, -(3**91), 0, 3**89], dtype=object))
+    assert big.divisible_by_int(3**89) and not big.divisible_by_int(2)
+    assert big.divide_exact_int(3**89).coeffs.tolist() == [3, -9, 0, 1]
+
+
 def test_object_fallback_for_huge_coefficients():
     R = get_ring(8)
     big = 3 ** 200

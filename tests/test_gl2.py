@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from gausslab.chars import MultChar
+from gausslab.cyclo import canonical_key
 from gausslab.errors import ArgumentError, FormulaValidationError, ResourceCapError
 from gausslab.gauss import gamma_n_by_1
 from gausslab.gl2 import (
@@ -171,3 +173,100 @@ def test_fourier_duality(G3):
             acc = acc + scaled * G3.tau((q - 1 - k) % (q - 1), a)
         expect = bessel(pi, (0, 1, a, 0)).num.scale(q - 1)
         assert acc == expect
+
+
+# -- gate strength: the batched products against the per-class loop ----------
+
+
+def reference_inner(G, mine, theirs):
+    """|G| <mine, theirs>, one ring product per class."""
+    acc = G.ring.zero()
+    for c, a, b in zip(G.classes, mine, theirs):
+        acc = acc + (a * b.conj()).scale(c.size)
+    return acc
+
+
+def reference_borel(G, c1, c2):
+    """Character of Ind from the Borel of the torus character (c1, c2)."""
+    q = G.q
+    out = []
+    for c in G.classes:
+        if c.label == "central":
+            z = c.params[0]
+            out.append((G.tau(c1, z) * G.tau(c2, z)).scale(q + 1))
+        elif c.label == "central-unipotent":
+            z = c.params[0]
+            out.append(G.tau(c1, z) * G.tau(c2, z))
+        elif c.label == "split":
+            a, b = c.params
+            out.append(G.tau(c1, a) * G.tau(c2, b) + G.tau(c1, b) * G.tau(c2, a))
+        else:
+            out.append(G.ring.zero())
+    return out
+
+
+def assert_products_match_reference(G, pi):
+    q = G.q
+    others = [pi.values, [G.ring.one()] * len(G.classes)]
+    others += [reference_borel(G, c1, c2) for c1 in range(q - 1) for c2 in range(q - 1)]
+    got = pi._gate_products()
+    assert got.shape == (len(others), G.ring.phi)
+    for row, other in zip(got, others):
+        assert canonical_key(row) == reference_inner(G, pi.values, other).key
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_batched_gate_products_match_per_class_loop(q):
+    G = gl2_group(q)
+    rng = np.random.default_rng(q)
+    for c in regular_reps(G):
+        pi = CuspidalCharacter(G, c)
+        assert_products_match_reference(G, pi)
+    # a table of random ring elements: every product is generic, none vanishes
+    pi.values = [G.ring.element(rng.integers(-3, 4, G.ring.m)) for _ in G.classes]
+    assert_products_match_reference(G, pi)
+    got = pi._gate_products()
+    assert np.all(np.any(got != 0, axis=1))
+
+
+def test_gate_products_take_python_ints_above_the_int64_bound(G3):
+    pi = CuspidalCharacter(G3, MultChar(G3.tower, 1))
+    small = pi._gate_products()
+    s = 2**40
+    pi.values = [v.scale(s) for v in pi.values]
+    big = pi._gate_products()  # entries reach |G| * s^2 = 48 * 2^80
+    assert big.dtype == object
+    assert big.tolist() == (small.astype(object) * s * s).tolist()
+    with pytest.raises(FormulaValidationError, match="self-inner-product"):
+        pi._validate()
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_principal_series_table_trips_cuspidality_gate(q):
+    # Ind(theta_0 x theta_1) is irreducible of dimension q + 1, has unit norm
+    # and is orthogonal to the trivial character: only the Borel gate sees it
+    G = gl2_group(q)
+    pi = CuspidalCharacter(G, regular_reps(G)[0], validate=False)
+    pi.values = reference_borel(G, 0, 1)
+    assert pi.value_at((1, 0, 0, 1)).int_value() == q + 1
+    got = pi._gate_products()
+    assert got[0].tolist() == [G.order] + [0] * (G.ring.phi - 1)
+    assert not np.any(got[1])
+    with pytest.raises(FormulaValidationError, match=r"cuspidality gate failed against Borel character \(0,1\)"):
+        pi._validate()
+
+
+@pytest.mark.parametrize("label", ["central", "central-unipotent", "split", "elliptic"])
+def test_tampering_one_class_of_each_label_trips_a_gate(G3, G5, label):
+    for G in (G3, G5):
+        i = next(i for i, c in enumerate(G.classes) if c.label == label)
+        zeta = G.ring.zeta_pow(G.tower.mult_order)  # psi(1), a unit of norm 1
+        base = CuspidalCharacter(G, regular_reps(G)[0])
+        for tamper in (lambda v: -v, lambda v: v * zeta, lambda v: v + G.ring.one()):
+            new = tamper(base.values[i])
+            if new == base.values[i]:  # split values are 0: only the shift moves them
+                continue
+            pi = CuspidalCharacter(G, base.chi, validate=False)
+            pi.values[i] = new
+            with pytest.raises(FormulaValidationError):
+                pi._validate()
