@@ -143,11 +143,7 @@ def _object_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class CycloRing:
     """Arithmetic context for one conductor m; build through `get_ring`."""
 
-    def __init__(self, m: int, max_conductor: int = DEFAULT_MAX_CONDUCTOR):
-        if m > max_conductor:
-            raise ResourceCapError(
-                f"conductor {m} exceeds max_conductor cap {max_conductor}"
-            )
+    def __init__(self, m: int):
         self.m = m
         self.phi = numth.euler_phi(m)
         self.Phi = cyclotomic_poly(m)
@@ -263,10 +259,17 @@ class CycloRing:
 _RING_CACHE: dict[int, CycloRing] = {}
 
 
+def check_conductor(m: int, max_conductor: int) -> None:
+    if m > max_conductor:
+        raise ResourceCapError(f"conductor {m} exceeds max_conductor cap {max_conductor}")
+
+
 def get_ring(m: int, max_conductor: int = DEFAULT_MAX_CONDUCTOR) -> CycloRing:
+    # the cap binds on cache hits too, so it never depends on earlier calls
+    check_conductor(m, max_conductor)
     ring = _RING_CACHE.get(m)
     if ring is None:
-        ring = CycloRing(m, max_conductor=max_conductor)
+        ring = CycloRing(m)
         _RING_CACHE[m] = ring
     return ring
 

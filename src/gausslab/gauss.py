@@ -75,6 +75,7 @@ _TABLE_CACHE: dict[int, tuple[FieldTower, GaussTable]] = {}
 def gauss_table(tower: FieldTower, max_conductor: int = cyclo.DEFAULT_MAX_CONDUCTOR) -> GaussTable:
     hit = _TABLE_CACHE.get(id(tower))
     if hit is not None and hit[0] is tower:
+        cyclo.check_conductor(hit[1].ring.m, max_conductor)
         return hit[1]
     table = GaussTable(tower, max_conductor=max_conductor)
     _TABLE_CACHE[id(tower)] = (tower, table)

@@ -84,14 +84,11 @@ class GL2Group:
 
     The class tables the batched sums read (sizes, the classes of
     [[0,1],[a,0]] u_x, the cuspidal and Borel-induced formulas as sparse
-    group-ring terms) are built once per group, on first use.
+    group-ring terms) are built once per group, on first use.  Build
+    through `gl2_group`, which validates q.
     """
 
-    def __init__(self, q: int, max_q: int = DEFAULT_MAX_Q):
-        if not is_prime(q) or q == 2:
-            raise ArgumentError(f"GL2 oracle needs an odd prime q, got {q}")
-        if q > max_q:
-            raise ResourceCapError(f"q = {q} exceeds the GL2 cap max_q = {max_q}")
+    def __init__(self, q: int):
         self.q = q
         self.tower = build_tower(q, 1, 2)
         self.order = (q * q - 1) * (q * q - q)
@@ -241,9 +238,14 @@ _GROUP_CACHE: dict[int, GL2Group] = {}
 
 
 def gl2_group(q: int, max_q: int = DEFAULT_MAX_Q) -> GL2Group:
+    # the cap binds on cache hits too, so it never depends on earlier calls
+    if not is_prime(q) or q == 2:
+        raise ArgumentError(f"GL2 oracle needs an odd prime q, got {q}")
+    if q > max_q:
+        raise ResourceCapError(f"q = {q} exceeds the GL2 cap max_q = {max_q}")
     g = _GROUP_CACHE.get(q)
     if g is None:
-        g = GL2Group(q, max_q=max_q)
+        g = GL2Group(q)
         _GROUP_CACHE[q] = g
     return g
 

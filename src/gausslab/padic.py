@@ -27,12 +27,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import digits
 from .chars import MultChar
-from .cyclo import CycloElement
+from .cyclo import _I64_SAFE, CycloElement
 from .errors import ArgumentError, PrecisionError
 from .ff import FieldTower
 from .gauss import gauss_S
+
+_I64_LIMIT = 1 << 63  # |partial sums| of an int64 product stay below this
 
 
 class RamifiedContext:
@@ -233,13 +237,17 @@ class RamifiedPadic:
             y = y * (two - self * y)
         return y
 
-    def divide(self, other: "RamifiedPadic") -> "RamifiedPadic":
-        """Exact division; v(other) must not exceed v(self)."""
-        v = other.valuation()
+    def valuation_and_unit_inverse(self) -> tuple[int, "RamifiedPadic"]:
+        """(v, u^-1) where self = pi^v * u with u a unit: the divisor half of `divide`."""
+        v = self.valuation()
         if v is None:
             raise PrecisionError("divisor vanishes at working precision")
-        unit = other.div_by_pi_power(v)
-        return (self * unit.inverse_unit()).div_by_pi_power(v)
+        return v, self.div_by_pi_power(v).inverse_unit()
+
+    def divide(self, other: "RamifiedPadic") -> "RamifiedPadic":
+        """Exact division; v(other) must not exceed v(self)."""
+        v, inv = other.valuation_and_unit_inverse()
+        return (self * inv).div_by_pi_power(v)
 
 
 def _residue_field_inverse(vec, p, modulus, n) -> tuple[int, ...]:
@@ -366,31 +374,55 @@ class PadicEmbedding:
         a = pow(N, -1, p)
         b = pow(p, -1, N)
         self.img_zeta_m = (self.zeta_p**a) * (self.teich_g**b)
-        self._pows: list[RamifiedPadic] | None = None
+        self._images: np.ndarray | None = None
+        self._pi_unit_inverses: dict[int, tuple[int, RamifiedPadic]] = {}
 
-    def _img_pows(self, upto: int) -> list[RamifiedPadic]:
-        if self._pows is None or len(self._pows) < upto:
-            pows = [self.ctx.one()]
-            while len(pows) < upto:
-                pows.append(pows[-1] * self.img_zeta_m)
-            self._pows = pows
-        return self._pows
+    def _image_matrix(self, phi: int) -> np.ndarray:
+        """(phi, (p-1)*n) matrix whose row k is img(zeta_m)^k, pi-degree major.
+
+        int64 while every entry (< p^K) fits with headroom, Python ints otherwise.
+        """
+        ctx = self.ctx
+        rows = [ctx.one()]
+        while len(rows) < phi:
+            rows.append(rows[-1] * self.img_zeta_m)
+        dtype = np.int64 if ctx.pK < _I64_SAFE else object
+        return np.array([[c for w in r.coeffs for c in w] for r in rows], dtype=dtype)
 
     def embed(self, elt: CycloElement) -> RamifiedPadic:
+        """sum_k c_k img(zeta_m)^k mod p^K, as one integer matrix product.
+
+        The product runs in int64 only when sum |c_k| * (p^K - 1) < 2^63
+        bounds every partial sum; otherwise in Python ints.
+        """
         if elt.ring.m != self.m:
             raise ArgumentError(
                 f"conductor {elt.ring.m} does not match the embedding conductor {self.m}"
             )
-        pows = self._img_pows(elt.ring.phi)
-        out = self.ctx.zero()
-        for k, c in enumerate(elt.coeffs):
-            c = int(c)
-            if c:
-                out = out + pows[k].scale_int(c)
-        return out
+        if self._images is None:
+            self._images = self._image_matrix(elt.ring.phi)
+        ctx, images, c = self.ctx, self._images, elt.coeffs
+        exact = images.dtype == object or c.dtype == object
+        if not exact:
+            amax = max(-int(c.min(initial=0)), int(c.max(initial=0)))
+            # the first test keeps the int64 sum of |c_k| itself from wrapping
+            exact = (amax * len(c) >= _I64_LIMIT
+                     or int(np.abs(c).sum()) * (ctx.pK - 1) >= _I64_LIMIT)
+        if exact:
+            prod = c.astype(object, copy=False) @ images.astype(object, copy=False)
+        else:
+            prod = c @ images
+        flat = (prod % ctx.pK).tolist()
+        n = ctx.n
+        return RamifiedPadic(ctx, tuple(tuple(flat[i : i + n]) for i in range(0, len(flat), n)))
 
-    def valuation(self, elt: CycloElement) -> int | None:
-        return self.embed(elt).valuation()
+    def pi_unit_power_inverse(self, s: int) -> tuple[int, RamifiedPadic]:
+        """`valuation_and_unit_inverse` of (zeta_p - 1)^s, cached per s."""
+        hit = self._pi_unit_inverses.get(s)
+        if hit is None:
+            hit = ((self.zeta_p - self.ctx.one()) ** s).valuation_and_unit_inverse()
+            self._pi_unit_inverses[s] = hit
+        return hit
 
 
 _EMBED_CACHE: dict[tuple[int, int], tuple[FieldTower, PadicEmbedding]] = {}
@@ -440,8 +472,9 @@ def stickelberger_check(tower: FieldTower, e: int, K: int | None = None) -> Stic
     valuation_ok = mv == s
     congruence_ok = False
     if valuation_ok:
-        pi_unit = emb.zeta_p - emb.ctx.one()  # valuation exactly 1
-        y = x.divide(pi_unit**s).scale_int(t)
+        # x.divide((zeta_p - 1)**s), with the divisor's unit inverted once per s
+        vd, inv = emb.pi_unit_power_inverse(s)
+        y = (x * inv).div_by_pi_power(vd).scale_int(t)
         res = y.residue()
         congruence_ok = res == ((p - 1,) + (0,) * (n - 1))
     return StickelbergerReport(

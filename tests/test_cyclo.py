@@ -145,6 +145,12 @@ def test_conductor_cap():
         get_ring(50000)
 
 
+def test_conductor_cap_binds_on_cache_hit():
+    get_ring(30, max_conductor=30)
+    with pytest.raises(ResourceCapError, match="max_conductor"):
+        get_ring(30, max_conductor=10)
+
+
 def test_canonical_key_is_dtype_insensitive():
     vals = [3, -7, 0, 2**40, -(2**62) + 1, 2**62 - 1]
     a = np.array(vals, dtype=np.int64)

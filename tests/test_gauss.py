@@ -5,7 +5,7 @@ import pytest
 
 from gausslab import build_tower, build_etale
 from gausslab.chars import MultChar, ring_for, twist_offset
-from gausslab.errors import ArgumentError
+from gausslab.errors import ArgumentError, ResourceCapError
 from gausslab.gauss import (
     GaussTable,
     ScaledCyclo,
@@ -97,6 +97,12 @@ def test_modulus_identity_both_forms(f9, f25):
             S = gauss_S(c)
             assert (S * sigma_fixing_psi(S, -1, T)).int_value() == c.value_at_minus_one() * qn
             assert (S * S.conj()).int_value() == qn
+
+
+def test_table_conductor_cap_binds_on_cache_hit(f9):
+    gauss_table(f9)  # conductor 24
+    with pytest.raises(ResourceCapError, match="max_conductor"):
+        gauss_table(f9, max_conductor=10)
 
 
 def test_galois_equivariance(f9, f25):

@@ -61,6 +61,12 @@ def test_q_constraints():
     gl2_group(11, max_q=11)
 
 
+def test_q_cap_binds_on_cache_hit():
+    gl2_group(11, max_q=11)
+    with pytest.raises(ResourceCapError, match="max_q = 7"):
+        gl2_group(11)
+
+
 def test_validation_gates_all_regular(G3):
     for c in regular_reps(G3):
         CuspidalCharacter(G3, c)  # raises on any gate failure

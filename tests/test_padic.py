@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gausslab import build_tower
+from gausslab import build_tower, digits
 from gausslab.chars import MultChar, ring_for
-from gausslab.errors import ArgumentError
+from gausslab.errors import ArgumentError, PrecisionError
 from gausslab.gauss import gauss_S
 from gausslab.padic import (
     PadicEmbedding,
@@ -75,6 +75,64 @@ def test_embed_is_morphism(f9, emb9):
         assert diff.is_zero() or diff.valuation() is None
         dsum = emb9.embed(a + b) - (emb9.embed(a) + emb9.embed(b))
         assert dsum.is_zero()
+
+
+def _embed_by_terms(emb, elt):
+    """Reference: sum of c_k * img(zeta_m)^k, one ring call per term."""
+    ctx = emb.ctx
+    pows = [ctx.one()]
+    while len(pows) < elt.ring.phi:
+        pows.append(pows[-1] * emb.img_zeta_m)
+    out = ctx.zero()
+    for k, c in enumerate(elt.coeffs):
+        c = int(c)
+        if c:
+            out = out + pows[k].scale_int(c)
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 5), (5, 2), (7, 3)])
+def test_embed_matches_per_term_sum(p, n):
+    T = build_tower(p, 1, n)
+    emb = embedding_for(T)
+    ring = ring_for(T)
+    rng = np.random.default_rng(p * 100 + n)
+    elts = [gauss_S(MultChar(T, e)) for e in (1, 2, T.mult_order - 1)]
+    for bound in (9, 2**40, 2**60):
+        elts += [ring.element(rng.integers(-bound, bound, ring.phi)) for _ in range(3)]
+    # the int64 product is certified only while sum|c_k| * (p^K - 1) < 2^63;
+    # the last elements break that bound, so they take the Python-int product
+    assert sum(abs(int(c)) for c in elts[-1].coeffs) * (emb.ctx.pK - 1) >= 2**63
+    for elt in elts:
+        got = emb.embed(elt)
+        assert got.coeffs == _embed_by_terms(emb, elt).coeffs
+        assert all(type(c) is int for w in got.coeffs for c in w)
+    # p^K = 7^26 > 2^62: the image matrix holds Python ints
+    assert (emb._images.dtype == object) == (emb.ctx.pK >= 2**62)
+    # one input on both routes: int64 coefficients against the same values as objects
+    elt = elts[3]
+    as_objects = ring.element(elt.coeffs.astype(object))
+    assert as_objects.coeffs.dtype == object
+    assert emb.embed(as_objects).coeffs == emb.embed(elt).coeffs
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 2)])
+def test_cached_divisor_matches_divide(p, n):
+    T = build_tower(p, 1, n)
+    emb = embedding_for(T)
+    pi_unit = emb.zeta_p - emb.ctx.one()
+    for e in range(1, T.mult_order):
+        s = digits.digit_sum(digits.expand(p, n, e))
+        x = emb.embed(gauss_S(MultChar(T, -e)))
+        v, inv = emb.pi_unit_power_inverse(s)
+        assert v == s
+        assert (x * inv).div_by_pi_power(v) == x.divide(pi_unit**s)
+    # a divisor that vanishes at working precision still raises
+    low = PadicEmbedding(T, K=2)
+    with pytest.raises(PrecisionError):
+        low.pi_unit_power_inverse(low.ctx.prec_floor)
+    with pytest.raises(PrecisionError):
+        low.ctx.one().divide((low.zeta_p - low.ctx.one()) ** low.ctx.prec_floor)
 
 
 def test_embed_examples(f9, emb9):
