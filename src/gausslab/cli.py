@@ -2,8 +2,8 @@
 reports with embedded convention stamps, deterministic byte output.
 
 Report schema: {"meta": {...}, "result": {...}, "assertions": [{name,
-status, witness?}]}. Identical configuration (and cache state) produces
-byte-identical reports; wall-clock timings go to stderr only.
+status, witness?}]}. Identical configuration produces byte-identical
+reports; wall-clock timings go to stderr only.
 
 Exit status: 0 all asserted properties held (or were expected, see
 --expect-collisions), 1 property violation, 2 invalid configuration,
@@ -21,10 +21,9 @@ import sys
 import time
 
 from . import __version__, converse, cyclo, gl2
-from ._accel import kernel_backend, set_jobs
 from .chars import MultChar
 from .errors import ArgumentError, GausslabError, ResourceCapError
-from .ff import build_tower
+from .ff import DEFAULT_MAX_ELEMENTS, build_tower
 from .gauss import gamma_n_by_1, gauss_S, gauss_table, hasse_davenport_check, tensor_gamma_rhs
 from .padic import gross_koblitz_check, stickelberger_check
 
@@ -32,6 +31,11 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
+
+
+def kernel_backend() -> str:
+    """The kernels' backend, named in the stderr timing line: always numpy."""
+    return "numpy"
 
 
 def _jsonable(x):
@@ -80,17 +84,7 @@ def _emit(report: dict, args) -> None:
 
 
 def _status_from(assertions: list[dict]) -> int:
-    bad = [a for a in assertions if a["status"] == "fail"]
-    return EXIT_VIOLATION if bad else EXIT_OK
-
-
-def _tower_kwargs(args) -> dict:
-    kw = {"max_elements": args.max_elements}
-    if args.use_cache:
-        kw["use_cache"] = True
-        if args.cache_dir:
-            kw["cache_dir"] = args.cache_dir
-    return kw
+    return EXIT_OK if converse.statuses_ok(a["status"] for a in assertions) else EXIT_VIOLATION
 
 
 def _meta(args, extra: dict | None = None) -> dict:
@@ -110,7 +104,7 @@ def _meta(args, extra: dict | None = None) -> dict:
 
 
 def _cmd_field_info(args):
-    tower = build_tower(args.p, args.f, args.n, **_tower_kwargs(args))
+    tower = build_tower(args.p, args.f, args.n, max_elements=args.max_elements)
     stamp = converse.convention_stamp(tower)
     result = {
         "order": tower.order,
@@ -126,7 +120,7 @@ def _cmd_field_info(args):
 
 
 def _cmd_gauss(args):
-    tower = build_tower(args.p, args.f, args.n, **_tower_kwargs(args))
+    tower = build_tower(args.p, args.f, args.n, max_elements=args.max_elements)
     c = MultChar(tower, args.e)
     s = gauss_S(c)
     val, err = s.embed_complex(digits=15)
@@ -173,18 +167,18 @@ def _scan_to_report(rep: converse.ScanReport, args, expect_collisions: bool):
 
 
 def _cmd_scan(args):
-    tower = build_tower(args.p, args.f, args.n, **_tower_kwargs(args))
+    tower = build_tower(args.p, args.f, args.n, max_elements=args.max_elements)
     rep = converse.scan_converse(tower, population=args.population)
     return _scan_to_report(rep, args, args.expect_collisions)
 
 
 def _cmd_primitive_scan(args):
-    rep = converse.primitive_scan(args.p, args.f, args.n, args.r, **_tower_kwargs(args))
+    rep = converse.primitive_scan(args.p, args.f, args.n, args.r, max_elements=args.max_elements)
     return _scan_to_report(rep, args, args.expect_collisions)
 
 
 def _cmd_lemmas(args):
-    tower = build_tower(args.p, 1, args.n, **_tower_kwargs(args))
+    tower = build_tower(args.p, 1, args.n, max_elements=args.max_elements)
     rep = converse.lemma_suite(tower)
     assertions = _assertion_dicts(rep.assertions())
     result = {
@@ -206,7 +200,7 @@ def _cmd_lemmas(args):
 
 
 def _cmd_stickelberger(args):
-    tower = build_tower(args.p, 1, args.n, **_tower_kwargs(args))
+    tower = build_tower(args.p, 1, args.n, max_elements=args.max_elements)
     exponents = [args.e] if args.e is not None else range(1, tower.mult_order)
     failures = []
     checked = 0
@@ -231,7 +225,7 @@ def _cmd_stickelberger(args):
 
 
 def _cmd_gross_koblitz(args):
-    tower = build_tower(args.p, 1, args.n, **_tower_kwargs(args))
+    tower = build_tower(args.p, 1, args.n, max_elements=args.max_elements)
     exponents = [args.e] if args.e is not None else range(1, tower.mult_order)
     failures = []
     checked = 0
@@ -257,7 +251,7 @@ def _cmd_gross_koblitz(args):
 
 
 def _cmd_counterexample(args):
-    rep = converse.counterexample_search(args.t, p=args.p, **_tower_kwargs(args))
+    rep = converse.counterexample_search(args.t, p=args.p, max_elements=args.max_elements)
     assertions = _assertion_dicts(rep.assertions)
     result = {
         "p": rep.p,
@@ -317,9 +311,9 @@ def _cmd_gl2_check(args):
 
 
 def _cmd_tensor_rhs(args):
-    chi_tower = build_tower(args.p, args.f, args.n, **_tower_kwargs(args))
-    eta_tower = build_tower(args.p, args.f, args.m, **_tower_kwargs(args))
-    big = build_tower(args.p, args.f, args.n * args.m, **_tower_kwargs(args))
+    chi_tower = build_tower(args.p, args.f, args.n, max_elements=args.max_elements)
+    eta_tower = build_tower(args.p, args.f, args.m, max_elements=args.max_elements)
+    big = build_tower(args.p, args.f, args.n * args.m, max_elements=args.max_elements)
     chi = MultChar(chi_tower, args.chi_e)
     eta = MultChar(eta_tower, args.eta_e)
     val = tensor_gamma_rhs(chi, eta, big_tower=big)
@@ -343,7 +337,7 @@ def _cmd_tensor_rhs(args):
 
 
 def _cmd_hasse_davenport(args):
-    tower = build_tower(args.p, args.f, args.m, **_tower_kwargs(args))
+    tower = build_tower(args.p, args.f, args.m, max_elements=args.max_elements)
     q = tower.q
     exponents = [args.e] if args.e is not None else range(q - 1)
     failures = [c for c in exponents if not hasse_davenport_check(tower, c)]
@@ -364,7 +358,7 @@ def _cmd_hasse_davenport(args):
 
 
 def _cmd_etale_scan(args):
-    rep = converse.etale_signature_scan(args.p, args.f, args.n, **_tower_kwargs(args))
+    rep = converse.etale_signature_scan(args.p, args.f, args.n, max_elements=args.max_elements)
     assertions = _assertion_dicts(rep.assertions)
     result = {
         "p": rep.p,
@@ -394,10 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--output", default="-", help="report path, '-' for stdout")
-        sp.add_argument("--use-cache", action="store_true", help="persist/reuse field tables")
-        sp.add_argument("--cache-dir", default=None)
-        sp.add_argument("--jobs", type=int, default=0, help="numba thread count (0 = default)")
-        sp.add_argument("--max-elements", type=int, default=1 << 20)
+        sp.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS)
         return sp
 
     sp = common(sub.add_parser("field-info", help="tower parameters and conventions"))
@@ -489,8 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 0):
-        set_jobs(args.jobs)
     t0 = time.monotonic()
     try:
         report, status = args.func(args)

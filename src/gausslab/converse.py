@@ -26,9 +26,8 @@ from . import digits, numth
 from .chars import MultChar, orbit_minima, orbit_reps, ring_for, twist_offset
 from .cyclo import CycloElement, canonical_key
 from .errors import ArgumentError
-from .ff import FieldTower, build_tower
+from .ff import DEFAULT_MAX_ELEMENTS, FieldTower, build_tower
 from .gauss import GaussTable, gauss_table, subfield_gauss_sum
-from ._accel import kernel_backend
 from . import __version__
 
 
@@ -99,6 +98,12 @@ class Assertion:
     witness: dict | None = None
 
 
+def statuses_ok(statuses) -> bool:
+    """The one verdict rule of every report and of the CLI exit code: no
+    status is "fail" ("inconclusive" and "expected" do not fail a run)."""
+    return all(s != "fail" for s in statuses)
+
+
 @dataclass
 class ScanReport:
     kind: str
@@ -112,7 +117,7 @@ class ScanReport:
 
     @property
     def ok(self) -> bool:
-        return all(a.status in ("pass", "expected") for a in self.assertions)
+        return statuses_ok(a.status for a in self.assertions)
 
 
 def _orbits_under(exponents, mult: int, N: int, period: int) -> list[int]:
@@ -180,14 +185,16 @@ def scan_converse(tower: FieldTower, population: str = "regular") -> ScanReport:
     return report
 
 
-def primitive_scan(p: int, f: int, n: int, r: int, **tower_kwargs) -> ScanReport:
+def primitive_scan(
+    p: int, f: int, n: int, r: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> ScanReport:
     """Conjectural primitive-representation scan: base F_{q^(n/r)}, degree r,
     population = characters of F_{q^n}^x regular over F_q (full n-orbits),
     equivalence = Frobenius orbits of the intermediate field (x q^(n/r)).
     """
     if r < 2 or not numth.is_prime(r) or n % r != 0:
         raise ArgumentError(f"r={r} must be a prime divisor of n={n}")
-    tower = build_tower(p, f * (n // r), r, **tower_kwargs)
+    tower = build_tower(p, f * (n // r), r, max_elements=max_elements)
     N = tower.mult_order
     q = p**f
     Q = tower.q
@@ -248,10 +255,12 @@ class CounterexampleReport:
 
     @property
     def ok(self) -> bool:
-        return all(a.status in ("pass", "expected") for a in self.assertions)
+        return statuses_ok(a.status for a in self.assertions)
 
 
-def counterexample_search(t: int, p: int = 3, **tower_kwargs) -> CounterexampleReport:
+def counterexample_search(
+    t: int, p: int = 3, *, max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> CounterexampleReport:
     """Instantiate the order-(p^t+1) family on F_{p^(2t)} and exhibit
     non-equivalent characters sharing a full twist signature.
 
@@ -263,7 +272,7 @@ def counterexample_search(t: int, p: int = 3, **tower_kwargs) -> CounterexampleR
     d = p**t + 1
     phi_d = numth.euler_phi(d)
     feasible = phi_d >= 4 * t
-    tower = build_tower(p, 1, n, **tower_kwargs)
+    tower = build_tower(p, 1, n, max_elements=max_elements)
     N = tower.mult_order
     tab = gauss_table(tower)
     family = [a * (p**t - 1) % N for a in range(1, d) if math.gcd(a, d) == 1]
@@ -333,7 +342,7 @@ class MersenneReport:
 
     @property
     def ok(self) -> bool:
-        return all(a.status == "pass" for a in self.assertions)
+        return statuses_ok(a.status for a in self.assertions)
 
 
 def mersenne_spectrum(n: int, e: int) -> dict[int, int]:
@@ -421,7 +430,7 @@ class LemmaSuiteReport:
 
     @property
     def ok(self) -> bool:
-        return all(r.status != "fail" for r in self.results)
+        return statuses_ok(r.status for r in self.results)
 
     def assertions(self) -> list[Assertion]:
         return [
@@ -599,10 +608,12 @@ class EtaleScanReport:
 
     @property
     def ok(self) -> bool:
-        return all(a.status != "fail" for a in self.assertions)
+        return statuses_ok(a.status for a in self.assertions)
 
 
-def etale_signature_scan(p: int, f: int, n: int, **tower_kwargs) -> EtaleScanReport:
+def etale_signature_scan(
+    p: int, f: int, n: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> EtaleScanReport:
     """Scan all degree-n etale algebras (one per partition of n) and all of
     their characters, grouping by the signed twist signature
     (epsilon_A * G_A(chi * eta_k))_k, and compare the classes against
@@ -615,7 +626,7 @@ def etale_signature_scan(p: int, f: int, n: int, **tower_kwargs) -> EtaleScanRep
     """
     q = p**f
     L = lcm(*range(1, n + 1))
-    master = build_tower(p, f, L, **tower_kwargs)
+    master = build_tower(p, f, L, max_elements=max_elements)
     NL = master.mult_order
     ring = ring_for(master)
     bound = n < (q - 1) / (2 * math.sqrt(q)) + 1

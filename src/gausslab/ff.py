@@ -24,9 +24,6 @@ Towers are immutable after construction; all methods are pure.
 
 from __future__ import annotations
 
-import os
-import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +31,7 @@ import numpy as np
 from . import _accel, numth
 from .errors import ArgumentError, PrimalityError, ResourceCapError
 
-CACHE_FORMAT_VERSION = 1
 DEFAULT_MAX_ELEMENTS = 1 << 20
-CACHE_ENV_VAR = "GAUSSLAB_CACHE_DIR"
 
 
 # ---------------------------------------------------------------------------
@@ -344,66 +339,12 @@ def _newton_trace_weights(p: int, modulus: np.ndarray) -> np.ndarray:
     return s
 
 
-def _cache_dir(cache_dir: str | None) -> str | None:
-    if cache_dir is not None:
-        return cache_dir
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return env
-    home = os.path.expanduser("~")
-    return os.path.join(home, ".cache", "gausslab")
-
-
-def _cache_path(cache_dir: str, p: int, f: int, n: int) -> str:
-    return os.path.join(cache_dir, f"tower_p{p}_f{f}_n{n}.npz")
-
-
-def _try_load_cache(path: str, p: int, f: int, n: int, modulus: np.ndarray):
-    if not os.path.exists(path):
-        return None
-    try:
-        with np.load(path) as z:
-            if int(z["version"][0]) != CACHE_FORMAT_VERSION:
-                raise ValueError("format version mismatch")
-            if not np.array_equal(z["meta"], np.array([p, f, n], dtype=np.int64)):
-                raise ValueError("tower parameter mismatch")
-            if not np.array_equal(z["modulus"].astype(np.int64), modulus):
-                raise ValueError("modulus mismatch")
-            return int(z["g"][0]), z["exp_vec"].astype(np.int16), z["trace_abs"].astype(np.int16)
-    except Exception as exc:  # stale/corrupt caches are advisory: rebuild
-        print(f"gausslab: rebuilding stale cache {path}: {exc}", file=sys.stderr)
-        return None
-
-
-def _write_cache(path: str, p: int, f: int, n: int, modulus, g, exp_vec, trace_abs) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".npz.tmp")
-    os.close(fd)
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                version=np.array([CACHE_FORMAT_VERSION], dtype=np.int64),
-                meta=np.array([p, f, n], dtype=np.int64),
-                modulus=np.asarray(modulus, dtype=np.int64),
-                g=np.array([g], dtype=np.int64),
-                exp_vec=exp_vec,
-                trace_abs=trace_abs,
-            )
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def build_tower(
     p: int,
     f: int,
     n: int,
     *,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
-    cache_dir: str | None = None,
-    use_cache: bool = False,
 ) -> FieldTower:
     """Construct the tower F_p < F_{p^f} < F_{p^(f*n)}.
 
@@ -422,24 +363,11 @@ def build_tower(
     modulus = smallest_irreducible(p, d)
     N = order - 1
 
-    cached = None
-    path = None
-    if use_cache:
-        cdir = _cache_dir(cache_dir)
-        if cdir:
-            path = _cache_path(cdir, p, f, n)
-            cached = _try_load_cache(path, p, f, n, modulus)
-
-    if cached is not None:
-        g, exp_vec, trace_abs = cached
-    else:
-        g = _find_generator(p, modulus, N)
-        mat = _mul_by_matrix(p, modulus, g)
-        exp_vec = _accel.power_table(mat, p, N)
-        weights = _newton_trace_weights(p, modulus)
-        trace_abs = ((exp_vec.astype(np.int64) @ weights) % p).astype(np.int16)
-        if path is not None:
-            _write_cache(path, p, f, n, modulus, g, exp_vec, trace_abs)
+    g = _find_generator(p, modulus, N)
+    mat = _mul_by_matrix(p, modulus, g)
+    exp_vec = _accel.power_table(mat, p, N)
+    weights = _newton_trace_weights(p, modulus)
+    trace_abs = ((exp_vec.astype(np.int64) @ weights) % p).astype(np.int16)
 
     p_pows = p ** np.arange(d, dtype=np.int64)
     exp_enc = exp_vec.astype(np.int64) @ p_pows
@@ -487,12 +415,14 @@ class EtaleAlgebra:
         return self.factors[0].q
 
 
-def build_etale(p: int, f: int, degrees: list[int], **tower_kwargs) -> EtaleAlgebra:
+def build_etale(
+    p: int, f: int, degrees: list[int], *, max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> EtaleAlgebra:
     if not degrees:
         raise ArgumentError("etale algebra needs at least one factor")
     if any(d < 1 for d in degrees):
         raise ArgumentError("factor degrees must be positive")
-    factors = tuple(build_tower(p, f, d, **tower_kwargs) for d in degrees)
+    factors = tuple(build_tower(p, f, d, max_elements=max_elements) for d in degrees)
     n = sum(degrees)
     r = len(degrees)
     return EtaleAlgebra(factors=factors, n=n, r=r, sign=(-1) ** (n - r))

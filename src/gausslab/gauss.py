@@ -82,10 +82,6 @@ def gauss_table(tower: FieldTower, max_conductor: int = cyclo.DEFAULT_MAX_CONDUC
     return table
 
 
-def clear_table_cache() -> None:
-    _TABLE_CACHE.clear()
-
-
 def _single_sum(tower: FieldTower, e: int) -> cyclo.CycloElement:
     ring = ring_for(tower)
     N, p, m = tower.mult_order, tower.p, ring.m

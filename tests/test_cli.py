@@ -3,7 +3,15 @@ import json
 import pytest
 
 from gausslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, main
-from gausslab.converse import etale_signature_scan
+from gausslab.converse import (
+    counterexample_search,
+    etale_signature_scan,
+    lemma_suite,
+    mersenne_check,
+    primitive_scan,
+    scan_converse,
+)
+from gausslab.ff import build_tower
 
 
 def run(capsys, *argv):
@@ -122,15 +130,67 @@ def test_etale_scan_command(capsys):
     assert status == EXIT_OK
 
 
-@pytest.mark.parametrize("p", [3, 13])
-def test_etale_scan_ok_agrees_with_exit_code(capsys, p):
-    rep = etale_signature_scan(p, 1, 2)
-    status, out, _ = run(capsys, "etale-scan", "--p", str(p), "--n", "2")
-    assert status == (EXIT_OK if rep.ok else EXIT_VIOLATION)
+def _case(case_id, argv, library, exit_code):
+    return pytest.param(argv, library, exit_code, id=case_id)
+
+
+@pytest.mark.parametrize(
+    "argv,library,exit_code",
+    [
+        _case("3", "etale-scan --p 3 --n 2", lambda: etale_signature_scan(3, 1, 2), EXIT_OK),
+        _case("13", "etale-scan --p 13 --n 2", lambda: etale_signature_scan(13, 1, 2), EXIT_OK),
+        _case("scan-3-4", "scan --p 3 --n 4", lambda: scan_converse(build_tower(3, 1, 4)), EXIT_OK),
+        _case(
+            "scan-3-6", "scan --p 3 --n 6", lambda: scan_converse(build_tower(3, 1, 6)),
+            EXIT_VIOLATION,
+        ),
+        _case(
+            "primitive-scan-2-6-3",
+            "primitive-scan --p 2 --n 6 --r 3",
+            lambda: primitive_scan(2, 1, 6, 3),
+            EXIT_VIOLATION,
+        ),
+        _case(
+            "counterexample-3", "counterexample --t 3", lambda: counterexample_search(3), EXIT_OK
+        ),
+        _case("mersenne-5", "mersenne --n 5", lambda: mersenne_check(5), EXIT_OK),
+        _case(
+            "lemmas-3-4", "lemmas --p 3 --n 4", lambda: lemma_suite(build_tower(3, 1, 4)), EXIT_OK
+        ),
+    ],
+)
+def test_etale_scan_ok_agrees_with_exit_code(capsys, argv, library, exit_code):
+    rep = library()
+    status, out, _ = run(capsys, *argv.split())
+    assert status == exit_code and rep.ok == (exit_code == EXIT_OK)
     statuses = {a["name"]: a["status"] for a in json.loads(out)["assertions"]}
-    assert statuses == {a.name: a.status for a in rep.assertions}
-    # q = 3 misses the appendix bound: one assertion is inconclusive, none fails
-    assert rep.ok and ("inconclusive" in statuses.values()) == (p == 3)
+    assertions = rep.assertions() if callable(rep.assertions) else rep.assertions
+    assert statuses == {a.name: a.status for a in assertions}
+    if argv.startswith("etale-scan"):
+        # q = 3 misses the appendix bound: one assertion is inconclusive, none fails
+        assert ("inconclusive" in statuses.values()) == (argv == "etale-scan --p 3 --n 2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "counterexample --t 3 --max-elements 100",
+        "etale-scan --p 5 --n 2 --max-elements 10",
+        "primitive-scan --p 2 --n 6 --r 3 --max-elements 10",
+    ],
+)
+def test_max_elements_reaches_library_towers(capsys, argv):
+    status, _, err = run(capsys, *argv.split())
+    assert status == EXIT_RESOURCE and "max_elements cap" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--use-cache"], ["--cache-dir", "x"], ["--jobs", "2"]], ids=lambda f: f[0][2:]
+)
+def test_removed_flags_are_refused(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["field-info", "--p", "3", "--n", "2", *flags])
+    assert exc.value.code == 2
 
 
 def test_primitive_scan_command(capsys):
@@ -146,11 +206,3 @@ def test_lemmas_command(capsys):
     doc = json.loads(out)
     assert all(l["pairs_tested"] > 0 for l in doc["result"]["lemmas"])
 
-
-def test_cache_flag(capsys, tmp_path):
-    status, _, _ = run(
-        capsys, "field-info", "--p", "3", "--n", "3",
-        "--use-cache", "--cache-dir", str(tmp_path),
-    )
-    assert status == EXIT_OK
-    assert (tmp_path / "tower_p3_f1_n3.npz").exists()

@@ -121,26 +121,6 @@ def test_etale_signs():
         build_etale(3, 1, [])
 
 
-def test_cache_roundtrip(tmp_path):
-    kw = dict(cache_dir=str(tmp_path), use_cache=True)
-    T1 = build_tower(3, 1, 3, **kw)
-    assert (tmp_path / "tower_p3_f1_n3.npz").exists()
-    T2 = build_tower(3, 1, 3, **kw)
-    assert T1.modulus == T2.modulus and T1.g == T2.g
-    assert np.array_equal(T1.exp_enc, T2.exp_enc)
-    assert np.array_equal(T1.trace_abs, T2.trace_abs)
-
-
-def test_stale_cache_rebuilt(tmp_path, capfd):
-    kw = dict(cache_dir=str(tmp_path), use_cache=True)
-    build_tower(3, 1, 3, **kw)
-    path = tmp_path / "tower_p3_f1_n3.npz"
-    path.write_bytes(b"corrupt")
-    T = build_tower(3, 1, 3, **kw)
-    assert T.g == build_tower(3, 1, 3).g
-    assert "rebuilding stale cache" in capfd.readouterr().err
-
-
 def test_subfield_trace(f81):
     # Tr_{F_9/F_3} of elements of the degree-2 subfield inside F_81
     idx = f81.subfield_index(2)
