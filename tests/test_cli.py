@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -206,3 +207,57 @@ def test_lemmas_command(capsys):
     doc = json.loads(out)
     assert all(l["pairs_tested"] > 0 for l in doc["result"]["lemmas"])
 
+
+# Exit code and SHA-256 of the full stdout (meta included) of small command
+# lines covering every subcommand, pass and fail cases alike.  Any change to
+# the bytes of a report shows here.
+PINNED_REPORTS = [
+    ("field-info --p 3 --n 2", 0,
+     "947f062bcba0e50324afd3a921941c6f38e64fcfedca8901851fb7daa3f37843"),
+    ("gauss --p 3 --n 2 --e 1", 0,
+     "b8003000b572c4de1e10b686668ab5b6ed67f255297ef34a5660e2db8d5e7c74"),
+    ("scan --p 3 --n 4", 0,
+     "739d16dbc04780c46c7965128b2755061934c62624476a240b94a78e5d95dfc2"),
+    ("scan --p 3 --n 4 --expect-collisions", 1,
+     "dddba55f01ce333bd948fb3df03b164e95ff6d25993afa44a261757944d03f4b"),
+    ("scan --p 3 --n 6", 1,
+     "6c3715f178c05fa93a81d3de55c3f69758c46ec17f8be59772be834b9f534440"),
+    ("scan --p 3 --n 6 --expect-collisions", 0,
+     "0b65ebd8e5ac930bdd0f74e0ebe04be51c7b054cc3a58b4445ec8abec9fa0b38"),
+    ("scan --p 3 --n 6 --expect-collisions --format csv", 0,
+     "c86d381cd412b14444b272b9293e029ba68db050696b0858747ee30b1fe79aa0"),
+    ("scan --p 4 --n 2", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("primitive-scan --p 2 --n 6 --r 3", 1,
+     "35d139c26311df6f8f9c43636be521139285a37febe06d78bf40ea1115218a2f"),
+    ("primitive-scan --p 2 --n 6 --r 3 --expect-collisions", 0,
+     "4ef570e5702723813c065ab85010e038537f9e7f2cf8ce873729dcdd9add8928"),
+    ("lemmas --p 3 --n 4", 0,
+     "dde68d9aa7e7d093e1bab2b51e532610a362addef8d3dc0cc1e743ab12638380"),
+    ("stickelberger --p 3 --n 2", 0,
+     "920cca08fce350d316f2998d050730ca9997000958c656ebc9d1f7bb0fd2f59d"),
+    ("gross-koblitz --p 3 --n 2 --window 2", 0,
+     "bd9912dbed3e7e93b93bfea41ac62826e9d4e95e570e2dc0c7c23e64d1c98c32"),
+    ("counterexample --t 2", 1,
+     "987f89b3bdb8bc92f756fc23e5e8caa5de2cc72c29f56fab7a859ee337b81f81"),
+    ("counterexample --t 3", 0,
+     "d124d8489c8e5cf36dd3c07c9e6efd21de9680f91ea09664228d47b772cea1e8"),
+    ("mersenne --n 5", 0,
+     "6c1f211c081f091b216e95436bbe103b2b2e94ee09382eb4ff62dca249e985db"),
+    ("gl2-check --q 3", 0,
+     "2a6a639d1403cd0f19c0ae486a649a4b3cac52eb026b9ee6d9839876ef86634c"),
+    ("tensor-rhs --p 3 --n 2 --m 1 --chi-e 1 --eta-e 1", 0,
+     "8231232612e61af2f41c4dea502d3148f04aebce828dc5f5b05d3241e923c52e"),
+    ("hasse-davenport --p 3 --m 2", 0,
+     "f0ffe4a39b354919066a4a745fe2a981745046b4eb824ec68edefa6fbe7eef42"),
+    ("etale-scan --p 3 --n 2", 0,
+     "2203e1bacadd2475c29b657c0f8c180f58076002dc205c7c573a02b7281cf650"),
+    ("etale-scan --p 5 --n 2", 0,
+     "87d1e89d5790c2a3991e24d2d94cf28364dae4e7b36c17e5763d377e74455ecd"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", PINNED_REPORTS, ids=[p[0] for p in PINNED_REPORTS])
+def test_report_bytes_pinned(capsys, argv, exit_code, digest):
+    status, out, _ = run(capsys, *argv.split())
+    assert (status, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
