@@ -16,6 +16,7 @@ exhaustive over the stated character sets.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from math import lcm
@@ -23,9 +24,9 @@ from math import lcm
 import numpy as np
 
 from . import digits, numth
-from .chars import MultChar, orbit_minima, orbit_reps, ring_for, twist_offset
+from .chars import MultChar, orbit_minima, orbit_reps, ring_for
 from .cyclo import CycloElement, canonical_key
-from .errors import ArgumentError
+from .errors import ArgumentError, ResourceCapError
 from .ff import DEFAULT_MAX_ELEMENTS, FieldTower, build_tower
 from .gauss import GaussTable, gauss_table, subfield_gauss_sum
 from . import __version__
@@ -88,7 +89,7 @@ def signature_classes(tab: GaussTable, exps, stride: int, n_twists: int) -> list
 
 
 # ---------------------------------------------------------------------------
-# scan reports
+# reports
 
 
 @dataclass
@@ -98,6 +99,15 @@ class Assertion:
     witness: dict | None = None
 
 
+def check(name: str, holds: bool, witness: dict | None = None) -> Assertion:
+    return Assertion(name, "pass" if holds else "fail", witness)
+
+
+def every_held(name: str, key: str, failures: list) -> Assertion:
+    """Pass when no case failed; otherwise fail with the first ten failures."""
+    return check(name, not failures, {key: failures[:10]} if failures else None)
+
+
 def statuses_ok(statuses) -> bool:
     """The one verdict rule of every report and of the CLI exit code: no
     status is "fail" ("inconclusive" and "expected" do not fail a run)."""
@@ -105,19 +115,23 @@ def statuses_ok(statuses) -> bool:
 
 
 @dataclass
-class ScanReport:
-    kind: str
-    stamp: dict
-    population: str
-    equivalence: str
-    n_orbits: int
-    n_classes: int
-    collision_classes: list[list[int]]
+class Report:
+    """The one report of every verifier.  `result` is exactly what the CLI
+    prints under "result" (kind and stamp included); its keys also read as
+    attributes, so `report.n_classes` is `report.result["n_classes"]`."""
+
+    result: dict
     assertions: list[Assertion] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return statuses_ok(a.status for a in self.assertions)
+
+    def __getattr__(self, name: str):
+        try:
+            return self.__dict__["result"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 def _orbits_under(exponents, mult: int, N: int, period: int) -> list[int]:
@@ -127,7 +141,20 @@ def _orbits_under(exponents, mult: int, N: int, period: int) -> list[int]:
     return sorted(set(mins[np.asarray(exponents, dtype=np.int64)].tolist()))
 
 
-def scan_converse(tower: FieldTower, population: str = "regular") -> ScanReport:
+def _scan_result(kind: str, stamp: dict, population: str, equivalence: str,
+                 reps: list[int], classes: list[list[int]]) -> dict:
+    return {
+        "kind": kind,
+        "stamp": stamp,
+        "population": population,
+        "equivalence": equivalence,
+        "n_orbits": len(reps),
+        "n_classes": len(classes),
+        "collision_classes": sorted(v for v in classes if len(v) > 1),
+    }
+
+
+def scan_converse(tower: FieldTower, population: str = "regular") -> Report:
     """Group Frobenius orbits by twist signature; collisions break the converse.
 
     population "regular": cuspidal data (Theorem-1.2-style scans);
@@ -140,28 +167,15 @@ def scan_converse(tower: FieldTower, population: str = "regular") -> ScanReport:
     stride = N // (q - 1)
     reps = orbit_reps(tower, regular_only=(population == "regular"))
     classes = signature_classes(tab, reps, stride, q - 1)
-    collisions = sorted(v for v in classes if len(v) > 1)
-    report = ScanReport(
-        kind="converse-scan",
-        stamp=convention_stamp(tower),
-        population=population,
-        equivalence=f"frobenius-orbit (x{q})",
-        n_orbits=len(reps),
-        n_classes=len(classes),
-        collision_classes=collisions,
-    )
-    report.assertions.append(
-        Assertion(
-            name="signature-separates-orbits",
-            status="pass" if not collisions else "fail",
-            witness=None if not collisions else {"collision_classes": collisions},
-        )
-    )
-    # partition property: every orbit in exactly one class
-    total = sum(len(v) for v in classes)
-    report.assertions.append(
-        Assertion(name="classes-partition-orbits", status="pass" if total == len(reps) else "fail")
-    )
+    result = _scan_result("converse-scan", convention_stamp(tower), population,
+                          f"frobenius-orbit (x{q})", reps, classes)
+    collisions = result["collision_classes"]
+    assertions = [
+        check("signature-separates-orbits", not collisions,
+              {"collision_classes": collisions} if collisions else None),
+        # partition property: every orbit in exactly one class
+        check("classes-partition-orbits", sum(len(v) for v in classes) == len(reps)),
+    ]
     # cross-module necessary conditions on any collision (prime base only)
     if collisions and tower.f == 1 and tower.n >= 1:
         consistent = True
@@ -176,18 +190,15 @@ def scan_converse(tower: FieldTower, population: str = "regular") -> ScanReport:
                     consistent = False
                 if digits.digit_factorial_mod_p(v0) != digits.digit_factorial_mod_p(v1):
                     consistent = False
-        report.assertions.append(
-            Assertion(
-                name="collisions-respect-central-character-and-digit-invariants",
-                status="pass" if consistent else "fail",
-            )
+        assertions.append(
+            check("collisions-respect-central-character-and-digit-invariants", consistent)
         )
-    return report
+    return Report(result, assertions)
 
 
 def primitive_scan(
     p: int, f: int, n: int, r: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> ScanReport:
+) -> Report:
     """Conjectural primitive-representation scan: base F_{q^(n/r)}, degree r,
     population = characters of F_{q^n}^x regular over F_q (full n-orbits),
     equivalence = Frobenius orbits of the intermediate field (x q^(n/r)).
@@ -201,66 +212,31 @@ def primitive_scan(
     tab = gauss_table(tower)
     stride = N // (Q - 1)
 
-    def full_orbit_size(e: int) -> int:
-        x, size = e, 0
-        while True:
-            x = (x * q) % N
-            size += 1
-            if x == e:
-                return size
-
-    regular_full = [e for e in range(1, N) if full_orbit_size(e) == n]
-    reps = _orbits_under(regular_full, Q, N, r)
+    # full degree n over F_q: e is a multiple of N/(q^d - 1) for no proper divisor d of n
+    exps = np.arange(1, N, dtype=np.int64)
+    full = np.ones(N - 1, dtype=bool)
+    for d in numth.proper_divisors(n):
+        full &= exps % (N // (q**d - 1)) != 0
+    reps = _orbits_under(exps[full], Q, N, r)
     classes = signature_classes(tab, reps, stride, Q - 1)
-    collisions = sorted(v for v in classes if len(v) > 1)
     stamp = convention_stamp(tower)
     stamp["original_base"] = {"p": p, "f": f, "q": q, "n": n, "r": r}
-    report = ScanReport(
-        kind="primitive-scan",
-        stamp=stamp,
-        population=f"regular over F_{q} (full degree {n})",
-        equivalence=f"frobenius-orbit over the intermediate field (x{Q})",
-        n_orbits=len(reps),
-        n_classes=len(classes),
-        collision_classes=collisions,
-    )
-    report.assertions.append(
-        Assertion(
-            name="intermediate-twist-signature-separates-primitive-orbits",
-            status="pass" if not collisions else "fail",
-            witness=None if not collisions else {"collision_classes": collisions},
-        )
-    )
-    return report
+    result = _scan_result("primitive-scan", stamp, f"regular over F_{q} (full degree {n})",
+                          f"frobenius-orbit over the intermediate field (x{Q})", reps, classes)
+    collisions = result["collision_classes"]
+    return Report(result, [
+        check("intermediate-twist-signature-separates-primitive-orbits", not collisions,
+              {"collision_classes": collisions} if collisions else None),
+    ])
 
 
 # ---------------------------------------------------------------------------
 # counterexample family (p = 3, n = 2t, characters of order p^t + 1)
 
 
-@dataclass
-class CounterexampleReport:
-    p: int
-    t: int
-    n: int
-    feasible: bool
-    phi_value: int
-    family_orbit_reps: list[int]
-    family_sum_values: list[int]
-    expected_value: int
-    all_values_match: bool
-    colliding_orbit_pairs: list[list[int]]
-    stamp: dict
-    assertions: list[Assertion] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return statuses_ok(a.status for a in self.assertions)
-
-
 def counterexample_search(
     t: int, p: int = 3, *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> CounterexampleReport:
+) -> Report:
     """Instantiate the order-(p^t+1) family on F_{p^(2t)} and exhibit
     non-equivalent characters sharing a full twist signature.
 
@@ -291,58 +267,29 @@ def counterexample_search(
     stride = N // (p - 1)
     classes = signature_classes(tab, reps, stride, p - 1)
     colliding = sorted(v for v in classes if len(v) > 1)
-    report = CounterexampleReport(
-        p=p,
-        t=t,
-        n=n,
-        feasible=feasible,
-        phi_value=phi_d,
-        family_orbit_reps=reps,
-        family_sum_values=sorted(set(values)),
-        expected_value=expected,
-        all_values_match=all_match,
-        colliding_orbit_pairs=colliding,
-        stamp=convention_stamp(tower),
-    )
-    report.assertions.append(
-        Assertion(name="feasibility-phi(p^t+1)>=4t", status="pass" if feasible else "fail",
-                  witness={"phi": phi_d, "needed": 4 * t})
-    )
-    report.assertions.append(
-        Assertion(
-            name="family-sums-equal-(-p)^t",
-            status="pass" if all_match else "fail",
-            witness={"expected": expected, "observed": sorted(set(values))},
-        )
-    )
-    report.assertions.append(
-        Assertion(
-            name="distinct-orbits-share-signatures",
-            status="pass" if (colliding if feasible else True) else "fail",
-            witness={"colliding_orbit_classes": colliding},
-        )
-    )
-    return report
+    result = {
+        "p": p,
+        "t": t,
+        "n": n,
+        "feasible": feasible,
+        "phi(p^t+1)": phi_d,
+        "family_orbit_reps": reps,
+        "family_sum_values": sorted(set(values)),
+        "expected_value": expected,
+        "colliding_orbit_classes": colliding,
+        "stamp": convention_stamp(tower),
+    }
+    return Report(result, [
+        check("feasibility-phi(p^t+1)>=4t", feasible, {"phi": phi_d, "needed": 4 * t}),
+        check("family-sums-equal-(-p)^t", all_match,
+              {"expected": expected, "observed": sorted(set(values))}),
+        check("distinct-orbits-share-signatures", bool(colliding) or not feasible,
+              {"colliding_orbit_classes": colliding}),
+    ])
 
 
 # ---------------------------------------------------------------------------
 # Mersenne spectra
-
-
-@dataclass
-class MersenneReport:
-    n: int
-    N: int
-    coset_reps: list[int]
-    n_orbits: int
-    spectra_injective: bool
-    pivot_ok: bool
-    witness: dict | None
-    assertions: list[Assertion] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return statuses_ok(a.status for a in self.assertions)
 
 
 def mersenne_spectrum(n: int, e: int) -> dict[int, int]:
@@ -364,8 +311,12 @@ def _coset_reps_mod2(n: int) -> list[int]:
     return _orbits_under(range(1, N), 2, N, n)
 
 
-def mersenne_check(n: int) -> MersenneReport:
+def mersenne_check(n: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Report:
     """Spectrum injectivity across nontrivial orbits when 2^n - 1 is prime."""
+    if 2**n > max_elements:
+        raise ResourceCapError(
+            f"field with {2**n} elements exceeds max_elements cap {max_elements}"
+        )
     N = 2**n - 1
     reps = _coset_reps_mod2(n)
     spectra = {}
@@ -376,31 +327,23 @@ def mersenne_check(n: int) -> MersenneReport:
             clash = {"orbits": [spectra[key], a], "spectrum": list(key)}
             break
         spectra[key] = a
-    injective = clash is None
     # s(c) = 1 iff c is a power of 2 mod N
     powers = {pow(2, i, N) for i in range(n)}
     pivot_ok = all(
         (digits.digit_sum(digits.expand(2, n, c)) == 1) == (c in powers)
         for c in range(1, N)
     )
-    report = MersenneReport(
-        n=n,
-        N=N,
-        coset_reps=reps,
-        n_orbits=len(reps),
-        spectra_injective=injective,
-        pivot_ok=pivot_ok,
-        witness=clash,
-    )
-    report.assertions.append(
-        Assertion(name="valuation-spectra-injective-on-orbits",
-                  status="pass" if injective else "fail", witness=clash)
-    )
-    report.assertions.append(
-        Assertion(name="digit-sum-1-exactly-on-powers-of-2",
-                  status="pass" if pivot_ok else "fail")
-    )
-    return report
+    result = {
+        "n": n,
+        "N": N,
+        "n_orbits": len(reps),
+        "coset_representatives": reps,
+        "spectra_injective": clash is None,
+    }
+    return Report(result, [
+        check("valuation-spectra-injective-on-orbits", clash is None, clash),
+        check("digit-sum-1-exactly-on-powers-of-2", pivot_ok),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -421,37 +364,7 @@ class LemmaResult:
         return "pass" if self.pairs_tested else "inconclusive"
 
 
-@dataclass
-class LemmaSuiteReport:
-    p: int
-    n: int
-    results: list[LemmaResult]
-    stamp: dict
-
-    @property
-    def ok(self) -> bool:
-        return statuses_ok(r.status for r in self.results)
-
-    def assertions(self) -> list[Assertion]:
-        return [
-            Assertion(
-                name=f"lemma-{r.name}",
-                status=r.status,
-                witness={
-                    "pairs_tested": r.pairs_tested,
-                    "cross_orbit_pairs": r.cross_orbit_pairs,
-                    "violations": r.violations[:5],
-                },
-            )
-            for r in self.results
-        ]
-
-
-def _same_orbit(tower: FieldTower, a: int, b: int) -> bool:
-    return MultChar(tower, a).orbit_rep() == MultChar(tower, b).orbit_rep()
-
-
-def lemma_suite(tower: FieldTower) -> LemmaSuiteReport:
+def lemma_suite(tower: FieldTower) -> Report:
     """Assert the digit-statistic consequences of equal (twisted) Gauss sums
     on every pair of regular exponents in the field that satisfies each
     statement's hypothesis.  Pair counts are reported so vacuous runs are
@@ -464,6 +377,7 @@ def lemma_suite(tower: FieldTower) -> LemmaSuiteReport:
     stride = N // (p - 1)
     regular = [e for e in range(N) if MultChar(tower, e).is_regular()]
     vecs = {e: digits.expand(p, n, e) for e in regular}
+    orbit_min = orbit_minima(N, p, n).tolist()
 
     # groups by equal single sums S(omega^alpha)
     by_S = signature_classes(tab, regular, stride, 1)
@@ -480,7 +394,7 @@ def lemma_suite(tower: FieldTower) -> LemmaSuiteReport:
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 a, b = group[i], group[j]
-                cross = not _same_orbit(tower, a, b)
+                cross = orbit_min[a] != orbit_min[b]
                 va, vb = vecs[a], vecs[b]
                 r_sandt.pairs_tested += 1
                 r_sandt.cross_orbit_pairs += cross
@@ -502,7 +416,7 @@ def lemma_suite(tower: FieldTower) -> LemmaSuiteReport:
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 a, b = group[i], group[j]
-                cross = not _same_orbit(tower, a, b)
+                cross = orbit_min[a] != orbit_min[b]
                 va, vb = vecs[a], vecs[b]
                 pa, pb = digits.digit_profile(va), digits.digit_profile(vb)
                 r_extremes.pairs_tested += 1
@@ -541,7 +455,7 @@ def lemma_suite(tower: FieldTower) -> LemmaSuiteReport:
                     continue
                 if _shifted_multisets(a) != _shifted_multisets(b):
                     continue
-                cross = not _same_orbit(tower, a, b)
+                cross = orbit_min[a] != orbit_min[b]
                 tested = False
                 if digits.max_digits_consecutive(va):
                     tested = True
@@ -569,8 +483,15 @@ def lemma_suite(tower: FieldTower) -> LemmaSuiteReport:
                     r_consec.pairs_tested += 1
                     r_consec.cross_orbit_pairs += cross
 
-    results = [r_sandt, r_extremes, r_multiset, r_consec, r_windows]
-    return LemmaSuiteReport(p=p, n=n, results=results, stamp=convention_stamp(tower))
+    result = {"p": p, "n": n, "stamp": convention_stamp(tower), "lemmas": []}
+    assertions = []
+    for r in (r_sandt, r_extremes, r_multiset, r_consec, r_windows):
+        tally = {"pairs_tested": r.pairs_tested, "cross_orbit_pairs": r.cross_orbit_pairs}
+        result["lemmas"].append({"name": r.name, **tally, "status": r.status})
+        assertions.append(
+            Assertion(f"lemma-{r.name}", r.status, {**tally, "violations": r.violations[:5]})
+        )
+    return Report(result, assertions)
 
 
 # ---------------------------------------------------------------------------
@@ -578,42 +499,23 @@ def lemma_suite(tower: FieldTower) -> LemmaSuiteReport:
 
 
 def _partitions(n: int) -> list[tuple[int, ...]]:
-    if n == 0:
-        return [()]
+    """Partitions of n into non-increasing parts, largest first part first."""
     out = []
-
-    def rec(remaining, maxpart, acc):
+    stack = [((), n)]  # (parts so far, remainder)
+    while stack:
+        parts, remaining = stack.pop()
         if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, maxpart), 0, -1):
-            rec(remaining - part, part, acc + [part])
-
-    rec(n, n, [])
+            out.append(parts)
+            continue
+        largest = min(remaining, parts[-1] if parts else n)
+        # pushed smallest first, so the largest next part is taken first
+        stack.extend((parts + (part,), remaining - part) for part in range(1, largest + 1))
     return out
-
-
-@dataclass
-class EtaleScanReport:
-    p: int
-    f: int
-    n: int
-    master_degree: int
-    bound_satisfied: bool
-    n_characters: int
-    n_signature_classes: int
-    n_divisors: int
-    stamp: dict
-    assertions: list[Assertion] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return statuses_ok(a.status for a in self.assertions)
 
 
 def etale_signature_scan(
     p: int, f: int, n: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> EtaleScanReport:
+) -> Report:
     """Scan all degree-n etale algebras (one per partition of n) and all of
     their characters, grouping by the signed twist signature
     (epsilon_A * G_A(chi * eta_k))_k, and compare the classes against
@@ -653,64 +555,39 @@ def etale_signature_scan(
     n_chars = 0
     for parts in _partitions(n):
         sign = (-1) ** (n - len(parts))
-        ranges = [range(q**d - 1) for d in parts]
+        for exps in itertools.product(*(range(q**d - 1) for d in parts)):
+            n_chars += 1
+            key_entries = []
+            for k in range(q - 1):
+                prod = ring.one()
+                for d, c in zip(parts, exps):
+                    Nd = q**d - 1
+                    prod = prod * sums[d][(c + k * (Nd // (q - 1))) % Nd]
+                if sign < 0:
+                    prod = -prod
+                key_entries.append(prod.key)
+            key = tuple(key_entries)
+            div = divisor(parts, exps)
+            classes.setdefault(key, set()).add(div)
+            divisors_of.setdefault(div, set()).add(key)
 
-        def rec(idx, exps):
-            nonlocal n_chars
-            if idx == len(parts):
-                n_chars += 1
-                key_entries = []
-                for k in range(q - 1):
-                    prod = ring.one()
-                    for d, c in zip(parts, exps):
-                        Nd = q**d - 1
-                        prod = prod * sums[d][(c + k * (Nd // (q - 1))) % Nd]
-                    if sign < 0:
-                        prod = -prod
-                    key_entries.append(prod.key)
-                key = tuple(key_entries)
-                div = divisor(parts, tuple(exps))
-                classes.setdefault(key, set()).add(div)
-                divisors_of.setdefault(div, set()).add(key)
-                return
-            for c in ranges[idx]:
-                rec(idx + 1, exps + [c])
-
-        rec(0, [])
-
-    same_divisor_same_signature = all(len(v) == 1 for v in divisors_of.values())
-    classes_are_single_divisors = all(len(v) == 1 for v in classes.values())
-    report = EtaleScanReport(
-        p=p,
-        f=f,
-        n=n,
-        master_degree=L,
-        bound_satisfied=bound,
-        n_characters=n_chars,
-        n_signature_classes=len(classes),
-        n_divisors=len(divisors_of),
-        stamp=convention_stamp(master),
-    )
-    report.assertions.append(
-        Assertion(
-            name="equal-divisors-share-signed-signatures",
-            status="pass" if same_divisor_same_signature else "fail",
-            witness=None
-            if same_divisor_same_signature
-            else {"divisor": next(list(d) for d, v in divisors_of.items() if len(v) > 1)},
-        )
-    )
-    if bound:
-        report.assertions.append(
-            Assertion(
-                name="signature-classes-are-single-divisors",
-                status="pass" if classes_are_single_divisors else "fail",
-            )
-        )
-    else:
-        report.assertions.append(
-            Assertion(name="signature-classes-are-single-divisors",
-                      status="inconclusive",
-                      witness={"reason": "bound n < (q-1)/(2 sqrt q) + 1 not satisfied"})
-        )
-    return report
+    shared = [list(d) for d, v in divisors_of.items() if len(v) > 1]
+    result = {
+        "p": p,
+        "f": f,
+        "n": n,
+        "master_degree": L,
+        "bound_satisfied": bound,
+        "n_characters": n_chars,
+        "n_signature_classes": len(classes),
+        "n_divisors": len(divisors_of),
+        "stamp": convention_stamp(master),
+    }
+    single = "signature-classes-are-single-divisors"
+    return Report(result, [
+        check("equal-divisors-share-signed-signatures", not shared,
+              {"divisor": shared[0]} if shared else None),
+        check(single, all(len(v) == 1 for v in classes.values())) if bound else
+        Assertion(single, "inconclusive",
+                  {"reason": "bound n < (q-1)/(2 sqrt q) + 1 not satisfied"}),
+    ])

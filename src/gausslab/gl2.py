@@ -41,7 +41,7 @@ import numpy as np
 from .chars import MultChar, ring_for
 from .cyclo import _I64_SAFE, CycloElement, canonical_key
 from .errors import ArgumentError, FormulaValidationError, ResourceCapError
-from .ff import build_tower
+from .ff import DEFAULT_MAX_ELEMENTS, build_tower
 from .gauss import ScaledCyclo
 from .numth import is_prime
 
@@ -237,12 +237,18 @@ class GL2Group:
 _GROUP_CACHE: dict[int, GL2Group] = {}
 
 
-def gl2_group(q: int, max_q: int = DEFAULT_MAX_Q) -> GL2Group:
-    # the cap binds on cache hits too, so it never depends on earlier calls
+def gl2_group(
+    q: int, max_q: int = DEFAULT_MAX_Q, *, max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> GL2Group:
+    # the caps bind on cache hits too, so they never depend on earlier calls
     if not is_prime(q) or q == 2:
         raise ArgumentError(f"GL2 oracle needs an odd prime q, got {q}")
     if q > max_q:
         raise ResourceCapError(f"q = {q} exceeds the GL2 cap max_q = {max_q}")
+    if q * q > max_elements:
+        raise ResourceCapError(
+            f"field with {q * q} elements exceeds max_elements cap {max_elements}"
+        )
     g = _GROUP_CACHE.get(q)
     if g is None:
         g = GL2Group(q)

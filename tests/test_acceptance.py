@@ -143,9 +143,10 @@ def test_criterion_06_lemma_suites():
     for p, n in [(3, 4), (3, 5), (5, 3), (5, 4)]:
         rep = lemma_suite(build_tower(p, 1, n))
         all_ok &= rep.ok
-        pairs = sum(r.pairs_tested for r in rep.results)
-        cross = sum(r.cross_orbit_pairs for r in rep.results)
-        vac = any(r.status == "inconclusive" for r in rep.results)
+        lemmas = rep.result["lemmas"]
+        pairs = sum(r["pairs_tested"] for r in lemmas)
+        cross = sum(r["cross_orbit_pairs"] for r in lemmas)
+        vac = any(r["status"] == "inconclusive" for r in lemmas)
         all_ok &= not vac
         details.append(f"({p},{n}):{pairs}p/{cross}x")
     report(6, "digit-statistic lemma suites with non-vacuity counters",

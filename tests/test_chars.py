@@ -1,7 +1,7 @@
 import pytest
 
 from gausslab import build_tower
-from gausslab.chars import MultChar, orbit_reps, regular_exponents, twist_offset
+from gausslab.chars import MultChar, orbit_minima, orbit_reps, regular_exponents, twist_offset
 from gausslab.errors import ArgumentError
 from gausslab.numth import moebius, divisors
 
@@ -93,3 +93,8 @@ def test_orbit_reps(f9):
     reps = orbit_reps(f9, regular_only=True)
     assert reps == [1, 2, 5]  # orbits {1,3}, {2,6}, {5,7}
     assert orbit_reps(f9, regular_only=False) == [0, 1, 2, 4, 5]
+
+
+def test_orbit_minima_match_frobenius_orbit_walk(f729):
+    mins = orbit_minima(f729.mult_order, f729.q, f729.n)
+    assert mins.tolist() == [MultChar(f729, e).orbit_rep() for e in range(f729.mult_order)]

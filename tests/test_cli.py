@@ -164,9 +164,11 @@ def test_etale_scan_ok_agrees_with_exit_code(capsys, argv, library, exit_code):
     rep = library()
     status, out, _ = run(capsys, *argv.split())
     assert status == exit_code and rep.ok == (exit_code == EXIT_OK)
-    statuses = {a["name"]: a["status"] for a in json.loads(out)["assertions"]}
-    assertions = rep.assertions() if callable(rep.assertions) else rep.assertions
-    assert statuses == {a.name: a.status for a in assertions}
+    doc = json.loads(out)
+    statuses = {a["name"]: a["status"] for a in doc["assertions"]}
+    assert statuses == {a.name: a.status for a in rep.assertions}
+    doc["result"].pop("csv_rows", None)  # scan presentation, added by the CLI
+    assert doc["result"] == rep.result
     if argv.startswith("etale-scan"):
         # q = 3 misses the appendix bound: one assertion is inconclusive, none fails
         assert ("inconclusive" in statuses.values()) == (argv == "etale-scan --p 3 --n 2")
@@ -178,6 +180,8 @@ def test_etale_scan_ok_agrees_with_exit_code(capsys, argv, library, exit_code):
         "counterexample --t 3 --max-elements 100",
         "etale-scan --p 5 --n 2 --max-elements 10",
         "primitive-scan --p 2 --n 6 --r 3 --max-elements 10",
+        "mersenne --n 7 --max-elements 10",
+        "gl2-check --q 5 --max-elements 10",
     ],
 )
 def test_max_elements_reaches_library_towers(capsys, argv):
@@ -257,7 +261,9 @@ PINNED_REPORTS = [
 ]
 
 
-@pytest.mark.parametrize("argv,exit_code,digest", PINNED_REPORTS, ids=[p[0] for p in PINNED_REPORTS])
+@pytest.mark.parametrize(
+    "argv,exit_code,digest", PINNED_REPORTS, ids=[p[0] for p in PINNED_REPORTS]
+)
 def test_report_bytes_pinned(capsys, argv, exit_code, digest):
     status, out, _ = run(capsys, *argv.split())
     assert (status, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -17,7 +18,7 @@ from gausslab.converse import (
     signature,
     signature_classes,
 )
-from gausslab.errors import ArgumentError
+from gausslab.errors import ArgumentError, ResourceCapError
 from gausslab.gauss import gauss_table
 from gausslab import digits as D
 
@@ -82,15 +83,15 @@ def test_scan_report_is_deterministic(f81):
 
 def test_counterexample_report():
     rep = counterexample_search(3)
-    assert rep.feasible and rep.phi_value == 12
-    assert rep.family_sum_values == [-27] and rep.expected_value == -27
-    assert any({26, 130} <= set(c) for c in rep.colliding_orbit_pairs)
+    assert rep.result["feasible"] and rep.result["phi(p^t+1)"] == 12
+    assert rep.result["family_sum_values"] == [-27] and rep.result["expected_value"] == -27
+    assert any({26, 130} <= set(c) for c in rep.result["colliding_orbit_classes"])
     assert rep.ok
 
 
 def test_counterexample_infeasible_t1():
     rep = counterexample_search(1)
-    assert not rep.feasible  # phi(4) = 2 < 4
+    assert not rep.result["feasible"]  # phi(4) = 2 < 4
     assert not rep.ok
 
 
@@ -103,6 +104,39 @@ def test_mersenne():
     assert spec[1] == 1 and len(spec) == 6
     with pytest.raises(ArgumentError, match="factor"):
         mersenne_check(4)  # 15 = 3*5
+    with pytest.raises(ResourceCapError, match="max_elements cap"):
+        mersenne_check(7, max_elements=100)
+
+
+def test_report_result_keys_read_as_attributes():
+    rep = mersenne_check(5)
+    assert rep.n_orbits == rep.result["n_orbits"] == 6
+    assert getattr(rep, "n_classes", 0) == 0
+    with pytest.raises(AttributeError):
+        rep.n_classes
+
+
+def _primitive_population_by_orbit_walk(p, f, n, r):
+    """Orbit minima under x q^(n/r) of the exponents whose x q orbit has n
+    members, found by walking every orbit."""
+    q, N = p**f, p ** (f * n) - 1
+
+    def orbit(e, mult):
+        out, x = {e}, e * mult % N
+        while x != e:
+            out.add(x)
+            x = x * mult % N
+        return out
+
+    return {min(orbit(e, q ** (n // r))) for e in range(1, N) if len(orbit(e, q)) == n}
+
+
+@pytest.mark.parametrize("p,f,n,r", [(2, 1, 6, 3), (2, 1, 6, 2), (3, 1, 4, 2), (2, 2, 4, 2)])
+def test_primitive_scan_population_matches_orbit_walk(p, f, n, r):
+    rep = primitive_scan(p, f, n, r)
+    ref = _primitive_population_by_orbit_walk(p, f, n, r)
+    assert rep.n_orbits == len(ref)
+    assert {e for cls in rep.collision_classes for e in cls} <= ref
 
 
 def test_primitive_scans():
@@ -124,24 +158,24 @@ def test_primitive_scans():
 def test_lemma_suite(p, n):
     rep = lemma_suite(build_tower(p, 1, n))
     assert rep.ok
-    for r in rep.results:
-        assert r.status == "pass"
-        assert r.pairs_tested > 0
+    for r in rep.result["lemmas"]:
+        assert r["status"] == "pass"
+        assert r["pairs_tested"] > 0
 
 
 def test_lemma_suite_nonvacuity_reporting():
     rep = lemma_suite(build_tower(5, 1, 4))
-    by_name = {r.name: r for r in rep.results}
+    by_name = {r["name"]: r for r in rep.result["lemmas"]}
     # (5,4) has genuinely cross-orbit equal-sum pairs
-    assert by_name["equal-sums-match-digit-sum-and-factorial"].cross_orbit_pairs > 0
+    assert by_name["equal-sums-match-digit-sum-and-factorial"]["cross_orbit_pairs"] > 0
     assert rep.ok
 
 
 def test_lemma_suite_on_counterexample_field(f729):
     # n = 6: multiset transfer is out of scope, everything else must hold
     rep = lemma_suite(f729)
-    by_name = {r.name: r for r in rep.results}
-    assert by_name["equal-signatures-match-digit-multisets"].status == "inconclusive"
+    by_name = {r["name"]: r for r in rep.result["lemmas"]}
+    assert by_name["equal-signatures-match-digit-multisets"]["status"] == "inconclusive"
     assert rep.ok
 
 
@@ -151,6 +185,17 @@ def test_etale_scan_q13():
     assert rep.n_characters == 168 + 144
     assert rep.n_signature_classes == rep.n_divisors
     assert rep.ok
+
+
+def test_etale_scan_leaves_no_reference_cycles():
+    etale_signature_scan(13, 1, 2)  # towers, rings and tables are cached here
+    gc.collect()
+    gc.disable()
+    try:
+        etale_signature_scan(13, 1, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_etale_scan_small_q_unbound():
@@ -203,9 +248,9 @@ def test_signature_classes_match_tuple_grouping_on_lemmas():
     def pairs(classes):
         return sum(len(c) * (len(c) - 1) // 2 for c in classes)
 
-    results = {r.name: r for r in lemma_suite(T).results}
-    assert results["equal-sums-match-digit-sum-and-factorial"].pairs_tested == pairs(ref_S)
-    assert results["equal-signatures-match-extreme-digits"].pairs_tested == pairs(ref_sig)
+    results = {r["name"]: r for r in lemma_suite(T).result["lemmas"]}
+    assert results["equal-sums-match-digit-sum-and-factorial"]["pairs_tested"] == pairs(ref_S)
+    assert results["equal-signatures-match-extreme-digits"]["pairs_tested"] == pairs(ref_sig)
 
 
 def test_mersenne_check_n13():

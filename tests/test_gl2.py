@@ -65,6 +65,9 @@ def test_q_cap_binds_on_cache_hit():
     gl2_group(11, max_q=11)
     with pytest.raises(ResourceCapError, match="max_q = 7"):
         gl2_group(11)
+    gl2_group(5)
+    with pytest.raises(ResourceCapError, match="max_elements cap 24"):
+        gl2_group(5, max_elements=24)
 
 
 def test_validation_gates_all_regular(G3):
