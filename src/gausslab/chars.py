@@ -104,8 +104,18 @@ class MultChar:
         return -1 if (self.e * (self.tower.mult_order // 2)) % self.tower.mult_order else 1
 
 
+def regular_mask(N: int, q: int, n: int) -> np.ndarray:
+    """Mask over e in [0, N), N = q^n - 1: True where chi_e is regular, i.e.
+    e is a multiple of N / (q^d - 1) for no proper divisor d of n."""
+    e = np.arange(N, dtype=np.int64)
+    mask = np.ones(N, dtype=bool)
+    for d in numth.proper_divisors(n):
+        mask &= e % (N // (q**d - 1)) != 0
+    return mask
+
+
 def regular_exponents(tower: FieldTower) -> list[int]:
-    return [e for e in range(tower.mult_order) if MultChar(tower, e).is_regular()]
+    return np.flatnonzero(regular_mask(tower.mult_order, tower.q, tower.n)).tolist()
 
 
 def orbit_minima(N: int, mult: int, period: int) -> np.ndarray:
@@ -123,8 +133,7 @@ def orbit_minima(N: int, mult: int, period: int) -> np.ndarray:
 def orbit_reps(tower: FieldTower, regular_only: bool = True) -> list[int]:
     """Smallest member of each Frobenius orbit, optionally regular ones only."""
     N = tower.mult_order
-    mins = orbit_minima(N, tower.q, tower.n)
-    reps = np.flatnonzero(mins == np.arange(N)).tolist()
+    keep = orbit_minima(N, tower.q, tower.n) == np.arange(N)
     if regular_only:
-        reps = [e for e in reps if MultChar(tower, e).is_regular()]
-    return reps
+        keep &= regular_mask(N, tower.q, tower.n)
+    return np.flatnonzero(keep).tolist()

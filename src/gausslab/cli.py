@@ -24,7 +24,7 @@ import sys
 import time
 
 from . import __version__, converse, gl2
-from .chars import MultChar, orbit_reps
+from .chars import MultChar, orbit_reps, regular_mask
 from .converse import Assertion, Report, check, every_held
 from .errors import ArgumentError, GausslabError, ResourceCapError
 from .ff import DEFAULT_MAX_ELEMENTS, build_tower
@@ -88,9 +88,7 @@ def _cmd_field_info(args):
         "mult_order": tower.mult_order,
         "q": tower.q,
         "stamp": converse.convention_stamp(tower),
-        "num_regular_characters": sum(
-            1 for e in range(tower.mult_order) if MultChar(tower, e).is_regular()
-        ),
+        "num_regular_characters": int(regular_mask(tower.mult_order, tower.q, tower.n).sum()),
     })
 
 

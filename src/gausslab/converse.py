@@ -24,7 +24,7 @@ from math import lcm
 import numpy as np
 
 from . import digits, numth
-from .chars import MultChar, orbit_minima, orbit_reps, ring_for
+from .chars import MultChar, orbit_minima, orbit_reps, regular_exponents, regular_mask, ring_for
 from .cyclo import CycloElement, canonical_key
 from .errors import ArgumentError, ResourceCapError
 from .ff import DEFAULT_MAX_ELEMENTS, FieldTower, build_tower
@@ -212,12 +212,8 @@ def primitive_scan(
     tab = gauss_table(tower)
     stride = N // (Q - 1)
 
-    # full degree n over F_q: e is a multiple of N/(q^d - 1) for no proper divisor d of n
-    exps = np.arange(1, N, dtype=np.int64)
-    full = np.ones(N - 1, dtype=bool)
-    for d in numth.proper_divisors(n):
-        full &= exps % (N // (q**d - 1)) != 0
-    reps = _orbits_under(exps[full], Q, N, r)
+    # full degree n over F_q: regular as characters of F_{q^n}^x
+    reps = _orbits_under(np.flatnonzero(regular_mask(N, q, n)), Q, N, r)
     classes = signature_classes(tab, reps, stride, Q - 1)
     stamp = convention_stamp(tower)
     stamp["original_base"] = {"p": p, "f": f, "q": q, "n": n, "r": r}
@@ -375,7 +371,7 @@ def lemma_suite(tower: FieldTower) -> Report:
     p, n, N = tower.p, tower.n, tower.mult_order
     tab = gauss_table(tower)
     stride = N // (p - 1)
-    regular = [e for e in range(N) if MultChar(tower, e).is_regular()]
+    regular = regular_exponents(tower)
     vecs = {e: digits.expand(p, n, e) for e in regular}
     orbit_min = orbit_minima(N, p, n).tolist()
 
@@ -559,10 +555,11 @@ def etale_signature_scan(
             n_chars += 1
             key_entries = []
             for k in range(q - 1):
-                prod = ring.one()
-                for d, c in zip(parts, exps):
-                    Nd = q**d - 1
-                    prod = prod * sums[d][(c + k * (Nd // (q - 1))) % Nd]
+                factors = [sums[d][(c + k * ((q**d - 1) // (q - 1))) % (q**d - 1)]
+                           for d, c in zip(parts, exps)]
+                prod = factors[0] if factors else ring.one()  # n = 0: the empty product
+                for x in factors[1:]:
+                    prod = prod * x
                 if sign < 0:
                     prod = -prod
                 key_entries.append(prod.key)

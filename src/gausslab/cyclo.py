@@ -3,14 +3,17 @@ cyclotomic polynomial.
 
 Elements are integer coefficient vectors of length phi(m), the unique
 remainder mod Phi_m; equality and hashing use only this canonical form,
-never floating point.  Coefficients are arbitrary-precision by contract:
-operations run on int64 (or exactly-representable float64 for BLAS speed)
-only when a rigorous bound certifies no overflow, and fall back to Python
-integers otherwise.
+never floating point.  Coefficients are arbitrary-precision by contract.
+Sums and integer scalings run on int64 while a bound certifies no overflow.
+Products (convolutions and reductions) run on float64 BLAS while a bound
+certifies that every partial sum is an exact integer below 2^52.  Both fall
+back to Python integers otherwise.
 
 Phi_m is computed by the Moebius product of sparse binomials applied to the
 radical of m (Phi_m(x) = Phi_rad(x^(m/rad))), so the reduction table rows
-x^k mod Phi_m update through only deg(Phi_rad)+1 positions each.
+x^k mod Phi_m update through only deg(Phi_rad)+1 positions each.  Each ring
+holds one (m - phi) x phi table, stored as float64 with exact integer
+entries, and every reduction goes through `CycloRing.reduce_matrix`.
 
 Rings are cached per conductor and immutable after construction; elements
 are value types, safe to share across workers.
@@ -113,31 +116,15 @@ def canonical_key(coeffs: np.ndarray) -> bytes | tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra with tiered precision
+# exact linear algebra: float64 when a bound certifies it, Python ints otherwise
 
 
 def _exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer convolution; picks float64/int64/object by bound."""
-    if a.dtype == object or b.dtype == object:
-        return _object_convolve(a, b)
-    amax = int(np.abs(a).max(initial=0))
-    bmax = int(np.abs(b).max(initial=0))
-    bound = amax * bmax * min(len(a), len(b))
+    """Exact integer convolution, in float64 below 2^52 and Python ints above."""
+    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * min(len(a), len(b))
     if bound < _F64_SAFE:
         return np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
-    if bound < _I64_SAFE:
-        return np.convolve(a, b)
-    return _object_convolve(a.astype(object), b.astype(object))
-
-
-def _object_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = a.astype(object)
-    b = b.astype(object)
-    out = np.zeros(len(a) + len(b) - 1, dtype=object)
-    for i, ai in enumerate(a):
-        if ai:
-            out[i : i + len(b)] += ai * b
-    return out
+    return np.convolve(a.astype(object), b.astype(object))
 
 
 class CycloRing:
@@ -147,86 +134,71 @@ class CycloRing:
         self.m = m
         self.phi = numth.euler_phi(m)
         self.Phi = cyclotomic_poly(m)
-        self._build_reduction_rows()
+        self._build_reduction_table()
 
-    def _build_reduction_rows(self) -> None:
+    def _build_reduction_table(self) -> None:
+        # row r holds x^(phi + r) mod Phi_m, r < m - phi, as exact integers
         m, phi = self.m, self.phi
-        nrows = m - phi
-        head = self.Phi[:phi]  # x^phi = -head in the quotient
-        nz = [(i, -c) for i, c in enumerate(head) if c]
-        rows = np.zeros((max(nrows, 1), phi), dtype=np.int64)
-        if phi:
-            row = np.zeros(phi, dtype=np.int64)
-            for i, c in nz:
-                row[i] = c
-            guard = 1 << 50
-            for r in range(nrows):
-                rows[r] = row
-                top = int(row[phi - 1]) if phi else 0
-                nxt = np.empty(phi, dtype=np.int64)
-                nxt[0] = 0
-                nxt[1:] = row[:-1]
-                if top:
-                    for i, c in nz:
-                        nxt[i] += top * c
-                row = nxt
-                if np.abs(row).max(initial=0) > guard:  # pragma: no cover
-                    raise OverflowError(
-                        "reduction-row coefficients exceeded the int64 guard; "
-                        "object-precision rebuild required"
-                    )
-        self.rows = rows[:nrows]
-        self.rows.setflags(write=False)
-        self._rows_max = int(np.abs(self.rows).max(initial=0))
-        self._rows_f64 = None
-
-    def _rows_as_f64(self) -> np.ndarray:
-        if self._rows_f64 is None:
-            self._rows_f64 = self.rows.astype(np.float64)
-        return self._rows_f64
+        nz = [(i, -c) for i, c in enumerate(self.Phi[:phi]) if c]  # x^phi = -head
+        table = np.empty((m - phi, phi), dtype=np.float64)
+        row = np.zeros(phi, dtype=np.int64)
+        for i, c in nz:
+            row[i] = c
+        guard = 1 << 50
+        for r in range(m - phi):
+            table[r] = row
+            top = int(row[phi - 1])
+            row = np.concatenate(([0], row[:-1]))
+            if top:
+                for i, c in nz:
+                    row[i] += top * c
+            if np.abs(row).max(initial=0) > guard:  # pragma: no cover
+                raise OverflowError(
+                    "reduction-row coefficients exceeded the exact-integer guard; "
+                    "object-precision rebuild required"
+                )
+        table.setflags(write=False)
+        self.table = table
+        self._rows_max = int(np.abs(table).max(initial=0))
 
     # -- reduction ----------------------------------------------------------
 
-    def _fold_mod_m(self, vec: np.ndarray) -> np.ndarray:
-        if len(vec) <= self.m:
-            out = np.zeros(self.m, dtype=vec.dtype)
-            out[: len(vec)] = vec
+    def reduce_matrix(self, mat: np.ndarray) -> np.ndarray:
+        """Canonical coefficients of sum_k mat[b, k] * zeta^k for each row b.
+
+        Rows may have any width.  Rows wider than m fold first (zeta^m = 1);
+        the product with the reduction table reads only the rows the width
+        needs, in float64 when |head| + |tail|_1 * max|table| < 2^52 (every
+        partial sum is then an exact integer) and in Python ints otherwise.
+        """
+        m, phi = self.m, self.phi
+        mat = np.asarray(mat)
+        b, width = mat.shape
+        if width > m:
+            segs = -(-width // m)
+            if mat.dtype != object and segs * int(np.abs(mat).max(initial=0)) >= _I64_SAFE:
+                mat = mat.astype(object)
+            wide = np.zeros((b, segs * m), dtype=mat.dtype)
+            wide[:, :width] = mat
+            mat, width = wide.reshape(b, segs, m).sum(axis=1), m
+        if width <= phi or not np.any(mat[:, phi:]):
+            out = np.zeros((b, phi), dtype=mat.dtype)
+            out[:, : min(width, phi)] = mat[:, :phi]
             return out
-        out = np.zeros(self.m, dtype=object if vec.dtype == object else np.int64)
-        idx = np.arange(len(vec)) % self.m
-        np.add.at(out, idx, vec)
-        return out
+        head, tail = mat[:, :phi], mat[:, phi:]
+        rows = self.table[: width - phi]
+        tail_abs = np.abs(tail)
+        if mat.dtype != object and int(tail_abs.max()) * tail.shape[1] >= _I64_SAFE:
+            tail_abs = tail_abs.astype(object)  # int64 row sums could wrap
+        bound = int(np.abs(head).max(initial=0)) + int(tail_abs.sum(axis=1).max()) * self._rows_max
+        if bound < _F64_SAFE:
+            out = head.astype(np.float64) + tail.astype(np.float64) @ rows
+            return out.astype(np.int64)
+        return head.astype(object) + tail.astype(object) @ rows.astype(np.int64).astype(object)
 
     def reduce_vector(self, vec: np.ndarray) -> np.ndarray:
         """Canonical coefficients of sum vec[k] * zeta^k (any length)."""
-        v = self._fold_mod_m(np.asarray(vec))
-        head, tail = v[: self.phi], v[self.phi :]
-        if len(tail) == 0 or not np.any(tail):
-            return head.copy() if head.dtype != object else head.astype(object)
-        if v.dtype == object:
-            return head + tail @ self.rows.astype(object)
-        smax = int(np.abs(head).max(initial=0))
-        tsum = int(np.abs(tail).sum())
-        bound = smax + tsum * self._rows_max
-        if bound < _F64_SAFE:
-            out = head.astype(np.float64) + tail.astype(np.float64) @ self._rows_as_f64()
-            return out.astype(np.int64)
-        if bound < _I64_SAFE:
-            return head + tail @ self.rows
-        return head.astype(object) + tail.astype(object) @ self.rows.astype(object)
-
-    def reduce_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Row-wise reduce_vector for an (B, m) int64 matrix of counts."""
-        head, tail = mat[:, : self.phi], mat[:, self.phi :]
-        smax = int(np.abs(head).max(initial=0))
-        tsum = int(np.abs(tail).sum(axis=1).max(initial=0))
-        bound = smax + tsum * self._rows_max
-        if bound < _F64_SAFE:
-            out = head.astype(np.float64) + tail.astype(np.float64) @ self._rows_as_f64()
-            return out.astype(np.int64)
-        if bound < _I64_SAFE:
-            return head + tail @ self.rows
-        return head.astype(object) + tail.astype(object) @ self.rows.astype(object)
+        return self.reduce_matrix(np.asarray(vec)[None])[0]
 
     # -- element constructors -------------------------------------------
 

@@ -37,6 +37,11 @@ from .ff import EtaleAlgebra, FieldTower
 # full Gauss-sum tables
 
 
+def _psi_offsets(tower: FieldTower, m: int) -> np.ndarray:
+    # psi(Tr g^j) = zeta_m^(N * t_j)
+    return (np.int64(tower.mult_order) * tower.trace_abs.astype(np.int64)) % m
+
+
 class GaussTable:
     """Canonical coefficients of S(chi_e) for every exponent e of a tower.
 
@@ -53,8 +58,7 @@ class GaussTable:
         mins = orbit_minima(N, p, tower.f * tower.n)
         reps = np.flatnonzero(mins == np.arange(N))
         self.row_of = np.searchsorted(reps, mins)
-        offsets = (np.int64(N) * tower.trace_abs.astype(np.int64)) % m
-        counts = _accel.gauss_counts(p, m, offsets, exps=reps)
+        counts = _accel.gauss_counts(p, m, _psi_offsets(tower, m), exps=reps)
         self.S = self.ring.reduce_matrix(counts)
 
     def rows(self, es) -> np.ndarray:
@@ -84,11 +88,9 @@ def gauss_table(tower: FieldTower, max_conductor: int = cyclo.DEFAULT_MAX_CONDUC
 
 def _single_sum(tower: FieldTower, e: int) -> cyclo.CycloElement:
     ring = ring_for(tower)
-    N, p, m = tower.mult_order, tower.p, ring.m
-    j = np.arange(N, dtype=np.int64)
-    idx = (p * (e % N) * j + np.int64(N) * tower.trace_abs.astype(np.int64)) % m
-    counts = np.bincount(idx, minlength=m)
-    return ring.element(counts)
+    m = ring.m
+    counts = _accel.gauss_counts(tower.p, m, _psi_offsets(tower, m), exps=[e % tower.mult_order])
+    return ring.element(counts[0])
 
 
 def gauss_S(c: MultChar) -> cyclo.CycloElement:

@@ -1,7 +1,7 @@
 import pytest
 
 from gausslab import build_tower
-from gausslab.chars import MultChar, orbit_minima, orbit_reps, regular_exponents, twist_offset
+from gausslab.chars import MultChar, orbit_minima, orbit_reps, regular_exponents, regular_mask, twist_offset
 from gausslab.errors import ArgumentError
 from gausslab.numth import moebius, divisors
 
@@ -27,6 +27,13 @@ def test_regular_iff_full_orbit(f9, f729, f81):
         for e in range(T.mult_order):
             c = MultChar(T, e)
             assert c.is_regular() == (len(c.frobenius_orbit()) == T.n)
+
+
+@pytest.mark.parametrize("p,f,n", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (5, 1, 1), (2, 3, 1), (3, 1, 4)])
+def test_regular_mask_matches_is_regular(p, f, n):
+    T = build_tower(p, f, n)
+    mask = regular_mask(T.mult_order, T.q, T.n)
+    assert mask.tolist() == [MultChar(T, e).is_regular() for e in range(T.mult_order)]
 
 
 def test_moebius_count(f9, f81, f32):

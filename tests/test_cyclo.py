@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausslab.cyclo import CycloElement, canonical_key, cyclotomic_poly, get_ring
+from gausslab.cyclo import CycloElement, CycloRing, canonical_key, cyclotomic_poly, get_ring
 from gausslab.errors import ArgumentError, ResourceCapError
 from gausslab.numth import divisors, euler_phi
 
@@ -33,6 +34,54 @@ def test_reduce_examples():
         s = s + R.zeta_pow(j * 8)
     assert s.is_zero()
     assert R.zeta_pow(8) * R.zeta_pow(16) == R.one()  # inverse roots
+
+
+def _sympy_remainder(row, m: int) -> list[int]:
+    x = sympy.symbols("x")
+    num = sympy.Poly([int(c) for c in reversed(row)] or [0], x)
+    rem = sympy.rem(num, sympy.Poly(sympy.cyclotomic_poly(m, x), x)).all_coeffs()[::-1]
+    return [int(c) for c in rem] + [0] * (euler_phi(m) - len(rem))
+
+
+@pytest.mark.parametrize("m", [13, 27, 105])  # a prime, a prime power, three prime factors
+def test_reduce_matrix_matches_sympy_remainder(m):
+    R = get_ring(m)
+    phi = R.phi
+    rng = np.random.default_rng(m)
+    for width in (phi - 3, phi, phi + 2, m - 1, m, m + 1, 3 * m + 5):
+        mat = rng.integers(-50, 50, (4, width))
+        mat[1, phi:] = 0  # a row with an all-zero tail
+        if width > phi:
+            # |head| + |tail|_1 * max|table| just below and at 2^52
+            ntail = width - phi if width <= m else m - phi
+            per = ntail * R._rows_max
+            c = (2**52 - 1) // per
+            mat[2:] = 0
+            mat[2:, phi : phi + ntail] = c
+            mat[2, 0] = 2**52 - 1 - c * per
+            mat[3, 0] = 2**52 - c * per
+        out = R.reduce_matrix(mat)
+        assert out.shape == (4, phi)
+        for row, got in zip(mat, out):
+            assert [int(v) for v in got] == _sympy_remainder(row, m)
+            assert np.array_equal(R.reduce_vector(row), got)
+        if phi < width <= m:
+            assert R.reduce_matrix(mat[2:3]).dtype == np.int64  # float64 carrier
+            assert R.reduce_matrix(mat[3:4]).dtype == object  # Python-int carrier
+    mat = np.zeros((2, 0), dtype=np.int64)
+    assert np.array_equal(R.reduce_matrix(mat), np.zeros((2, phi), dtype=np.int64))
+    # a fold whose int64 column sums would wrap, and Python-int input
+    wide = np.full((1, 3 * m), 2**61, dtype=np.int64)
+    wide[0, ::2] = -(2**61) + 7
+    for row in (wide, wide.astype(object) * 2**40):
+        assert [int(v) for v in R.reduce_matrix(row)[0]] == _sympy_remainder(row[0], m)
+
+
+def test_ring_holds_one_float64_table():
+    R = CycloRing(8190)
+    R.reduce_vector(np.arange(2 * 8190))
+    tables = [v for v in vars(R).values() if isinstance(v, np.ndarray)]
+    assert [(t.shape, t.dtype) for t in tables] == [((6462, 1728), np.float64)]
 
 
 def test_reduce_idempotent():
