@@ -258,6 +258,20 @@ PINNED_REPORTS = [
      "2203e1bacadd2475c29b657c0f8c180f58076002dc205c7c573a02b7281cf650"),
     ("etale-scan --p 5 --n 2", 0,
      "87d1e89d5790c2a3991e24d2d94cf28364dae4e7b36c17e5763d377e74455ecd"),
+    ("etale-scan --p 3 --n 3", 0,
+     "9d376722876a6a0a95eb0aff6eaf119a2f184e4061d798232dba272ac5e704ff"),
+    ("etale-scan --p 2 --n 4", 0,
+     "68f0b77e871dadf6bccff4ad142cc03fa982936d830a13edaaf3ca7ffd02c846"),
+    ("etale-scan --p 7 --n 2", 0,
+     "33fae558251715e05afe61de20fff0d3285625d3a710b7cc0c89a401692ef5a6"),
+    ("hasse-davenport --p 2 --m 4", 0,
+     "0d205277f2f0ec5b13eddc35ad8150cee7feb5187d6e051d5d1fd397a858fa0e"),
+    ("stickelberger --p 3 --n 3", 0,
+     "022eff5db1012e43d68322ac631192413aa50e9d6d8fe4833c2399746b666449"),
+    ("gauss --p 3 --f 2 --n 2 --e 7", 0,
+     "789f5c95a5e9732ddc40f789589fdb44bff04554915a18eaab5dd2ec96cf660a"),
+    ("tensor-rhs --p 2 --n 3 --m 2 --chi-e 1 --eta-e 1", 0,
+     "8fb63babdd9134cef14513fd6f0f81b2f52a08a5d4a8087778f037bdb21ce616"),
 ]
 
 
