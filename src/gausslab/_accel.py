@@ -56,17 +56,14 @@ def power_table(mul_mat: np.ndarray, p: int, count: int) -> np.ndarray:
 # Gauss-sum histograms: counts[r, (p*exps[r]*j + off[j]) % m] += 1 for all r, j
 
 
-def gauss_counts(p: int, m: int, offsets: np.ndarray, exps: np.ndarray | None = None) -> np.ndarray:
+def gauss_counts(p: int, m: int, offsets: np.ndarray, *, exps: np.ndarray) -> np.ndarray:
     """Exponent histograms over Z/m for a character family at once.
 
     Row r collects the multiset {p*exps[r]*j + offsets[j] mod m : j}, i.e.
     the unreduced cyclotomic-exponent counts of the Gauss sum of exponent
-    exps[r]; `exps` defaults to every exponent 0 .. len(offsets)-1.
-    offsets[j] must already lie in [0, m).
+    exps[r].  offsets[j] must already lie in [0, m).
     """
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    if exps is None:
-        exps = np.arange(offsets.shape[0], dtype=np.int64)
     exps = np.ascontiguousarray(exps, dtype=np.int64)
     counts = np.empty((exps.shape[0], m), dtype=np.int64)
     j = np.arange(offsets.shape[0], dtype=np.int64)

@@ -4,9 +4,9 @@ Twist signatures: the tuple over all base-field twists k of the exact Gauss
 sum S(chi_{e + k*(q^n-1)/(q-1)}).  Two characters index isomorphic cuspidal
 data iff they share a Frobenius orbit, and the converse statements under
 test say the signature separates orbits (within their stated populations).
-Every scan groups through `signature_classes`, keyed by `canonical_key` of
-the stacked canonical Gauss-table rows of the twists (their int64 bytes, or
-Python-int tuples past 2^62).  Equal keys mean equal coefficients and a dict
+Every scan keys a character by `canonical_key` of the stacked canonical
+Gauss-table rows of its twists (their int64 bytes, or Python-int tuples
+past 2^62); the scans of one field group through `signature_classes`.  Equal keys mean equal coefficients and a dict
 compares keys in full, so no hash re-verification step is needed: the
 grouping key is the exact value.
 
@@ -25,10 +25,10 @@ import numpy as np
 
 from . import digits, numth
 from .chars import MultChar, orbit_minima, orbit_reps, regular_exponents, regular_mask, ring_for
-from .cyclo import CycloElement, canonical_key
+from .cyclo import canonical_key
 from .errors import ArgumentError, ResourceCapError
 from .ff import DEFAULT_MAX_ELEMENTS, FieldTower, build_tower
-from .gauss import GaussTable, gauss_table, subfield_gauss_sum
+from .gauss import GaussTable, gauss_table
 from . import __version__
 
 
@@ -50,29 +50,11 @@ def convention_stamp(tower: FieldTower) -> dict:
 # signatures
 
 
-@dataclass(frozen=True)
-class TwistSignature:
-    """Exact Gauss sums of the twisted family chi_e * eta_k, k < q-1."""
-
-    tower: FieldTower
-    e: int
-    entries: tuple[CycloElement, ...]
-
-    def key(self) -> tuple:
-        return tuple(x.key for x in self.entries)
-
-
-def signature(tower: FieldTower, e: int) -> TwistSignature:
-    tab = gauss_table(tower)
-    N = tower.mult_order
-    stride = N // (tower.q - 1)
-    entries = tuple(tab.element((e + k * stride) % N) for k in range(tower.q - 1))
-    return TwistSignature(tower=tower, e=e, entries=entries)
-
-
 def distinguishable(tower: FieldTower, a: int, b: int) -> bool:
     """True iff some twist k separates the exact sums of chi_a and chi_b."""
-    return signature(tower, a).key() != signature(tower, b).key()
+    tab = gauss_table(tower)
+    stride = tower.mult_order // (tower.q - 1)
+    return _signature_key(tab, a, stride, tower.q - 1) != _signature_key(tab, b, stride, tower.q - 1)
 
 
 def _signature_key(tab: GaussTable, e: int, stride: int, n_twists: int) -> bytes | tuple:
@@ -529,14 +511,8 @@ def etale_signature_scan(
     ring = ring_for(master)
     bound = n < (q - 1) / (2 * math.sqrt(q)) + 1
 
-    # per-degree tables of subfield Gauss sums, keyed to canonical coeffs
-    sums: dict[int, list[CycloElement]] = {}
-    for d in sorted({d for part in _partitions(n) for d in part}):
-        if d == L:
-            tab = gauss_table(master)
-            sums[d] = [tab.element(e) for e in range(NL)]
-        else:
-            sums[d] = [subfield_gauss_sum(master, d, c) for c in range(q**d - 1)]
+    # one table of subfield Gauss sums per part degree
+    tables = {d: GaussTable(master, d) for d in sorted({d for part in _partitions(n) for d in part})}
 
     def divisor(parts: tuple[int, ...], exps: tuple[int, ...]) -> tuple[int, ...]:
         points = []
@@ -551,19 +527,26 @@ def etale_signature_scan(
     n_chars = 0
     for parts in _partitions(n):
         sign = (-1) ** (n - len(parts))
-        for exps in itertools.product(*(range(q**d - 1) for d in parts)):
+        chars = list(itertools.product(*(range(q**d - 1) for d in parts)))
+        # signed product epsilon_A * G_A(chi) once per character, as a row
+        rows = []
+        for exps in chars:
+            factors = [tables[d].element(c) for d, c in zip(parts, exps)]
+            prod = factors[0] if factors else ring.one()  # n = 0: the empty product
+            for x in factors[1:]:
+                prod = prod * x
+            rows.append(-prod.coeffs if sign < 0 else prod.coeffs)
+        rows = np.stack(rows)
+        # twisting by eta_k sends (c_i) to (c_i + k*(q^d_i - 1)/(q - 1)), another
+        # character of the same algebra: read its row at its mixed-radix index
+        orders = np.array([q**d - 1 for d in parts], dtype=np.int64)
+        place = np.array([math.prod(orders[i + 1:]) for i in range(len(parts))], dtype=np.int64)
+        twists = np.arange(q - 1)[:, None] * (orders // (q - 1))
+        exps_of = np.array(chars, dtype=np.int64).reshape(len(chars), len(parts))
+        twist_rows = (exps_of[:, None, :] + twists) % orders @ place
+        for exps, idx in zip(chars, twist_rows):
             n_chars += 1
-            key_entries = []
-            for k in range(q - 1):
-                factors = [sums[d][(c + k * ((q**d - 1) // (q - 1))) % (q**d - 1)]
-                           for d, c in zip(parts, exps)]
-                prod = factors[0] if factors else ring.one()  # n = 0: the empty product
-                for x in factors[1:]:
-                    prod = prod * x
-                if sign < 0:
-                    prod = -prod
-                key_entries.append(prod.key)
-            key = tuple(key_entries)
+            key = canonical_key(rows[idx])
             div = divisor(parts, exps)
             classes.setdefault(key, set()).add(div)
             divisors_of.setdefault(div, set()).add(key)

@@ -139,27 +139,30 @@ class CycloRing:
     def _build_reduction_table(self) -> None:
         # row r holds x^(phi + r) mod Phi_m, r < m - phi, as exact integers
         m, phi = self.m, self.phi
-        nz = [(i, -c) for i, c in enumerate(self.Phi[:phi]) if c]  # x^phi = -head
+        nz = np.flatnonzero(self.Phi[:phi])
+        minus_head = -np.asarray(self.Phi[:phi], dtype=np.int64)[nz]  # x^phi = -head
         table = np.empty((m - phi, phi), dtype=np.float64)
-        row = np.zeros(phi, dtype=np.int64)
-        for i, c in nz:
-            row[i] = c
-        guard = 1 << 50
+        # row r is the window work[s : s + phi], s = m - phi - r: multiplying
+        # by x moves the window one place left and folds its old top back in
+        work = np.zeros(m, dtype=np.int64)
+        s = m - phi
+        work[s + nz] = minus_head
         for r in range(m - phi):
-            table[r] = row
-            top = int(row[phi - 1])
-            row = np.concatenate(([0], row[:-1]))
+            table[r] = work[s : s + phi]
+            top = int(work[s + phi - 1])
+            s -= 1
             if top:
-                for i, c in nz:
-                    row[i] += top * c
-            if np.abs(row).max(initial=0) > guard:  # pragma: no cover
-                raise OverflowError(
-                    "reduction-row coefficients exceeded the exact-integer guard; "
-                    "object-precision rebuild required"
-                )
+                work[s + nz] += top * minus_head
+        # every row is stored, so one check on the table sees every row
+        rows_max = int(max(table.max(initial=0), -table.min(initial=0)))
+        if rows_max > 1 << 50:  # pragma: no cover
+            raise OverflowError(
+                "reduction-row coefficients exceeded the exact-integer guard; "
+                "object-precision rebuild required"
+            )
         table.setflags(write=False)
         self.table = table
-        self._rows_max = int(np.abs(table).max(initial=0))
+        self._rows_max = rows_max
 
     # -- reduction ----------------------------------------------------------
 

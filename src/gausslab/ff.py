@@ -255,27 +255,18 @@ class FieldTower:
             raise ArgumentError(f"{d_abs} does not divide the absolute degree {self.degree}")
         return self.mult_order // (self.p**d_abs - 1)
 
-    def in_subfield(self, x: int, d_abs: int) -> bool:
-        if x == 0:
-            return True
-        return self.dlog(x) % self.subfield_index(d_abs) == 0
-
-    def subfield_trace_to_prime(self, y: int, d_abs: int) -> int:
-        """Tr_{F_{p^d}/F_p}(y) for y in the degree-d subfield (absolute d)."""
-        if y == 0:
-            return 0
-        if not self.in_subfield(y, d_abs):
-            raise ArgumentError("element does not lie in the requested subfield")
-        j, N = self.dlog(y), self.mult_order
-        acc = np.zeros(self.degree, dtype=np.int64)
-        e = 1
+    def subfield_traces(self, d_abs: int) -> np.ndarray:
+        """Tr_{F_{p^d}/F_p}(h^l) for every l < p^d - 1 (absolute d), where
+        h = g^((p^D-1)/(p^d-1)) generates the degree-d subfield."""
+        j = np.arange(0, self.mult_order, self.subfield_index(d_abs), dtype=np.int64)
+        acc = np.zeros((len(j), self.degree), dtype=np.int64)
         for _ in range(d_abs):
-            acc += self.exp_vec[(j * e) % N]
-            e *= self.p
+            acc += self.exp_vec[j]
+            j = j * self.p % self.mult_order
         acc %= self.p
-        if np.any(acc[1:]):
+        if np.any(acc[:, 1:]):
             raise RuntimeError("subfield trace did not land in the prime field")
-        return int(acc[0])
+        return acc[:, 0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FieldTower(p={self.p}, f={self.f}, n={self.n}, g={self.g})"

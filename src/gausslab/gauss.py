@@ -6,10 +6,14 @@ Conventions, fixed once for the whole artifact:
 * psi is the additive character with psi(1) = zeta_p, evaluated through the
   absolute trace: psi(Tr x) = zeta_p^(Tr_{F_{q^n}/F_p} x).  In the shared
   ring Z[zeta_m], m = p*(q^n-1), this is zeta_m^((q^n-1)*t).
-* S(chi_e) = sum_j zeta_{q^n-1}^(e*j) * psi(Tr g^j); the whole family is one
-  histogram pass per p-orbit of exponents (S(chi_{pe}) = S(chi_e); see
-  GaussTable and _accel), reduced in a single matrix step.
+* S(chi_e) = sum_j zeta_{q^n-1}^(e*j) * psi(Tr g^j).
 * G(beta, psi) = sum_a beta(a) psi(Tr a^{-1}) = S(beta^{-1}).
+
+Every Gauss sum is a row of a GaussTable, built by one histogram call
+(_accel.gauss_counts) over the p-orbit minima of the exponents, since
+S(chi_{pe}) = S(chi_e), and one matrix reduction.  The whole-field table is
+cached per tower and serves gauss_S; a table over a subfield F_{q^d} serves
+the subfield sums of Hasse-Davenport and the etale scan.
 
 Sums over proper subfields (Hasse-Davenport, etale scans) are evaluated
 inside the ambient tower with the subfield generator pinned to the norm of
@@ -34,49 +38,56 @@ from .ff import EtaleAlgebra, FieldTower
 
 
 # ---------------------------------------------------------------------------
-# full Gauss-sum tables
-
-
-def _psi_offsets(tower: FieldTower, m: int) -> np.ndarray:
-    # psi(Tr g^j) = zeta_m^(N * t_j)
-    return (np.int64(tower.mult_order) * tower.trace_abs.astype(np.int64)) % m
+# Gauss-sum tables
 
 
 class GaussTable:
-    """Canonical coefficients of S(chi_e) for every exponent e of a tower.
+    """Canonical coefficients of S(chi_c) for every character c of the
+    subfield F_{q^d}^x of a tower, d | n (the whole field by default).
 
-    x -> x^p permutes F_{q^n}^x and fixes the absolute trace, so
-    S(chi_{pe}) = S(chi_e): the table computes one row per orbit of
-    e -> p*e mod N (N = q^n - 1, orbit lengths dividing f*n), at the orbit
-    minimum, and `row_of[e]` names the row of S that holds S(chi_e).
+    Characters are indexed against h = Nr_{n:d}(g) = g^s, s = (q^n-1)/(q^d-1):
+    chi_c maps h^l to zeta_{q^d-1}^(c*l), and psi restricts through the
+    subfield's own absolute trace, so S(chi_c) is the histogram of
+    p*c*s*l + (q^n-1)*Tr(h^l) mod m in the tower's ring.  x -> x^p permutes
+    the subfield and fixes the trace, so S(chi_{pc}) = S(chi_c): the table
+    computes one row per orbit of c -> p*c mod (q^d-1) (orbit lengths
+    dividing f*d), at the orbit minimum, and `row_of[c]` names the row of S
+    that holds S(chi_c).  At d = n, h = g and c is the plain exponent.
     """
 
-    def __init__(self, tower: FieldTower, max_conductor: int = cyclo.DEFAULT_MAX_CONDUCTOR):
+    def __init__(self, tower: FieldTower, d: int | None = None,
+                 max_conductor: int = cyclo.DEFAULT_MAX_CONDUCTOR):
+        d = tower.n if d is None else d
+        if d < 1 or tower.n % d != 0:
+            raise ArgumentError(f"subfield degree {d} does not divide n={tower.n}")
         self.tower = tower
         self.ring = ring_for(tower, max_conductor=max_conductor)
         N, p, m = tower.mult_order, tower.p, self.ring.m
-        mins = orbit_minima(N, p, tower.f * tower.n)
-        reps = np.flatnonzero(mins == np.arange(N))
+        self.mult_order = Nd = tower.q**d - 1
+        mins = orbit_minima(Nd, p, tower.f * d)
+        reps = np.flatnonzero(mins == np.arange(Nd))
         self.row_of = np.searchsorted(reps, mins)
-        counts = _accel.gauss_counts(p, m, _psi_offsets(tower, m), exps=reps)
+        offsets = N * tower.subfield_traces(tower.f * d) % m  # psi(Tr h^l)
+        counts = _accel.gauss_counts(p, m, offsets, exps=reps * (N // Nd))
         self.S = self.ring.reduce_matrix(counts)
 
     def rows(self, es) -> np.ndarray:
-        """Canonical rows of S(chi_e) stacked in the order of `es`."""
-        return self.S[self.row_of[np.asarray(es) % self.tower.mult_order]]
+        """Canonical rows of S(chi_c) stacked in the order of `es`."""
+        return self.S[self.row_of[np.asarray(es) % self.mult_order]]
 
     def element(self, e: int) -> cyclo.CycloElement:
-        row = self.S[self.row_of[e % self.tower.mult_order]]
+        row = self.S[self.row_of[e % self.mult_order]]
         return cyclo.CycloElement(self.ring, row.copy())
 
     def key(self, e: int) -> bytes | tuple[int, ...]:
-        return cyclo.canonical_key(self.S[self.row_of[e % self.tower.mult_order]])
+        return cyclo.canonical_key(self.S[self.row_of[e % self.mult_order]])
 
 
 _TABLE_CACHE: dict[int, tuple[FieldTower, GaussTable]] = {}
 
 
 def gauss_table(tower: FieldTower, max_conductor: int = cyclo.DEFAULT_MAX_CONDUCTOR) -> GaussTable:
+    """The whole-field table of a tower, built once and cached."""
     hit = _TABLE_CACHE.get(id(tower))
     if hit is not None and hit[0] is tower:
         cyclo.check_conductor(hit[1].ring.m, max_conductor)
@@ -86,19 +97,9 @@ def gauss_table(tower: FieldTower, max_conductor: int = cyclo.DEFAULT_MAX_CONDUC
     return table
 
 
-def _single_sum(tower: FieldTower, e: int) -> cyclo.CycloElement:
-    ring = ring_for(tower)
-    m = ring.m
-    counts = _accel.gauss_counts(tower.p, m, _psi_offsets(tower, m), exps=[e % tower.mult_order])
-    return ring.element(counts[0])
-
-
 def gauss_S(c: MultChar) -> cyclo.CycloElement:
     """S(chi) = sum over F_{q^n}^x of chi(x) psi(Tr x)."""
-    hit = _TABLE_CACHE.get(id(c.tower))
-    if hit is not None and hit[0] is c.tower:
-        return hit[1].element(c.e)
-    return _single_sum(c.tower, c.e)
+    return gauss_table(c.tower).element(c.e)
 
 
 def gauss_G(c: MultChar) -> cyclo.CycloElement:
@@ -188,25 +189,9 @@ def gamma_n_by_1(c: MultChar, k: int) -> ScaledCyclo:
 
 def subfield_gauss_sum(tower: FieldTower, d: int, c: int) -> cyclo.CycloElement:
     """Gauss sum over the subfield F_{q^d} of F_{q^n}, d | n, inside the
-    tower's ring.
-
-    The subfield character is indexed against h = Nr_{n:d}(g): it maps
-    h^l to zeta_{q^d-1}^(c*l).  psi restricts through the subfield's own
-    absolute trace.
-    """
-    if d < 1 or tower.n % d != 0:
-        raise ArgumentError(f"subfield degree {d} does not divide n={tower.n}")
-    ring = ring_for(tower)
-    N, p, m = tower.mult_order, tower.p, ring.m
-    Nd = tower.q**d - 1
-    step = N // Nd  # dlog stride of the subfield
-    d_abs = tower.f * d
-    counts = np.zeros(m, dtype=np.int64)
-    for l in range(Nd):
-        y = tower.exp(l * step)
-        t = tower.subfield_trace_to_prime(y, d_abs)
-        counts[(p * c * l * step + N * t) % m] += 1
-    return ring.element(counts)
+    tower's ring, for the character mapping Nr_{n:d}(g)^l to
+    zeta_{q^d-1}^(c*l) (see GaussTable)."""
+    return GaussTable(tower, d).element(c)
 
 
 def hasse_davenport_check(tower: FieldTower, c: int) -> bool:

@@ -122,11 +122,14 @@ def test_etale_signs():
 
 
 def test_subfield_trace(f81):
-    # Tr_{F_9/F_3} of elements of the degree-2 subfield inside F_81
+    # Tr_{F_9/F_3} of the degree-2 subfield elements h^l inside F_81
     idx = f81.subfield_index(2)
-    for j in range(8):
-        y = f81.exp(j * idx)
+    traces = f81.subfield_traces(2)
+    assert len(traces) == 8
+    for l in range(8):
+        y = f81.exp(l * idx)
         direct = f81.add(y, f81.frobenius(y, 1))  # y + y^3
-        assert f81.subfield_trace_to_prime(y, 2) == direct
+        assert traces[l] == direct
+    assert np.array_equal(f81.subfield_traces(4), f81.trace_abs)
     with pytest.raises(ArgumentError):
-        f81.subfield_trace_to_prime(f81.g, 2)
+        f81.subfield_traces(3)

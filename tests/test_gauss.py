@@ -9,7 +9,6 @@ from gausslab.errors import ArgumentError, ResourceCapError
 from gausslab.gauss import (
     GaussTable,
     ScaledCyclo,
-    _single_sum,
     etale_gauss,
     etale_gauss_signed,
     gamma_n_by_1,
@@ -33,6 +32,38 @@ def naive_gauss_sum(tower, e):
             tower.mult_order * tower.trace_to_prime(x)
         )
     return acc
+
+
+def _single_sum(tower, e):
+    """Reference: one histogram of the literal index p*e*j + N*Tr(g^j) mod m."""
+    ring = ring_for(tower)
+    N, p, m = tower.mult_order, tower.p, ring.m
+    j = np.arange(N, dtype=np.int64)
+    idx = (p * e * j + N * tower.trace_abs.astype(np.int64)) % m
+    return ring.element(np.bincount(idx, minlength=m))
+
+
+def _subfield_trace(tower, y, d_abs):
+    # y + y^p + ... + y^(p^(d_abs-1)) in field arithmetic
+    t = 0
+    for i in range(d_abs):
+        t = tower.add(t, tower.frobenius(y, i))
+    assert t < tower.p  # the trace lands in the prime field
+    return t
+
+
+def _subfield_sum_loop(tower, d, c):
+    """Reference: the subfield sum as a loop over the elements h^l,
+    h = Nr_{n:d}(g)."""
+    ring = ring_for(tower)
+    N, p, m = tower.mult_order, tower.p, ring.m
+    Nd = tower.q**d - 1
+    step = N // Nd
+    counts = np.zeros(m, dtype=np.int64)
+    for l in range(Nd):
+        t = _subfield_trace(tower, tower.exp(l * step), tower.f * d)
+        counts[(p * c * l * step + N * t) % m] += 1
+    return ring.element(counts)
 
 
 def test_trivial_character_sums():
@@ -241,6 +272,34 @@ def test_subfield_sum_matches_whole_field(f9):
     tab = gauss_table(f9)
     for c in range(8):
         assert subfield_gauss_sum(f9, 2, c) == tab.element(c)
+
+
+@pytest.mark.parametrize("p,f,n,d", [
+    (3, 1, 2, 1),
+    (2, 1, 4, 1),
+    (2, 1, 4, 2),
+    (3, 1, 3, 1),  # p divides n/d
+    (2, 2, 2, 1),  # f > 1
+    (2, 1, 6, 2),
+    (2, 1, 6, 3),
+])
+def test_subfield_table_matches_element_loop(p, f, n, d):
+    T = build_tower(p, f, n)
+    Nd = T.q**d - 1
+    tab = GaussTable(T, d)
+    orbits = {frozenset(c * p**k % Nd for k in range(f * d)) for c in range(Nd)}
+    assert tab.S.shape[0] == len(orbits)  # one row per p-orbit of Z/(q^d - 1)
+    for c in range(Nd):
+        expected = _subfield_sum_loop(T, d, c)
+        assert tab.element(c) == expected
+        assert subfield_gauss_sum(T, d, c) == expected
+
+
+def test_subfield_table_rejects_non_divisor(f9):
+    with pytest.raises(ArgumentError):
+        GaussTable(f9, 3)
+    with pytest.raises(ArgumentError):
+        subfield_gauss_sum(f9, 0, 1)
 
 
 def test_tensor_rhs_m1_consistency(f9, f25):
