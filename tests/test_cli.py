@@ -272,6 +272,14 @@ PINNED_REPORTS = [
      "789f5c95a5e9732ddc40f789589fdb44bff04554915a18eaab5dd2ec96cf660a"),
     ("tensor-rhs --p 2 --n 3 --m 2 --chi-e 1 --eta-e 1", 0,
      "8fb63babdd9134cef14513fd6f0f81b2f52a08a5d4a8087778f037bdb21ce616"),
+    ("hasse-davenport --p 13 --m 2", 0,
+     "c6a0cdc58b57c1e3f6bae97d63ebcebcc2704ba2e0638c99dcc81c420c8e40bf"),
+    ("hasse-davenport --p 3 --f 2 --m 3", 0,
+     "f2ce281e8f623916d532f67f7a0913428ab0afc2ab661d301ccde2af20aedeef"),
+    ("gauss --p 2 --n 12 --e 5", 0,
+     "0e66b55de8523972f99f39a8446086cd6a0fb5bdbe44de22b6ee20530cd677cc"),
+    ("scan --p 3 --n 7", 0,
+     "13b1e32a3c5ee343134bab033e370fbc3705cbaa1d506b52817da8bb7c5dd413"),
 ]
 
 
