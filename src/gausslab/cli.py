@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -60,9 +61,26 @@ def _document(report: Report, args) -> dict:
     }
 
 
+def _json(obj, depth: int = 0) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), built here from json's
+    C encoder on scalars: the pure-Python indenting encoder leaves its
+    self-referencing closures in a reference cycle on every call."""
+    if isinstance(obj, dict) and obj:
+        items = [json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " + _json(v, depth + 1)
+                 for k, v in sorted(obj.items())]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        items = [_json(v, depth + 1) for v in obj]
+        brackets = "[]"
+    else:
+        return json.dumps(obj)
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
 def _emit(doc: dict, args) -> None:
     if args.format == "json":
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = _json(doc) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -236,7 +254,7 @@ def _cmd_tensor_rhs(args):
 def _cmd_hasse_davenport(args):
     tower = build_tower(args.p, args.f, args.m, max_elements=args.max_elements)
     exponents = [args.e] if args.e is not None else range(tower.q - 1)
-    failures = [c for c in exponents if not hasse_davenport_check(tower, c)]
+    failures = hasse_davenport_check(tower, exponents)
     result = {
         "q": tower.q,
         "lift_degree": args.m,
@@ -253,6 +271,7 @@ def _cmd_etale_scan(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process: a parser is a web of reference cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gausslab",

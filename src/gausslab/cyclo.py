@@ -9,11 +9,14 @@ Products (convolutions and reductions) run on float64 BLAS while a bound
 certifies that every partial sum is an exact integer below 2^52.  Both fall
 back to Python integers otherwise.
 
-Phi_m is computed by the Moebius product of sparse binomials applied to the
-radical of m (Phi_m(x) = Phi_rad(x^(m/rad))), so the reduction table rows
-x^k mod Phi_m update through only deg(Phi_rad)+1 positions each.  Each ring
-holds one (m - phi) x phi table, stored as float64 with exact integer
-entries, and every reduction goes through `CycloRing.reduce_matrix`.
+Reduction runs through the odd kernel k of rad(m).  With s = m / rad(m),
+Phi_m(x) = Phi_rad(x^s), so a row splits into s interleaved rows in
+y = x^s that reduce mod Phi_rad independently.  Phi_rad divides y^k - 1
+when rad = k is odd, and y^k + 1 when rad = 2k (Phi_2k(y) = Phi_k(-y)), so
+each row first folds to width k; the table then holds y^j mod Phi_rad for
+phi(k) <= j < k only.  Each ring holds that one (k - phi(k)) x phi(k)
+table, stored as float64 with exact integer entries, and every reduction
+goes through `CycloRing.reduce_matrix`.
 
 Rings are cached per conductor and immutable after construction; elements
 are value types, safe to share across workers.
@@ -127,32 +130,50 @@ def _exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a.astype(object), b.astype(object))
 
 
+def _max_abs(mat: np.ndarray) -> int:
+    # max |entry| without an |mat| temporary
+    return max(int(mat.max()), -int(mat.min()))
+
+
+def _pad(mat: np.ndarray, width: int) -> np.ndarray:
+    """`mat` zero-padded on the right to `width` columns (itself if already)."""
+    if mat.shape[1] == width:
+        return mat
+    out = np.zeros((mat.shape[0], width), dtype=mat.dtype)
+    out[:, : mat.shape[1]] = mat
+    return out
+
+
 class CycloRing:
     """Arithmetic context for one conductor m; build through `get_ring`."""
 
     def __init__(self, m: int):
         self.m = m
         self.phi = numth.euler_phi(m)
-        self.Phi = cyclotomic_poly(m)
-        self._build_reduction_table()
+        rad = numth.radical(m)
+        self._s = m // rad  # Phi_m(x) = Phi_rad(x^s)
+        self._k = rad // 2 if rad % 2 == 0 else rad  # odd kernel of rad
+        self._sign = -1 if rad % 2 == 0 else 1  # zeta^(s*k) = -1 or 1
+        self._build_reduction_table(_cyclotomic_radical(rad))
 
-    def _build_reduction_table(self) -> None:
-        # row r holds x^(phi + r) mod Phi_m, r < m - phi, as exact integers
-        m, phi = self.m, self.phi
-        nz = np.flatnonzero(self.Phi[:phi])
-        minus_head = -np.asarray(self.Phi[:phi], dtype=np.int64)[nz]  # x^phi = -head
-        table = np.empty((m - phi, phi), dtype=np.float64)
-        # row r is the window work[s : s + phi], s = m - phi - r: multiplying
-        # by x moves the window one place left and folds its old top back in
-        work = np.zeros(m, dtype=np.int64)
-        s = m - phi
-        work[s + nz] = minus_head
-        for r in range(m - phi):
-            table[r] = work[s : s + phi]
-            top = int(work[s + phi - 1])
-            s -= 1
+    def _build_reduction_table(self, poly: tuple[int, ...]) -> None:
+        # row r holds y^(d + r) mod Phi_rad, r < k - d, d = phi(k) = deg Phi_rad
+        d = len(poly) - 1
+        n = self._k - d
+        nz = np.flatnonzero(poly[:d])
+        minus_head = -np.asarray(poly[:d], dtype=np.int64)[nz]  # y^d = -head
+        table = np.empty((n, d), dtype=np.float64)
+        # row r is the window work[lo : lo + d], lo = n - r: multiplying by
+        # y moves the window one place left and folds its old top back in
+        work = np.zeros(n + d, dtype=np.int64)
+        lo = n
+        work[lo + nz] = minus_head
+        for r in range(n):
+            table[r] = work[lo : lo + d]
+            top = int(work[lo + d - 1])
+            lo -= 1
             if top:
-                work[s + nz] += top * minus_head
+                work[lo + nz] += top * minus_head
         # every row is stored, so one check on the table sees every row
         rows_max = int(max(table.max(initial=0), -table.min(initial=0)))
         if rows_max > 1 << 50:  # pragma: no cover
@@ -169,35 +190,50 @@ class CycloRing:
     def reduce_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Canonical coefficients of sum_k mat[b, k] * zeta^k for each row b.
 
-        Rows may have any width.  Rows wider than m fold first (zeta^m = 1);
-        the product with the reduction table reads only the rows the width
-        needs, in float64 when |head| + |tail|_1 * max|table| < 2^52 (every
+        Rows may have any width.  Rows wider than L = s*k fold first
+        (zeta^L = +-1).  Coefficient i + s*t then sits at place t of kernel
+        row i, and each kernel row reduces as head + tail @ table, reading
+        only the table rows the width needs, in float64 when
+        |head| + |tail|_1 * max|table| < 2^52 over every kernel row (every
         partial sum is then an exact integer) and in Python ints otherwise.
         """
-        m, phi = self.m, self.phi
+        s, phi = self._s, self.phi
+        fold = s * self._k
         mat = np.asarray(mat)
         b, width = mat.shape
-        if width > m:
-            segs = -(-width // m)
-            if mat.dtype != object and segs * int(np.abs(mat).max(initial=0)) >= _I64_SAFE:
-                mat = mat.astype(object)
-            wide = np.zeros((b, segs * m), dtype=mat.dtype)
-            wide[:, :width] = mat
-            mat, width = wide.reshape(b, segs, m).sum(axis=1), m
-        if width <= phi or not np.any(mat[:, phi:]):
+        if width <= phi:
             out = np.zeros((b, phi), dtype=mat.dtype)
-            out[:, : min(width, phi)] = mat[:, :phi]
+            out[:, :width] = mat
             return out
+        if width > fold:
+            segs = -(-width // fold)
+            if mat.dtype != object and segs * _max_abs(mat) >= _I64_SAFE:
+                mat = mat.astype(object)
+            wide = _pad(mat, segs * fold).reshape(b, segs, fold)
+            mat = wide[:, 0].copy()
+            for j in range(1, segs):  # zeta^(j*fold) = sign^j
+                (np.add if self._sign ** j > 0 else np.subtract)(mat, wide[:, j], out=mat)
+        else:
+            mat = _pad(mat, -(-width // s) * s)
         head, tail = mat[:, :phi], mat[:, phi:]
-        rows = self.table[: width - phi]
+        n = tail.shape[1] // s
+        tail = tail.reshape(b, n, s)  # [b, r, i] = coefficient of x^(phi + i + s*r)
         tail_abs = np.abs(tail)
-        if mat.dtype != object and int(tail_abs.max()) * tail.shape[1] >= _I64_SAFE:
+        tail_max = int(tail_abs.max(initial=0))
+        if not tail_max:
+            return head.copy()
+        if mat.dtype != object and tail_max * n >= _I64_SAFE:
             tail_abs = tail_abs.astype(object)  # int64 row sums could wrap
-        bound = int(np.abs(head).max(initial=0)) + int(tail_abs.sum(axis=1).max()) * self._rows_max
-        if bound < _F64_SAFE:
-            out = head.astype(np.float64) + tail.astype(np.float64) @ rows
-            return out.astype(np.int64)
-        return head.astype(object) + tail.astype(object) @ rows.astype(np.int64).astype(object)
+        bound = _max_abs(head) + int(tail_abs.sum(axis=1).max()) * self._rows_max
+        rows = self.table[:n]
+        carrier = np.float64 if bound < _F64_SAFE else object
+        if carrier is object:
+            rows = rows.astype(np.int64).astype(object)
+        kernel = tail.transpose(0, 2, 1).astype(carrier, order="C").reshape(b * s, n)
+        d = phi // s
+        prod = (kernel @ rows).reshape(b, s, d).transpose(0, 2, 1).reshape(b, phi)
+        out = head.astype(carrier) + prod
+        return out.astype(np.int64) if carrier is np.float64 else out
 
     def reduce_vector(self, vec: np.ndarray) -> np.ndarray:
         """Canonical coefficients of sum vec[k] * zeta^k (any length)."""
@@ -355,8 +391,7 @@ class CycloElement:
         j %= m
         dtype = object if self.coeffs.dtype == object else np.int64
         v = np.zeros(m, dtype=dtype)
-        idx = (j * np.arange(self.ring.phi, dtype=np.int64)) % m
-        np.add.at(v, idx, self.coeffs)
+        v[(j * np.arange(self.ring.phi, dtype=np.int64)) % m] = self.coeffs  # distinct: j is a unit
         return CycloElement(self.ring, self.ring.reduce_vector(v))
 
     def conj(self) -> "CycloElement":
@@ -371,8 +406,7 @@ class CycloElement:
         s = big.m // self.ring.m
         dtype = object if self.coeffs.dtype == object else np.int64
         v = np.zeros(big.m, dtype=dtype)
-        idx = (s * np.arange(self.ring.phi, dtype=np.int64)) % big.m
-        np.add.at(v, idx, self.coeffs)
+        v[s * np.arange(self.ring.phi, dtype=np.int64)] = self.coeffs  # s*k < s*phi(m) <= M
         return CycloElement(big, big.reduce_vector(v))
 
     # -- integer divisibility -------------------------------------------------

@@ -194,16 +194,17 @@ def subfield_gauss_sum(tower: FieldTower, d: int, c: int) -> cyclo.CycloElement:
     return GaussTable(tower, d).element(c)
 
 
-def hasse_davenport_check(tower: FieldTower, c: int) -> bool:
-    """-S(chi o Nr_{n:1}) == (-S(chi))^n for the base-field character chi_c.
+def hasse_davenport_check(tower: FieldTower, exponents) -> list[int]:
+    """The base-field exponents c for which -S(chi_c o Nr_{n:1}) != (-S(chi_c))^n.
 
-    `tower` is the lifted field F_{q^n}; the base sum runs over the embedded
-    F_q with the norm-of-generator indexing, so both sides live in one ring.
+    `tower` is the lifted field F_{q^n}; the base sums are rows of one
+    subfield table over the embedded F_q with the norm-of-generator indexing,
+    so both sides live in one ring.
     """
-    m_deg = tower.n
-    base = subfield_gauss_sum(tower, 1, c)
-    lifted = gauss_S(MultChar(tower, c * (tower.mult_order // (tower.q - 1))))
-    return -lifted == (-base) ** m_deg
+    base = GaussTable(tower, 1)
+    lift = tower.mult_order // (tower.q - 1)
+    return [c for c in exponents
+            if -gauss_S(MultChar(tower, c * lift)) != (-base.element(c)) ** tower.n]
 
 
 # ---------------------------------------------------------------------------

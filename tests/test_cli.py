@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 
@@ -289,3 +290,17 @@ PINNED_REPORTS = [
 def test_report_bytes_pinned(capsys, argv, exit_code, digest):
     status, out, _ = run(capsys, *argv.split())
     assert (status, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
+
+
+def test_main_leaves_few_reference_cycles(capsys):
+    argv = ["field-info", "--p", "3", "--n", "2"]
+    first = run(capsys, *argv)
+    gc.collect()
+    gc.disable()
+    try:
+        runs = [run(capsys, *argv) for _ in range(5)]
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert runs == [first] * 5
+    assert found < 100  # a fresh argparse parser per call left about 795

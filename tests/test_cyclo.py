@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import sympy
@@ -43,21 +45,89 @@ def _sympy_remainder(row, m: int) -> list[int]:
     return [int(c) for c in rem] + [0] * (euler_phi(m) - len(rem))
 
 
-@pytest.mark.parametrize("m", [13, 27, 105])  # a prime, a prime power, three prime factors
+@lru_cache(maxsize=1)
+def _dense_table(m: int) -> tuple[np.ndarray, int]:
+    """The dense (m - phi) x phi table, row r = x^(phi + r) mod Phi_m, and
+    its largest |entry| (the library's table before the odd-kernel one)."""
+    phi, Phi = euler_phi(m), cyclotomic_poly(m)
+    nz = np.flatnonzero(Phi[:phi])
+    minus_head = -np.asarray(Phi[:phi], dtype=np.int64)[nz]
+    table = np.empty((m - phi, phi), dtype=np.float64)
+    work = np.zeros(m, dtype=np.int64)
+    lo = m - phi
+    work[lo + nz] = minus_head
+    for r in range(m - phi):
+        table[r] = work[lo : lo + phi]
+        top = int(work[lo + phi - 1])
+        lo -= 1
+        if top:
+            work[lo + nz] += top * minus_head
+    return table, int(max(table.max(initial=0), -table.min(initial=0)))
+
+
+def _dense_reduce(m: int, mat: np.ndarray) -> np.ndarray:
+    """Reference: reduction through the dense table, with the same float64 /
+    Python-int carrier rule."""
+    phi = euler_phi(m)
+    table, rows_max = _dense_table(m)
+    b, width = mat.shape
+    if width > m:
+        segs = -(-width // m)
+        if mat.dtype != object and segs * int(np.abs(mat).max(initial=0)) >= 2**62:
+            mat = mat.astype(object)
+        wide = np.zeros((b, segs * m), dtype=mat.dtype)
+        wide[:, :width] = mat
+        mat, width = wide.reshape(b, segs, m).sum(axis=1), m
+    if width <= phi or not np.any(mat[:, phi:]):
+        out = np.zeros((b, phi), dtype=mat.dtype)
+        out[:, : min(width, phi)] = mat[:, :phi]
+        return out
+    head, tail = mat[:, :phi], mat[:, phi:]
+    rows = table[: width - phi]
+    tail_abs = np.abs(tail)
+    if mat.dtype != object and int(tail_abs.max()) * tail.shape[1] >= 2**62:
+        tail_abs = tail_abs.astype(object)
+    bound = int(np.abs(head).max(initial=0)) + int(tail_abs.sum(axis=1).max()) * rows_max
+    if bound < 2**52:
+        return (head.astype(np.float64) + tail.astype(np.float64) @ rows).astype(np.int64)
+    return head.astype(object) + tail.astype(object) @ rows.astype(np.int64).astype(object)
+
+
+# every conductor the benchmark workloads reduce in
+@pytest.mark.parametrize("m", [120, 336, 620, 726, 1022, 2046, 2184, 2394, 3120, 4094,
+                               4896, 6558, 6840, 8190])
+def test_reduce_matrix_matches_dense_table_reference(m):
+    R = CycloRing(m)
+    rng = np.random.default_rng(m)
+    for width in (1, R.phi, R.phi + 1, m - 1, m, 2 * m + 5):
+        mat = rng.integers(-1000, 1000, (3, width))
+        want = _dense_reduce(m, mat)
+        got = R.reduce_matrix(mat)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # reduction is linear, so a Python-int row 2^60 * mat reduces to 2^60 * want
+        got = R.reduce_matrix(mat[:1].astype(object) * 2**60)
+        assert got.dtype == object and np.array_equal(got, want[:1].astype(object) * 2**60)
+
+
+# k = 1 with an empty table (1, 2, 2^e); a prime; an odd prime power (s = 9);
+# an even radical with s > 1; an odd squarefree conductor (s = 1)
+@pytest.mark.parametrize("m", [1, 2, 8, 13, 27, 54, 105])
 def test_reduce_matrix_matches_sympy_remainder(m):
     R = get_ring(m)
     phi = R.phi
     rng = np.random.default_rng(m)
-    for width in (phi - 3, phi, phi + 2, m - 1, m, m + 1, 3 * m + 5):
+    for width in sorted({max(phi - 3, 0), phi, phi + 2, m - 1, m, m + 1, 3 * m + 5}):
         mat = rng.integers(-50, 50, (4, width))
         mat[1, phi:] = 0  # a row with an all-zero tail
-        if width > phi:
+        # the tail places of kernel row 0: x^(s*t), phi(k) <= t < k
+        cols = R._s * np.arange(phi // R._s, R._k)
+        cols = cols[cols < width]
+        if len(cols):
             # |head| + |tail|_1 * max|table| just below and at 2^52
-            ntail = width - phi if width <= m else m - phi
-            per = ntail * R._rows_max
+            per = len(cols) * R._rows_max
             c = (2**52 - 1) // per
             mat[2:] = 0
-            mat[2:, phi : phi + ntail] = c
+            mat[2:, cols] = c
             mat[2, 0] = 2**52 - 1 - c * per
             mat[3, 0] = 2**52 - c * per
         out = R.reduce_matrix(mat)
@@ -65,7 +135,7 @@ def test_reduce_matrix_matches_sympy_remainder(m):
         for row, got in zip(mat, out):
             assert [int(v) for v in got] == _sympy_remainder(row, m)
             assert np.array_equal(R.reduce_vector(row), got)
-        if phi < width <= m:
+        if len(cols):
             assert R.reduce_matrix(mat[2:3]).dtype == np.int64  # float64 carrier
             assert R.reduce_matrix(mat[3:4]).dtype == object  # Python-int carrier
     mat = np.zeros((2, 0), dtype=np.int64)
@@ -78,10 +148,12 @@ def test_reduce_matrix_matches_sympy_remainder(m):
 
 
 def test_ring_holds_one_float64_table():
-    R = CycloRing(8190)
-    R.reduce_vector(np.arange(2 * 8190))
-    tables = [v for v in vars(R).values() if isinstance(v, np.ndarray)]
-    assert [(t.shape, t.dtype) for t in tables] == [((6462, 1728), np.float64)]
+    # the (k - phi(k)) x phi(k) table of the odd kernel k of rad(m)
+    for m, shape in ((8190, (789, 576)), (8192, (0, 1))):
+        R = CycloRing(m)
+        R.reduce_vector(np.arange(2 * m))
+        tables = [v for v in vars(R).values() if isinstance(v, np.ndarray)]
+        assert [(t.shape, t.dtype) for t in tables] == [(shape, np.float64)]
 
 
 def test_reduce_idempotent():

@@ -257,14 +257,27 @@ def test_etale_arity_mismatch():
 @pytest.mark.parametrize("p,f,m", [(3, 1, 2), (3, 1, 3), (5, 1, 2), (2, 1, 2), (3, 1, 4)])
 def test_hasse_davenport(p, f, m):
     T = build_tower(p, f, m)
-    for c in range(T.q - 1):
-        assert hasse_davenport_check(T, c)
+    assert hasse_davenport_check(T, range(T.q - 1)) == []
+
+
+def test_hasse_davenport_builds_one_base_table(monkeypatch):
+    built = []
+    init = GaussTable.__init__
+
+    def counting_init(self, tower, d=None, **kw):
+        built.append(d)
+        init(self, tower, d, **kw)
+
+    monkeypatch.setattr(GaussTable, "__init__", counting_init)
+    T = build_tower(13, 1, 2)
+    assert hasse_davenport_check(T, range(T.q - 1)) == []
+    assert built.count(1) == 1  # one subfield table, not one per exponent
 
 
 def test_hasse_davenport_trivial_any_degree():
     for m in (2, 3, 4, 5):
         T = build_tower(2, 1, m)
-        assert hasse_davenport_check(T, 0)
+        assert hasse_davenport_check(T, [0]) == []
 
 
 def test_subfield_sum_matches_whole_field(f9):
