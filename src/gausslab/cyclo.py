@@ -190,8 +190,8 @@ class CycloRing:
     def reduce_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Canonical coefficients of sum_k mat[b, k] * zeta^k for each row b.
 
-        Rows may have any width.  Rows wider than L = s*k fold first
-        (zeta^L = +-1).  Coefficient i + s*t then sits at place t of kernel
+        Rows may have any width.  Rows wider than s*k fold first
+        (zeta^(s*k) = +-1).  Coefficient i + s*t then sits at place t of kernel
         row i, and each kernel row reduces as head + tail @ table, reading
         only the table rows the width needs, in float64 when
         |head| + |tail|_1 * max|table| < 2^52 over every kernel row (every
