@@ -281,6 +281,14 @@ PINNED_REPORTS = [
      "0e66b55de8523972f99f39a8446086cd6a0fb5bdbe44de22b6ee20530cd677cc"),
     ("scan --p 3 --n 7", 0,
      "13b1e32a3c5ee343134bab033e370fbc3705cbaa1d506b52817da8bb7c5dd413"),
+    ("tensor-rhs --p 3 --n 3 --m 2 --chi-e 1 --eta-e 1", 0,
+     "95f4f809f5ec06a44a0dcb544c41a37b67d3398234f349640a8b99e99c364cff"),
+    ("tensor-rhs --p 5 --n 2 --m 1 --chi-e 1 --eta-e 1", 0,
+     "6050941e9c1a380626ad7f07389e2218c6a854c0425406e3a3a294a648f838a6"),
+    ("etale-scan --p 3 --f 2 --n 2", 0,
+     "a6bd2fda3053c9346e8f41101cae3495e3db19ccd88a8b1e9c54fe05ac49b417"),
+    ("etale-scan --p 2 --f 2 --n 2", 0,
+     "a41f2e201ac0b269714ea1012d45d6b1df664623d499aebe5387eb245398676e"),
 ]
 
 
