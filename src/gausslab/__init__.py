@@ -1,7 +1,8 @@
 """Exact twisted Gauss sums over finite fields.
 
 Builds finite-field towers with discrete-log tables, computes Gauss sums and
-twisted gamma factors exactly in cyclotomic integer rings, verifies the
+twisted gamma factors exactly in cyclotomic integer rings (a subfield's
+characters are exponents on the one ambient tower), verifies the
 Stickelberger valuation and the Gross-Koblitz factorization in a ramified
 p-adic ring, runs converse-theorem signature scans, and cross-checks the
 n x 1 gamma-factor formula against a GL2 Bessel-function oracle.
@@ -17,18 +18,16 @@ from .errors import (
     PrimalityError,
     ResourceCapError,
 )
-from .ff import EtaleAlgebra, FieldTower, build_etale, build_tower
+from .ff import FieldTower, build_tower
 
 __all__ = [
     "ArgumentError",
-    "EtaleAlgebra",
     "FieldTower",
     "FormulaValidationError",
     "GausslabError",
     "PrecisionError",
     "PrimalityError",
     "ResourceCapError",
-    "build_etale",
     "build_tower",
     "__version__",
 ]

@@ -49,14 +49,8 @@ class MultChar:
         N = self.tower.mult_order
         return N // math.gcd(self.e, N)
 
-    def is_trivial(self) -> bool:
-        return self.e == 0
-
     def inverse(self) -> "MultChar":
         return MultChar(self.tower, -self.e)
-
-    def power(self, k: int) -> "MultChar":
-        return MultChar(self.tower, self.e * k)
 
     def is_regular(self) -> bool:
         """No factoring through a proper norm; equivalently a full Frobenius orbit."""

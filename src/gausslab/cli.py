@@ -232,12 +232,8 @@ def _cmd_gl2_check(args):
 
 
 def _cmd_tensor_rhs(args):
-    chi_tower = build_tower(args.p, args.f, args.n, max_elements=args.max_elements)
-    eta_tower = build_tower(args.p, args.f, args.m, max_elements=args.max_elements)
     big = build_tower(args.p, args.f, args.n * args.m, max_elements=args.max_elements)
-    chi = MultChar(chi_tower, args.chi_e)
-    eta = MultChar(eta_tower, args.eta_e)
-    val = tensor_gamma_rhs(chi, eta, big_tower=big)
+    val = tensor_gamma_rhs(big, args.n, args.m, args.chi_e, args.eta_e)
     result = {
         "value_conductor": val.num.ring.m,
         "value_coefficients": {str(k): int(v) for k, v in enumerate(val.num.coeffs) if v},
@@ -245,8 +241,8 @@ def _cmd_tensor_rhs(args):
         "stamp": converse.convention_stamp(big),
     }
     assertions = []
-    if args.m == 1:
-        direct = gamma_n_by_1(chi, args.eta_e % (chi_tower.q - 1))
+    if args.m == 1:  # the degree-n tower itself: chi is a plain exponent on it
+        direct = gamma_n_by_1(MultChar(big, args.chi_e), args.eta_e % (big.q - 1))
         assertions.append(check("m=1-consistency-with-gamma-formula", direct == val))
     return Report(result, assertions)
 
@@ -352,8 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f", type=int, default=1)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--chi-e", type=int, required=True)
-    sp.add_argument("--eta-e", type=int, required=True)
+    sp.add_argument("--chi-e", type=int, required=True,
+                    help="chi exponent on F_{q^n}, indexed against the norm of the F_{q^mn} generator")
+    sp.add_argument("--eta-e", type=int, required=True,
+                    help="eta exponent on F_{q^m}, indexed against the norm of the F_{q^mn} generator")
     sp.set_defaults(func=_cmd_tensor_rhs)
 
     sp = common(sub.add_parser("hasse-davenport", help="norm-lifting relation"))

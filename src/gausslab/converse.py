@@ -24,11 +24,11 @@ from math import lcm
 import numpy as np
 
 from . import digits, numth
-from .chars import MultChar, orbit_minima, orbit_reps, regular_exponents, regular_mask, ring_for
+from .chars import MultChar, orbit_minima, orbit_reps, regular_exponents, regular_mask
 from .cyclo import canonical_key
 from .errors import ArgumentError, ResourceCapError
 from .ff import DEFAULT_MAX_ELEMENTS, FieldTower, build_tower
-from .gauss import GaussTable, gauss_table
+from .gauss import GaussTable, etale_gauss, gauss_table
 from . import __version__
 
 
@@ -423,6 +423,8 @@ def lemma_suite(tower: FieldTower) -> Report:
         )
 
     r_consec = LemmaResult("equal-signatures-match-consecutive-runs", 0, 0, [])
+    # (side, run test, index of the side's digit in the sorted profile)
+    sides = (("max", digits.max_digits_consecutive, 0), ("min", digits.min_digits_consecutive, -1))
     for group in by_sig if n <= 5 else []:
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
@@ -435,28 +437,19 @@ def lemma_suite(tower: FieldTower) -> Report:
                     continue
                 cross = orbit_min[a] != orbit_min[b]
                 tested = False
-                if digits.max_digits_consecutive(va):
+                for side, consecutive, k in sides:
+                    if not consecutive(va):
+                        continue
                     tested = True
-                    if not digits.max_digits_consecutive(vb):
-                        r_consec.violations.append({"pair": [a, b], "side": "max"})
-                    else:
-                        sa, la = digits.run_start_and_length(va, pa[0][0])
-                        sb, lb = digits.run_start_and_length(vb, pb[0][0])
-                        if la != lb:
-                            r_consec.violations.append({"pair": [a, b], "side": "max-mult"})
-                        elif va.digits[(sa + la) % n] != vb.digits[(sb + lb) % n]:
-                            r_consec.violations.append({"pair": [a, b], "side": "max-next"})
-                if digits.min_digits_consecutive(va):
-                    tested = True
-                    if not digits.min_digits_consecutive(vb):
-                        r_consec.violations.append({"pair": [a, b], "side": "min"})
-                    else:
-                        sa, la = digits.run_start_and_length(va, pa[0][-1])
-                        sb, lb = digits.run_start_and_length(vb, pb[0][-1])
-                        if la != lb:
-                            r_consec.violations.append({"pair": [a, b], "side": "min-mult"})
-                        elif va.digits[(sa + la) % n] != vb.digits[(sb + lb) % n]:
-                            r_consec.violations.append({"pair": [a, b], "side": "min-next"})
+                    if not consecutive(vb):
+                        r_consec.violations.append({"pair": [a, b], "side": side})
+                        continue
+                    sa, la = digits.run_start_and_length(va, pa[0][k])
+                    sb, lb = digits.run_start_and_length(vb, pb[0][k])
+                    if la != lb:
+                        r_consec.violations.append({"pair": [a, b], "side": side + "-mult"})
+                    elif va.digits[(sa + la) % n] != vb.digits[(sb + lb) % n]:
+                        r_consec.violations.append({"pair": [a, b], "side": side + "-next"})
                 if tested:
                     r_consec.pairs_tested += 1
                     r_consec.cross_orbit_pairs += cross
@@ -502,17 +495,15 @@ def etale_signature_scan(
     All factor sums are computed inside one master tower of degree
     lcm(1..n), with each subfield generator pinned to the norm of the master
     generator; inflation along norms is then exponent scaling, so divisor
-    bookkeeping and Gauss sums share one indexing.
+    bookkeeping and Gauss sums share one indexing.  Each signed product is
+    one `gauss.etale_gauss` call on the master tower's subfield tables.
     """
     q = p**f
     L = lcm(*range(1, n + 1))
     master = build_tower(p, f, L, max_elements=max_elements)
     NL = master.mult_order
-    ring = ring_for(master)
     bound = n < (q - 1) / (2 * math.sqrt(q)) + 1
-
-    # one table of subfield Gauss sums per part degree
-    tables = {d: GaussTable(master, d) for d in sorted({d for part in _partitions(n) for d in part})}
+    tables: dict[int, GaussTable] = {}  # one subfield table per part degree, shared
 
     def divisor(parts: tuple[int, ...], exps: tuple[int, ...]) -> tuple[int, ...]:
         points = []
@@ -526,17 +517,9 @@ def etale_signature_scan(
     divisors_of: dict[tuple, set] = {}
     n_chars = 0
     for parts in _partitions(n):
-        sign = (-1) ** (n - len(parts))
         chars = list(itertools.product(*(range(q**d - 1) for d in parts)))
         # signed product epsilon_A * G_A(chi) once per character, as a row
-        rows = []
-        for exps in chars:
-            factors = [tables[d].element(c) for d, c in zip(parts, exps)]
-            prod = factors[0] if factors else ring.one()  # n = 0: the empty product
-            for x in factors[1:]:
-                prod = prod * x
-            rows.append(-prod.coeffs if sign < 0 else prod.coeffs)
-        rows = np.stack(rows)
+        rows = np.stack([etale_gauss(master, tables, parts, exps).coeffs for exps in chars])
         # twisting by eta_k sends (c_i) to (c_i + k*(q^d_i - 1)/(q - 1)), another
         # character of the same algebra: read its row at its mixed-radix index
         orders = np.array([q**d - 1 for d in parts], dtype=np.int64)

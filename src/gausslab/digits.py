@@ -44,15 +44,6 @@ class DigitVector:
             out = out * self.p + d
         return out
 
-    def rotate(self, j: int) -> "DigitVector":
-        """Digits of p^j * e: position i receives the old digit i-j (cyclic),
-        because p * sum d_i p^(i-1) = d_n + sum d_{i-1} p^(i-1) mod p^n - 1.
-        """
-        j %= self.n
-        return DigitVector(
-            self.p, self.n, tuple(self.digits[(i - j) % self.n] for i in range(self.n))
-        )
-
     def negated(self) -> "DigitVector":
         """Digits of -e: complement to p-1 (exact for nonzero classes)."""
         return DigitVector(self.p, self.n, tuple(self.p - 1 - d for d in self.digits))

@@ -6,7 +6,9 @@ Representation conventions (shared by every module downstream):
   F_{q^n} = F_{p^(f*n)} are coefficient vectors over F_p in the basis of a
   fixed monic irreducible modulus of degree D = f*n.  The intermediate field
   F_q is the fixed field of the f-th Frobenius power; it is never given its
-  own arithmetic.
+  own arithmetic, and neither is any other subfield F_{q^d}: its nonzero
+  elements are the powers of h = g^((q^n-1)/(q^d-1)), the norm of g.  An
+  etale algebra is a tuple of such subfield degrees, not a set of towers.
 * An element travels as its integer encoding sum(c_i * p^i); the zero element
   is 0 and the identity is 1.
 * The modulus is the lexicographically smallest monic irreducible of degree D
@@ -184,12 +186,6 @@ class FieldTower:
 
     def add(self, a: int, b: int) -> int:
         return self.enc((self.vec(a) + self.vec(b)) % self.p)
-
-    def neg(self, a: int) -> int:
-        return self.enc((-self.vec(a)) % self.p)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.enc((self.vec(a) - self.vec(b)) % self.p)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -382,38 +378,3 @@ def build_tower(
         log_table=log_table,
         trace_abs=trace_abs,
     )
-
-
-# ---------------------------------------------------------------------------
-# etale algebras: products of towers over a common base
-
-
-@dataclass(frozen=True, eq=False)
-class EtaleAlgebra:
-    """Product of field extensions of a common F_q, with its Frobenius sign."""
-
-    factors: tuple[FieldTower, ...]
-    n: int  # total degree over F_q
-    r: int  # number of factors
-    sign: int  # (-1)^(n-r)
-
-    @property
-    def p(self) -> int:
-        return self.factors[0].p
-
-    @property
-    def q(self) -> int:
-        return self.factors[0].q
-
-
-def build_etale(
-    p: int, f: int, degrees: list[int], *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> EtaleAlgebra:
-    if not degrees:
-        raise ArgumentError("etale algebra needs at least one factor")
-    if any(d < 1 for d in degrees):
-        raise ArgumentError("factor degrees must be positive")
-    factors = tuple(build_tower(p, f, d, max_elements=max_elements) for d in degrees)
-    n = sum(degrees)
-    r = len(degrees)
-    return EtaleAlgebra(factors=factors, n=n, r=r, sign=(-1) ** (n - r))

@@ -13,28 +13,29 @@ Every Gauss sum is a row of a GaussTable, built by one histogram call
 (_accel.gauss_counts) over the p-orbit minima of the exponents, since
 S(chi_{pe}) = S(chi_e), and one matrix reduction.  The whole-field table is
 cached per tower and serves gauss_S; a table over a subfield F_{q^d} serves
-the subfield sums of Hasse-Davenport and the etale scan.
+the subfield sums of Hasse-Davenport, the etale products and the tensor RHS.
 
-Sums over proper subfields (Hasse-Davenport, etale scans) are evaluated
-inside the ambient tower with the subfield generator pinned to the norm of
-the tower generator, so that inflation along norms is exponent scaling on
-the nose.  Base-field sums computed in a standalone degree-1 tower would
-differ by a Galois twist whenever that tower's generator is not the norm
-image; every cross-degree identity here therefore stays inside one tower.
+Every character of a subfield F_{q^d} is an exponent on the one ambient
+tower, indexed against h = Nr_{n:d}(g), the norm of the tower generator, so
+that inflation along norms is exponent scaling on the nose.  A standalone
+degree-d tower is never used for a subfield character: its generator need
+not be h (the F_25 generator has norm 3, the F_5 generator is 2), and its
+sums would differ by a Galois twist.  Every cross-degree identity here
+therefore stays inside one tower.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 
 from . import _accel, cyclo
 from .chars import MultChar, orbit_minima, ring_for, twist_offset
 from .errors import ArgumentError
-from .ff import EtaleAlgebra, FieldTower
+from .ff import FieldTower
 
 
 # ---------------------------------------------------------------------------
@@ -208,62 +209,61 @@ def hasse_davenport_check(tower: FieldTower, exponents) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# etale-algebra sums
+# etale-algebra sums inside one tower
 
 
-def etale_gauss(A: EtaleAlgebra, chars: list[MultChar]) -> cyclo.CycloElement:
-    """G_A(chi, psi) = prod of per-factor Gauss sums, in the lcm ring."""
-    if len(chars) != A.r:
+def etale_gauss(tower: FieldTower, tables: dict[int, GaussTable],
+                parts: Sequence[int], exps: Sequence[int]) -> cyclo.CycloElement:
+    """epsilon_A * G_A(chi) for the etale algebra A = prod_i F_{q^(d_i)},
+    d_i = parts[i], and its character chi = (chi_{c_i}), c_i = exps[i].
+
+    Every factor is the subfield F_{q^(d_i)} of the tower, so d_i must divide
+    n, and c_i is indexed against Nr_{n:d_i}(g) as in GaussTable.  G_A(chi)
+    is the product of the factor sums S(chi_{c_i}), the rows of those tables,
+    and epsilon_A = (-1)^(sum d_i - r).  `tables` maps d to
+    GaussTable(tower, d); a missing degree is built into it, so callers that
+    share one dict build each table once.  The product starts from its first
+    factor; the empty product (n = 0) is 1.
+    """
+    if len(parts) != len(exps):
         raise ArgumentError(
-            f"need one character per factor: got {len(chars)} for {A.r} factors"
+            f"need one exponent per factor: got {len(exps)} for {len(parts)} factors"
         )
-    for c, T in zip(chars, A.factors):
-        if c.tower is not T:
-            raise ArgumentError("character tower does not match the algebra factor")
-    # the factor conductors p*(q^{n_i}-1) share p; lcm the group orders
-    big_m = A.p * lcm(*[T.mult_order for T in A.factors])
-    big = cyclo.get_ring(big_m)
-    out = big.one()
-    for c in chars:
-        out = out * gauss_S(c).lift_to(big)
-    return out
-
-
-def etale_gauss_signed(A: EtaleAlgebra, chars: list[MultChar]) -> cyclo.CycloElement:
-    e = etale_gauss(A, chars)
-    return -e if A.sign < 0 else e
+    factors = []
+    for d, c in zip(parts, exps):
+        if d not in tables:
+            tables[d] = GaussTable(tower, d)
+        factors.append(tables[d].element(c))
+    prod = factors[0] if factors else ring_for(tower).one()
+    for x in factors[1:]:
+        prod = prod * x
+    return -prod if (sum(parts) - len(parts)) % 2 else prod
 
 
 # ---------------------------------------------------------------------------
 # conjectural tensor-product gamma (RHS) over the composite field
 
 
-def tensor_gamma_rhs(
-    chi: MultChar,
-    eta: MultChar,
-    *,
-    big_tower: FieldTower,
-) -> ScaledCyclo:
+def tensor_gamma_rhs(tower: FieldTower, n: int, m: int, chi_e: int, eta_e: int) -> ScaledCyclo:
     """c * chi(-1)^(m-1) eta(-1)^(n-1) * G(chi o Nr * eta o Nr, psi) over
     F_{q^{mn}}, with c = (-1)^(m(n-1)) q^(-mn + (m^2+m)/2).
 
-    `big_tower` must be the degree-m*n tower over the same base; characters
-    compose along norms by exponent scaling (norm-of-generator indexing).
+    `tower` is the degree-m*n tower; chi = chi_{chi_e} lives on its subfield
+    F_{q^n} and eta = chi_{eta_e} on F_{q^m}, each indexed against the norm
+    of the tower generator (GaussTable's indexing), so composing along the
+    norms scales the exponents.
     """
-    n, m_deg = chi.tower.n, eta.tower.n
-    if chi.tower.p != eta.tower.p or chi.tower.f != eta.tower.f:
-        raise ArgumentError("chi and eta must share the base field")
-    if n <= m_deg:
-        raise ArgumentError(f"need n > m, got n={n}, m={m_deg}")
-    if big_tower.n != n * m_deg or big_tower.p != chi.tower.p or big_tower.f != chi.tower.f:
-        raise ArgumentError("big_tower is not the degree-m*n tower over the base")
-    NN = big_tower.mult_order
-    E = chi.e * (NN // chi.tower.mult_order) + eta.e * (NN // eta.tower.mult_order)
-    g_elt = gauss_S(MultChar(big_tower, -E))  # G(beta) = S(beta^{-1})
-    sign = (-1) ** (m_deg * (n - 1))
-    sign *= chi.value_at_minus_one() ** (m_deg - 1)
-    sign *= eta.value_at_minus_one() ** (n - 1)
+    if m < 1 or n <= m:
+        raise ArgumentError(f"need n > m >= 1, got n={n}, m={m}")
+    if tower.n != n * m:
+        raise ArgumentError(f"tower degree {tower.n} is not n*m = {n * m}")
+    NN, q = tower.mult_order, tower.q
+    E = chi_e * (NN // (q**n - 1)) + eta_e * (NN // (q**m - 1))
+    g_elt = gauss_S(MultChar(tower, -E))  # G(beta) = S(beta^{-1})
+    sign = (-1) ** (m * (n - 1))
+    if tower.p != 2:  # chi_c(-1) = (-1)^c: -1 is h^((q^d-1)/2) for every generator h
+        sign *= (-1) ** ((chi_e * (m - 1) + eta_e * (n - 1)) % 2)
     if sign < 0:
         g_elt = -g_elt
-    power = m_deg * n - (m_deg * m_deg + m_deg) // 2
-    return ScaledCyclo(g_elt, power, chi.tower.q)
+    power = m * n - (m * m + m) // 2
+    return ScaledCyclo(g_elt, power, q)

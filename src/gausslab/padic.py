@@ -225,12 +225,13 @@ class RamifiedPadic:
         return out
 
     def inverse_unit(self) -> "RamifiedPadic":
-        """Inverse of a unit (valuation 0) by residue inversion + Hensel."""
+        """Inverse of a unit (valuation 0) by Hensel's iteration y -> y(2 - xy),
+        seeded with the residue inverse res^(p^n - 2) (Fermat in F_{p^n})."""
         c = self.ctx
         res = self.residue()
         if not any(res):
             raise ArgumentError("not a unit: zero residue")
-        y = c.from_w(_residue_field_inverse(res, c.p, c.modulus, c.n))
+        y = c.from_w(x % c.p for x in c.w_pow(res, c.p**c.n - 2))
         two = c.from_int(2)
         steps = max(1, (c.prec_floor).bit_length() + 1)
         for _ in range(steps):
@@ -248,48 +249,6 @@ class RamifiedPadic:
         """Exact division; v(other) must not exceed v(self)."""
         v, inv = other.valuation_and_unit_inverse()
         return (self * inv).div_by_pi_power(v)
-
-
-def _residue_field_inverse(vec, p, modulus, n) -> tuple[int, ...]:
-    """Inverse in F_p[x]/(modulus) by extended Euclid."""
-
-    def trim(a):
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    def pdiv(a, b):
-        a = a[:]
-        binv = pow(b[-1], p - 2, p) if p > 2 else 1
-        q = [0] * max(len(a) - len(b) + 1, 0)
-        while len(a) >= len(b) and trim(a):
-            if not a:
-                break
-            c = a[-1] * binv % p
-            d = len(a) - len(b)
-            q[d] = c
-            for i in range(len(b)):
-                a[d + i] = (a[d + i] - c * b[i]) % p
-            trim(a)
-        return q, a
-
-    r0, r1 = [c % p for c in modulus], trim([c % p for c in vec])
-    s0, s1 = [], [1]
-    while r1:
-        q, r2 = pdiv(r0, r1)
-        # s2 = s0 - q*s1
-        s2 = s0[:] + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    s2[i + j] = (s2[i + j] - qc * sc) % p
-        r0, r1, s0, s1 = r1, trim(r2), s1, trim(s2)
-    if len(r0) != 1:
-        raise ArgumentError("element is not invertible in the residue field")
-    lead_inv = pow(r0[0], p - 2, p) if p > 2 else 1
-    out = [c * lead_inv % p for c in s0]
-    out += [0] * (n - len(out))
-    return tuple(out[:n])
 
 
 # ---------------------------------------------------------------------------

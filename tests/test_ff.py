@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gausslab import build_tower, build_etale
+from gausslab import build_tower
 from gausslab.errors import ArgumentError, PrimalityError, ResourceCapError
 from gausslab.ff import is_irreducible, smallest_irreducible
 from gausslab.numth import divisors
@@ -108,17 +108,6 @@ def test_dlog_roundtrip(f9, f32):
 def test_invalid_norm_degree(f9):
     with pytest.raises(ArgumentError):
         f9.norm_rel(f9.g, 3)
-
-
-def test_etale_signs():
-    A = build_etale(3, 1, [4])
-    assert A.sign == (-1) ** 3 and A.n == 4 and A.r == 1
-    B = build_etale(3, 1, [1, 1, 1])
-    assert B.sign == 1
-    C = build_etale(3, 1, [2, 1])
-    assert C.n == 3 and C.r == 2 and C.sign == -1
-    with pytest.raises(ArgumentError):
-        build_etale(3, 1, [])
 
 
 def test_subfield_trace(f81):

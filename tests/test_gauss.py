@@ -1,16 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gausslab import build_tower, build_etale
+from gausslab import build_tower
 from gausslab.chars import MultChar, ring_for, twist_offset
 from gausslab.errors import ArgumentError, ResourceCapError
 from gausslab.gauss import (
     GaussTable,
     ScaledCyclo,
     etale_gauss,
-    etale_gauss_signed,
     gamma_n_by_1,
     gauss_G,
     gauss_S,
@@ -199,55 +199,73 @@ def test_scaled_cyclo_canonical(f9):
 # etale sums
 
 
-def test_etale_single_factor(f9):
-    A = build_etale(3, 1, [2])
-    c = MultChar(A.factors[0], 3)
-    assert etale_gauss(A, [c]) == gauss_S(c).lift_to(ring_for(A.factors[0]))
+def test_etale_single_factor(f81):
+    # one factor F_{q^d} is a row of the subfield table, signed by (-1)^(d-1)
+    tables = {}
+    for d in (1, 2, 4):
+        tab = GaussTable(f81, d)
+        for c in range(3**d - 1):
+            got = etale_gauss(f81, tables, [d], [c])
+            assert got == (tab.element(c) if d == 1 else -tab.element(c))
+    assert sorted(tables) == [1, 2, 4]  # built on demand, once per degree
 
 
-def test_etale_trivial_product():
-    A = build_etale(3, 1, [1, 1])
-    chars = [MultChar(T, 0) for T in A.factors]
-    assert etale_gauss(A, chars).int_value() == 1  # (-1)*(-1)
-    assert etale_gauss_signed(A, chars).int_value() == 1  # epsilon = +1
+def test_etale_signs(f81):
+    # epsilon_A = (-1)^(n - r): read off the trivial character, whose factor
+    # sums are each -1, so the product is epsilon_A * (-1)^r = (-1)^n
+    for parts, n in [((4,), 4), ((1, 1, 1), 3), ((2, 1), 3), ((2, 2), 4), ((1,), 1)]:
+        got = etale_gauss(f81, {}, parts, [0] * len(parts))
+        assert got.int_value() == (-1) ** n
+
+
+def test_etale_trivial_product(f9):
+    assert etale_gauss(f9, {}, [1, 1], [0, 0]).int_value() == 1  # (-1)*(-1), epsilon = +1
+    assert etale_gauss(f9, {}, [], []).int_value() == 1  # n = 0: the empty product
+
+
+def _subfield_elements(tower, d):
+    """(l, absolute trace of h^l) for the subfield F_{q^d}, h = Nr_{n:d}(g)."""
+    step = tower.mult_order // (tower.q**d - 1)
+    return [(l, _subfield_trace(tower, tower.exp(l * step), tower.f * d))
+            for l in range(tower.q**d - 1)]
 
 
 def test_etale_sign_and_direct_summation(f9):
-    # A = F_9 vs A' = F_3 x F_3 with inflated characters: check the signed
-    # comparison by literal summation over A'^x = F_3^x x F_3^x
-    T1 = build_tower(3, 1, 1)
-    A_field = build_etale(3, 1, [2])
-    A_split = build_etale(3, 1, [1, 1])
-    assert A_field.sign == -1 and A_split.sign == 1
-    for c in range(2):
-        chi_split = [MultChar(A_split.factors[0], c), MultChar(A_split.factors[1], c)]
-        # direct 4-term brute force over A'^x
-        big = etale_gauss(A_split, chi_split).ring
-        acc = big.zero()
-        for x in (1, 2):
-            for y in (1, 2):
-                term = MultChar(T1, c).value_at(x) * MultChar(T1, c).value_at(y)
-                psi_pow = (T1.trace_to_prime(x) + T1.trace_to_prime(y)) % 3
-                acc = acc + (term * ring_for(T1).zeta_pow(2 * psi_pow)).lift_to(big)
-        assert etale_gauss(A_split, chi_split) == acc
-        # matched divisor data: the F_9 character inflated from chi_c pairs
-        # with (chi_c, chi_c) on F_3 x F_3; signed sums agree for every twist
-        # (F_3 has a unique generator, so the factor indexing is coherent)
-        for k in range(2):
-            field_char = [MultChar(A_field.factors[0], (c + k) * 4)]
-            split_char = [
-                MultChar(A_split.factors[0], (c + k) % 2),
-                MultChar(A_split.factors[1], (c + k) % 2),
-            ]
-            lhs = etale_gauss_signed(A_field, field_char)
-            rhs = etale_gauss_signed(A_split, split_char)
-            assert lhs == rhs.lift_to(lhs.ring)
+    # literal sum over A^x = prod F_{q^d}^x, the factors taken as the
+    # subfields of F_9 with chi_c(h^l) = zeta_{q^d-1}^(c*l)
+    ring = ring_for(f9)
+    N, p = f9.mult_order, f9.p
+    for parts, exps in [((1, 1), (1, 0)), ((1, 1), (1, 1)), ((2, 1), (3, 1)), ((2,), (5,))]:
+        acc = ring.zero()
+        for points in itertools.product(*(_subfield_elements(f9, d) for d in parts)):
+            expo = 0
+            for d, c, (l, t) in zip(parts, exps, points):
+                expo += p * c * l * (N // (f9.q**d - 1)) + N * t
+            acc = acc + ring.zeta_pow(expo)
+        sign = (-1) ** (sum(parts) - len(parts))
+        assert etale_gauss(f9, {}, parts, exps) == (acc if sign > 0 else -acc)
 
 
-def test_etale_arity_mismatch():
-    A = build_etale(3, 1, [1, 1])
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_etale_field_equals_split(p, f):
+    # A = F_{q^2} and A' = F_q x F_q inside one degree-2 tower: the
+    # character chi_c o Nr of A and (chi_c, chi_c) of A' have the same
+    # divisor, and their signed sums agree for every c and every twist k
+    T = build_tower(p, f, 2)
+    q = T.q
+    tables = {}
+    for c in range(q - 1):
+        for k in range(q - 1):
+            field = etale_gauss(T, tables, [2], [(c + k) * (q + 1)])
+            split = etale_gauss(T, tables, [1, 1], [c + k, c + k])
+            assert field == split
+
+
+def test_etale_arity_mismatch(f9):
+    with pytest.raises(ArgumentError, match="one exponent per factor"):
+        etale_gauss(f9, {}, [1, 1], [0])
     with pytest.raises(ArgumentError):
-        etale_gauss(A, [MultChar(A.factors[0], 0)])
+        etale_gauss(f9, {}, [3], [0])  # 3 does not divide n = 2
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +335,36 @@ def test_subfield_table_rejects_non_divisor(f9):
 
 def test_tensor_rhs_m1_consistency(f9, f25):
     for T in (f9, f25):
-        eta_tower = build_tower(T.p, T.f, 1)
         for e in range(T.mult_order):
             c = MultChar(T, e)
             if not c.is_regular():
                 continue
             for k in range(T.q - 1):
-                rhs = tensor_gamma_rhs(c, MultChar(eta_tower, k), big_tower=T)
-                assert rhs == gamma_n_by_1(c, k)
+                assert tensor_gamma_rhs(T, T.n, 1, e, k) == gamma_n_by_1(c, k)
 
 
 def test_tensor_rhs_q2_single_case():
     T = build_tower(2, 1, 2)
-    eta_tower = build_tower(2, 1, 1)
-    c = MultChar(T, 1)
-    rhs = tensor_gamma_rhs(c, MultChar(eta_tower, 0), big_tower=T)
-    assert rhs == gamma_n_by_1(c, 0)
+    assert tensor_gamma_rhs(T, 2, 1, 1, 0) == gamma_n_by_1(MultChar(T, 1), 0)
+
+
+def test_tensor_rhs_reads_exponents_on_the_one_tower():
+    # (n, m) = (3, 2) over F_3: chi_c o Nr_{6:3} * eta_k o Nr_{6:2} has the
+    # exponent c*(q^6-1)/(q^3-1) + k*(q^6-1)/(q^2-1) on the degree-6 tower
+    T = build_tower(3, 1, 6)
+    NN = T.mult_order
+    for c, k in [(1, 1), (2, 5), (25, 0)]:
+        E = c * (NN // 26) + k * (NN // 8)
+        sign = (-1) ** (2 * 2) * (-1) ** (c * 1 + k * 2)
+        want = gauss_S(MultChar(T, -E))
+        assert tensor_gamma_rhs(T, 3, 2, c, k) == ScaledCyclo(want if sign > 0 else -want, 3, 3)
+
+
+def test_tensor_rhs_rejects_bad_degrees(f9):
+    with pytest.raises(ArgumentError):
+        tensor_gamma_rhs(f9, 1, 2, 1, 1)  # n <= m
+    with pytest.raises(ArgumentError):
+        tensor_gamma_rhs(f9, 3, 1, 1, 1)  # tower degree 2 is not 3*1
 
 
 def test_composed_exponent_identity():

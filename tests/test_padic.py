@@ -158,6 +158,19 @@ def test_division(emb9):
         ctx.pi_power(1).div_by_pi().div_by_pi()
 
 
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)])
+def test_inverse_unit_every_residue(p, n):
+    # every unit residue, carrying a pi-term so Hensel has work to do
+    tower = build_tower(p, 1, n)
+    ctx = RamifiedContext(p, n, tower.modulus, 4)
+    tail = ctx.pi_power(1).scale_int(p + 1)
+    for code in range(1, p**n):
+        x = ctx.from_w(tower.vec(code)) + tail
+        assert x * x.inverse_unit() == ctx.one()
+    with pytest.raises(ArgumentError, match="not a unit"):
+        tail.inverse_unit()
+
+
 def test_valuation_symmetry(f9):
     # v(S(chi)) + v(S(chi^-1)) = n(p-1) for nontrivial chi
     emb = embedding_for(f9)
