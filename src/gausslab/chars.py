@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cyclo, numth
-from .errors import ArgumentError
 from .ff import FieldTower
 
 
@@ -25,8 +24,8 @@ def conductor(tower: FieldTower) -> int:
     return tower.p * tower.mult_order
 
 
-def ring_for(tower: FieldTower, max_conductor: int = cyclo.DEFAULT_MAX_CONDUCTOR) -> cyclo.CycloRing:
-    return cyclo.get_ring(conductor(tower), max_conductor=max_conductor)
+def ring_for(tower: FieldTower) -> cyclo.CycloRing:
+    return cyclo.get_ring(conductor(tower))
 
 
 def twist_offset(tower: FieldTower, k: int = 1) -> int:
@@ -49,9 +48,6 @@ class MultChar:
         N = self.tower.mult_order
         return N // math.gcd(self.e, N)
 
-    def inverse(self) -> "MultChar":
-        return MultChar(self.tower, -self.e)
-
     def is_regular(self) -> bool:
         """No factoring through a proper norm; equivalently a full Frobenius orbit."""
         N, q, n = self.tower.mult_order, self.tower.q, self.tower.n
@@ -60,36 +56,9 @@ class MultChar:
                 return False
         return True
 
-    def frobenius_orbit(self) -> list[int]:
-        N, q = self.tower.mult_order, self.tower.q
-        out = set()
-        e = self.e
-        for _ in range(self.tower.n):
-            out.add(e)
-            e = (e * q) % N
-        return sorted(out)
-
-    def orbit_rep(self) -> int:
-        return self.frobenius_orbit()[0]
-
-    def twist(self, k: int) -> "MultChar":
-        """chi_e tensored with eta_k o Nr_{n:1} (eta_k on the base field)."""
-        if not 0 <= k < self.tower.q - 1:
-            raise ArgumentError(
-                f"twist index {k} outside [0, q-1) = [0, {self.tower.q - 1})"
-            )
-        return MultChar(self.tower, self.e + twist_offset(self.tower, k))
-
     def restrict_to_base(self) -> int:
         """Exponent mod q-1 of the restriction to F_q^x."""
         return self.e % (self.tower.q - 1)
-
-    def value_at(self, x: int) -> cyclo.CycloElement:
-        """chi_e(x) as an exact element of the shared conductor-m ring."""
-        if x == 0:
-            raise ArgumentError("characters are not defined at 0")
-        ring = ring_for(self.tower)
-        return ring.zeta_pow(self.tower.p * self.e * self.tower.dlog(x))
 
     def value_at_minus_one(self) -> int:
         """chi_e(-1) as +-1."""

@@ -114,7 +114,7 @@ def _cmd_gauss(args):
     tower = build_tower(args.p, args.f, args.n, max_elements=args.max_elements)
     c = MultChar(tower, args.e)
     s = gauss_S(c)
-    val, err = s.embed_complex(digits=15)
+    val, err = s.embed_complex()
     return Report({
         "exponent": c.e,
         "regular": c.is_regular(),

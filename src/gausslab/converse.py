@@ -50,13 +50,6 @@ def convention_stamp(tower: FieldTower) -> dict:
 # signatures
 
 
-def distinguishable(tower: FieldTower, a: int, b: int) -> bool:
-    """True iff some twist k separates the exact sums of chi_a and chi_b."""
-    tab = gauss_table(tower)
-    stride = tower.mult_order // (tower.q - 1)
-    return _signature_key(tab, a, stride, tower.q - 1) != _signature_key(tab, b, stride, tower.q - 1)
-
-
 def _signature_key(tab: GaussTable, e: int, stride: int, n_twists: int) -> bytes | tuple:
     return canonical_key(tab.rows(e + stride * np.arange(n_twists)))
 
@@ -185,6 +178,8 @@ def primitive_scan(
     population = characters of F_{q^n}^x regular over F_q (full n-orbits),
     equivalence = Frobenius orbits of the intermediate field (x q^(n/r)).
     """
+    if n < 1:
+        raise ArgumentError(f"degree n must be positive, got n={n}")
     if r < 2 or not numth.is_prime(r) or n % r != 0:
         raise ArgumentError(f"r={r} must be a prime divisor of n={n}")
     tower = build_tower(p, f * (n // r), r, max_elements=max_elements)
@@ -270,12 +265,6 @@ def counterexample_search(
 # Mersenne spectra
 
 
-def mersenne_spectrum(n: int, e: int) -> dict[int, int]:
-    """j -> s(e*j mod 2^n-1) over canonical coset representatives of
-    (Z/(2^n-1))^x modulo the subgroup generated by 2."""
-    return _spectrum(n, e, _coset_reps_mod2(n))
-
-
 def _spectrum(n: int, e: int, reps: list[int]) -> dict[int, int]:
     N = 2**n - 1
     return {j: digits.digit_sum(digits.expand(2, n, e * j % N)) for j in reps}
@@ -291,6 +280,8 @@ def _coset_reps_mod2(n: int) -> list[int]:
 
 def mersenne_check(n: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Report:
     """Spectrum injectivity across nontrivial orbits when 2^n - 1 is prime."""
+    if n < 2:
+        raise ArgumentError(f"mersenne needs n >= 2, got n={n}")
     if 2**n > max_elements:
         raise ResourceCapError(
             f"field with {2**n} elements exceeds max_elements cap {max_elements}"
@@ -498,6 +489,8 @@ def etale_signature_scan(
     bookkeeping and Gauss sums share one indexing.  Each signed product is
     one `gauss.etale_gauss` call on the master tower's subfield tables.
     """
+    if n < 1:
+        raise ArgumentError(f"degree n must be positive, got n={n}")
     q = p**f
     L = lcm(*range(1, n + 1))
     master = build_tower(p, f, L, max_elements=max_elements)

@@ -32,7 +32,7 @@ import numpy as np
 from . import numth
 from .errors import ArgumentError, ResourceCapError
 
-DEFAULT_MAX_CONDUCTOR = 8192
+MAX_CONDUCTOR = 8192
 _F64_SAFE = 1 << 52  # exact-integer range of float64 partial sums
 _I64_SAFE = 1 << 62
 
@@ -79,19 +79,6 @@ def _cyclotomic_radical(r: int) -> tuple[int, ...]:
         if numth.moebius(r // d) == -1:
             a = _div_sparse_binomial(a, d)
     return tuple(a)
-
-
-def cyclotomic_poly(m: int) -> list[int]:
-    """Coefficients of Phi_m, ascending, exact integers."""
-    if m < 1:
-        raise ArgumentError(f"conductor must be positive, got {m}")
-    r = numth.radical(m)
-    base = _cyclotomic_radical(r)
-    s = m // r
-    out = [0] * ((len(base) - 1) * s + 1)
-    for i, c in enumerate(base):
-        out[i * s] = c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +257,9 @@ class CycloRing:
 _RING_CACHE: dict[int, CycloRing] = {}
 
 
-def check_conductor(m: int, max_conductor: int) -> None:
-    if m > max_conductor:
-        raise ResourceCapError(f"conductor {m} exceeds max_conductor cap {max_conductor}")
-
-
-def get_ring(m: int, max_conductor: int = DEFAULT_MAX_CONDUCTOR) -> CycloRing:
-    # the cap binds on cache hits too, so it never depends on earlier calls
-    check_conductor(m, max_conductor)
+def get_ring(m: int) -> CycloRing:
+    if m > MAX_CONDUCTOR:
+        raise ResourceCapError(f"conductor {m} exceeds max_conductor cap {MAX_CONDUCTOR}")
     ring = _RING_CACHE.get(m)
     if ring is None:
         ring = CycloRing(m)
@@ -440,13 +422,12 @@ class CycloElement:
 
     # -- numeric sanity channel (never used for equality) ----------------------
 
-    def embed_complex(self, digits: int = 15) -> tuple[complex, float]:
-        """Complex value at zeta_m = exp(2*pi*i/m) plus a crude error bound."""
+    def embed_complex(self) -> tuple[complex, float]:
+        """Complex value at zeta_m = exp(2*pi*i/m) plus a crude error bound,
+        summed at 25 significant digits."""
         import mpmath
 
-        if digits < 15:
-            raise ArgumentError("embedding precision must be at least 15 digits")
-        with mpmath.workdps(digits + 10):
+        with mpmath.workdps(25):
             total = mpmath.mpc(0)
             abssum = 0
             for k, c in enumerate(self.coeffs):
@@ -454,7 +435,7 @@ class CycloElement:
                 if c:
                     total += c * mpmath.expjpi(mpmath.mpf(2 * k) / self.ring.m)
                     abssum += abs(c)
-            err = float(abssum) * 10.0 ** (-digits)
+            err = float(abssum) * 1e-15
             return complex(total), err
 
     def __repr__(self) -> str:  # pragma: no cover

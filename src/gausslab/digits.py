@@ -44,10 +44,6 @@ class DigitVector:
             out = out * self.p + d
         return out
 
-    def negated(self) -> "DigitVector":
-        """Digits of -e: complement to p-1 (exact for nonzero classes)."""
-        return DigitVector(self.p, self.n, tuple(self.p - 1 - d for d in self.digits))
-
 
 def expand(p: int, n: int, e: int, zero_rep: str = "zero") -> DigitVector:
     """Digit expansion of the class of e mod p^n - 1.

@@ -129,7 +129,7 @@ def smallest_irreducible(p: int, degree: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FieldTower:
-    """Immutable tower F_p < F_{p^f} < F_{p^(f*n)} with log/trace tables."""
+    """Immutable tower F_p < F_{p^f} < F_{p^(f*n)} with power/log tables."""
 
     p: int
     f: int
@@ -139,7 +139,6 @@ class FieldTower:
     exp_vec: np.ndarray  # (N, D) int16, row j = coefficients of g^j
     exp_enc: np.ndarray  # (N,) int64, encodings of g^j
     log_table: np.ndarray  # (p^D,) int32, dlog by encoding; -1 for 0
-    trace_abs: np.ndarray  # (N,) int16, Tr to F_p of g^j
 
     @property
     def degree(self) -> int:
@@ -204,29 +203,7 @@ class FieldTower:
             return 1 if k == 0 else 0
         return self.exp(self.dlog(a) * k)
 
-    def scalar(self, c: int) -> int:
-        """Encoding of the prime-field constant c."""
-        return c % self.p
-
-    # -- trace and norm -----------------------------------------------------
-
-    def trace_to_prime(self, x: int) -> int:
-        """Absolute trace Tr_{F_{q^n}/F_p}(x) as an integer in [0, p)."""
-        if x == 0:
-            return 0
-        return int(self.trace_abs[self.dlog(x)])
-
-    def trace_rel(self, x: int) -> int:
-        """Relative trace to the base field: sum of x^(q^i), i < n."""
-        if x == 0:
-            return 0
-        j, q, N = self.dlog(x), self.q, self.mult_order
-        acc = np.zeros(self.degree, dtype=np.int64)
-        e = 1
-        for _ in range(self.n):
-            acc += self.exp_vec[(j * e) % N]
-            e *= q
-        return self.enc(acc % self.p)
+    # -- norm and Frobenius -------------------------------------------------
 
     def norm_rel(self, x: int, d: int = 1) -> int:
         """Norm Nr_{n:d}(x) = x^((q^n-1)/(q^d-1)) into F_{q^d}, with Nr(0)=0."""
@@ -312,20 +289,6 @@ def _mul_by_matrix(p: int, modulus: np.ndarray, g_enc: int) -> np.ndarray:
     return mat
 
 
-def _newton_trace_weights(p: int, modulus: np.ndarray) -> np.ndarray:
-    """w[k] = Tr(x^k) via Newton's identities on the modulus coefficients."""
-    d = len(modulus) - 1
-    a = [int(modulus[d - i]) % p for i in range(d + 1)]  # a[i] = coeff of x^(d-i)
-    s = np.zeros(d, dtype=np.int64)
-    s[0] = d % p
-    for k in range(1, d):
-        acc = (k * a[k]) % p
-        for i in range(1, k):
-            acc = (acc + a[i] * s[k - i]) % p
-        s[k] = (-acc) % p
-    return s
-
-
 def build_tower(
     p: int,
     f: int,
@@ -353,8 +316,6 @@ def build_tower(
     g = _find_generator(p, modulus, N)
     mat = _mul_by_matrix(p, modulus, g)
     exp_vec = _accel.power_table(mat, p, N)
-    weights = _newton_trace_weights(p, modulus)
-    trace_abs = ((exp_vec.astype(np.int64) @ weights) % p).astype(np.int16)
 
     p_pows = p ** np.arange(d, dtype=np.int64)
     exp_enc = exp_vec.astype(np.int64) @ p_pows
@@ -366,7 +327,6 @@ def build_tower(
     exp_vec.setflags(write=False)
     exp_enc.setflags(write=False)
     log_table.setflags(write=False)
-    trace_abs.setflags(write=False)
     return FieldTower(
         p=p,
         f=f,
@@ -376,5 +336,4 @@ def build_tower(
         exp_vec=exp_vec,
         exp_enc=exp_enc,
         log_table=log_table,
-        trace_abs=trace_abs,
     )

@@ -56,13 +56,12 @@ class GaussTable:
     that holds S(chi_c).  At d = n, h = g and c is the plain exponent.
     """
 
-    def __init__(self, tower: FieldTower, d: int | None = None,
-                 max_conductor: int = cyclo.DEFAULT_MAX_CONDUCTOR):
+    def __init__(self, tower: FieldTower, d: int | None = None):
         d = tower.n if d is None else d
         if d < 1 or tower.n % d != 0:
             raise ArgumentError(f"subfield degree {d} does not divide n={tower.n}")
         self.tower = tower
-        self.ring = ring_for(tower, max_conductor=max_conductor)
+        self.ring = ring_for(tower)
         N, p, m = tower.mult_order, tower.p, self.ring.m
         self.mult_order = Nd = tower.q**d - 1
         mins = orbit_minima(Nd, p, tower.f * d)
@@ -87,13 +86,12 @@ class GaussTable:
 _TABLE_CACHE: dict[int, tuple[FieldTower, GaussTable]] = {}
 
 
-def gauss_table(tower: FieldTower, max_conductor: int = cyclo.DEFAULT_MAX_CONDUCTOR) -> GaussTable:
+def gauss_table(tower: FieldTower) -> GaussTable:
     """The whole-field table of a tower, built once and cached."""
     hit = _TABLE_CACHE.get(id(tower))
     if hit is not None and hit[0] is tower:
-        cyclo.check_conductor(hit[1].ring.m, max_conductor)
         return hit[1]
-    table = GaussTable(tower, max_conductor=max_conductor)
+    table = GaussTable(tower)
     _TABLE_CACHE[id(tower)] = (tower, table)
     return table
 
@@ -101,11 +99,6 @@ def gauss_table(tower: FieldTower, max_conductor: int = cyclo.DEFAULT_MAX_CONDUC
 def gauss_S(c: MultChar) -> cyclo.CycloElement:
     """S(chi) = sum over F_{q^n}^x of chi(x) psi(Tr x)."""
     return gauss_table(c.tower).element(c.e)
-
-
-def gauss_G(c: MultChar) -> cyclo.CycloElement:
-    """G(chi, psi) = sum chi(a) psi(Tr a^{-1}) = S(chi^{-1})."""
-    return gauss_S(c.inverse())
 
 
 def sigma_fixing_psi(x: cyclo.CycloElement, j: int, tower: FieldTower) -> cyclo.CycloElement:

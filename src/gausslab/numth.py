@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import ArgumentError, ResourceCapError
 
-DEFAULT_TRIAL_CAP = 1 << 20
+TRIAL_CAP = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -28,20 +28,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, trial_cap: int = DEFAULT_TRIAL_CAP) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Exact prime factorization by trial division.
 
-    Divisors are tried up to min(sqrt(n), trial_cap); a surviving cofactor
-    larger than trial_cap**2 cannot be certified prime and is rejected.
+    Divisors are tried up to min(sqrt(n), TRIAL_CAP); a surviving cofactor
+    larger than TRIAL_CAP**2 cannot be certified prime and is rejected.
     """
     if n < 1:
         raise ArgumentError(f"cannot factor non-positive integer {n}")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
-        if d > trial_cap:
+        if d > TRIAL_CAP:
             raise ResourceCapError(
-                f"trial-division cap {trial_cap} exceeded while factoring {n}"
+                f"trial-division cap {TRIAL_CAP} exceeded while factoring {n}"
             )
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
@@ -52,8 +52,8 @@ def factorize(n: int, trial_cap: int = DEFAULT_TRIAL_CAP) -> dict[int, int]:
     return out
 
 
-def prime_divisors(n: int, trial_cap: int = DEFAULT_TRIAL_CAP) -> list[int]:
-    return sorted(factorize(n, trial_cap))
+def prime_divisors(n: int) -> list[int]:
+    return sorted(factorize(n))
 
 
 def divisors(n: int) -> list[int]:

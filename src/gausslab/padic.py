@@ -25,6 +25,7 @@ rather than silently comparing truncated zeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,7 +209,7 @@ class RamifiedPadic:
         """Reduction mod pi: the constant pi-coefficient mod p (an F_{p^n} vector)."""
         return tuple(x % self.ctx.p for x in self.coeffs[0])
 
-    # -- division -----------------------------------------------------------
+    # -- pi-shifts ----------------------------------------------------------
 
     def div_by_pi(self) -> "RamifiedPadic":
         c = self.ctx
@@ -223,32 +224,6 @@ class RamifiedPadic:
         for _ in range(s):
             out = out.div_by_pi()
         return out
-
-    def inverse_unit(self) -> "RamifiedPadic":
-        """Inverse of a unit (valuation 0) by Hensel's iteration y -> y(2 - xy),
-        seeded with the residue inverse res^(p^n - 2) (Fermat in F_{p^n})."""
-        c = self.ctx
-        res = self.residue()
-        if not any(res):
-            raise ArgumentError("not a unit: zero residue")
-        y = c.from_w(x % c.p for x in c.w_pow(res, c.p**c.n - 2))
-        two = c.from_int(2)
-        steps = max(1, (c.prec_floor).bit_length() + 1)
-        for _ in range(steps):
-            y = y * (two - self * y)
-        return y
-
-    def valuation_and_unit_inverse(self) -> tuple[int, "RamifiedPadic"]:
-        """(v, u^-1) where self = pi^v * u with u a unit: the divisor half of `divide`."""
-        v = self.valuation()
-        if v is None:
-            raise PrecisionError("divisor vanishes at working precision")
-        return v, self.div_by_pi_power(v).inverse_unit()
-
-    def divide(self, other: "RamifiedPadic") -> "RamifiedPadic":
-        """Exact division; v(other) must not exceed v(self)."""
-        v, inv = other.valuation_and_unit_inverse()
-        return (self * inv).div_by_pi_power(v)
 
 
 # ---------------------------------------------------------------------------
@@ -274,36 +249,36 @@ def teichmuller(ctx: RamifiedContext, residue_vec) -> RamifiedPadic:
 def zeta_p_lift(ctx: RamifiedContext) -> RamifiedPadic:
     """The p-th root of unity with zeta_p = 1 + pi mod pi^2 (Dwork pinning).
 
-    Newton runs in a padded-precision context (pi-divisions cost one p-digit
-    of the top coordinate each) until Phi_p vanishes exactly in truncation;
-    the result reduced mod p^K is then an exact truncated root.
+    zeta_p = 1 + pi*u with u = 1 mod pi a root of
+    G(u) = u^(p-1) - 1 - sum_{1<k<p} (C(p,k)/p) (pi*u)^(k-1), which is
+    Phi_p(1 + pi*u) / (-p) since pi^(p-1) = -p.  G'(u) = p - 1 mod pi, so
+    Newton needs no division: the inverse w of G'(u) starts at the integer
+    inverse of p - 1 and is refined by w <- w(2 - G'(u)w) before each step
+    u <- u - G(u)w.  The iteration runs in a padded-precision context until
+    G, and with it Phi_p, vanishes mod p^K; the result reduced mod p^K is
+    then an exact truncated root.
     """
     p = ctx.p
     if p == 2:
         return ctx.from_int(-1)
     pad = RamifiedContext(p, ctx.n, ctx.modulus, ctx.K + 8)
-    x = pad.one() + pad.pi_power(1)
-
-    def phi_and_derivative(z):
-        der = pad.zero()
-        val = pad.one()
-        for i in range(1, p):
-            der = der + val.scale_int(i)
-            val = val * z
-        phi = pad.one()
-        acc = z
-        for _ in range(1, p):
-            phi = phi + acc
-            acc = acc * z
-        return phi, der
-
+    # G(u) = sum_j a[j] u^j, constant term first
+    a = ([pad.from_int(-1)]
+         + [pad.pi_power(j).scale_int(-math.comb(p, j + 1) // p) for j in range(1, p - 1)]
+         + [pad.one()])
+    u = pad.one()
+    w = pad.from_int(pow(p - 1, -1, pad.pK))
+    two = pad.from_int(2)
     for _ in range(4 * pad.K + 16):
-        phi, der = phi_and_derivative(x)
-        if all(c % ctx.pK == 0 for w in phi.coeffs for c in w):
-            # Phi vanishes mod p^K, so x truncated to p^K is an exact root there
-            coeffs = tuple(tuple(c % ctx.pK for c in w) for w in x.coeffs)
-            return RamifiedPadic(ctx, coeffs)
-        x = x - phi.divide(der)
+        g, dg = a[-1], pad.zero()  # Horner for G(u) and G'(u) together
+        for c in reversed(a[:-1]):
+            dg = dg * u + g
+            g = g * u + c
+        if all(x % ctx.pK == 0 for coord in g.coeffs for x in coord):
+            z = pad.one() + pad.pi_power(1) * u
+            return RamifiedPadic(ctx, tuple(tuple(x % ctx.pK for x in coord) for coord in z.coeffs))
+        w = w * (two - dg * w)
+        u = u - g * w
     raise PrecisionError("Newton iteration for zeta_p did not converge")  # pragma: no cover
 
 
@@ -334,7 +309,6 @@ class PadicEmbedding:
         b = pow(p, -1, N)
         self.img_zeta_m = (self.zeta_p**a) * (self.teich_g**b)
         self._images: np.ndarray | None = None
-        self._pi_unit_inverses: dict[int, tuple[int, RamifiedPadic]] = {}
 
     def _image_matrix(self, phi: int) -> np.ndarray:
         """(phi, (p-1)*n) matrix whose row k is img(zeta_m)^k, pi-degree major.
@@ -375,14 +349,6 @@ class PadicEmbedding:
         n = ctx.n
         return RamifiedPadic(ctx, tuple(tuple(flat[i : i + n]) for i in range(0, len(flat), n)))
 
-    def pi_unit_power_inverse(self, s: int) -> tuple[int, RamifiedPadic]:
-        """`valuation_and_unit_inverse` of (zeta_p - 1)^s, cached per s."""
-        hit = self._pi_unit_inverses.get(s)
-        if hit is None:
-            hit = ((self.zeta_p - self.ctx.one()) ** s).valuation_and_unit_inverse()
-            self._pi_unit_inverses[s] = hit
-        return hit
-
 
 _EMBED_CACHE: dict[tuple[int, int], tuple[FieldTower, PadicEmbedding]] = {}
 
@@ -416,8 +382,12 @@ class StickelbergerReport:
         return self.valuation_ok and self.congruence_ok
 
 
-def stickelberger_check(tower: FieldTower, e: int, K: int | None = None) -> StickelbergerReport:
-    """ord_P S(omega^{-e}) = s(e) and S(omega^{-e}) * t(e) / (zeta_p-1)^s(e) = -1 mod pi."""
+def stickelberger_check(tower: FieldTower, e: int) -> StickelbergerReport:
+    """ord_P S(omega^{-e}) = s(e) and S(omega^{-e}) * t(e) / (zeta_p-1)^s(e) = -1 mod pi.
+
+    zeta_p - 1 = pi * u with u = 1 mod pi, so u^s(e) has residue 1 and the
+    residue of S(omega^{-e}) / (zeta_p-1)^s(e) is that of S(omega^{-e}) / pi^s(e).
+    """
     p, n, N = tower.p, tower.n, tower.mult_order
     e %= N
     if e == 0:
@@ -425,16 +395,13 @@ def stickelberger_check(tower: FieldTower, e: int, K: int | None = None) -> Stic
     v = digits.expand(p, n, e)
     s = digits.digit_sum(v)
     t = digits.digit_factorial_mod_p(v)
-    emb = embedding_for(tower, K)
+    emb = embedding_for(tower)
     x = emb.embed(gauss_S(MultChar(tower, -e)))
     mv = x.valuation()
     valuation_ok = mv == s
     congruence_ok = False
     if valuation_ok:
-        # x.divide((zeta_p - 1)**s), with the divisor's unit inverted once per s
-        vd, inv = emb.pi_unit_power_inverse(s)
-        y = (x * inv).div_by_pi_power(vd).scale_int(t)
-        res = y.residue()
+        res = x.div_by_pi_power(s).scale_int(t).residue()
         congruence_ok = res == ((p - 1,) + (0,) * (n - 1))
     return StickelbergerReport(
         p=p, n=n, e=e, s=s, measured_valuation=mv,
@@ -459,7 +426,7 @@ class GrossKoblitzReport:
         return self.routes_agree and self.valuation_ok and self.identity_ok
 
 
-def gross_koblitz_check(tower: FieldTower, e: int, window: int = 1, K: int | None = None) -> GrossKoblitzReport:
+def gross_koblitz_check(tower: FieldTower, e: int, window: int = 1) -> GrossKoblitzReport:
     """S(omega^e) = (-1)^n p^n pi^(-s(e)) prod_i Gamma_p(1 - <p^i e/(p^n-1)>),
     compared mod p^(window+1) after clearing the common p^n scale, with the
     Gamma product evaluated independently by the digit-window formula and by
@@ -469,12 +436,12 @@ def gross_koblitz_check(tower: FieldTower, e: int, window: int = 1, K: int | Non
     e %= N
     if e == 0:
         raise ArgumentError("Gross-Koblitz needs a nontrivial character (e != 0)")
+    if window < 0:
+        raise ArgumentError(f"window must be >= 0, got {window}")
     if p == 2 and window > 0:
         # Gamma_2 is not 1-Lipschitz: x = y mod 4 does not force
         # Gamma_2(x) = Gamma_2(y) mod 4, so the window routes only certify mod 2.
         raise ArgumentError("for p = 2 the comparison is only valid at window 0")
-    if K is None:
-        K = n * (p - 1) + window + 8
     v = digits.expand(p, n, e)
     s = digits.digit_sum(v)
     mod = p ** (window + 1)
@@ -489,7 +456,7 @@ def gross_koblitz_check(tower: FieldTower, e: int, window: int = 1, K: int | Non
         prod_direct = prod_direct * digits.padic_gamma_int(x_int, p, mod) % mod
     routes_agree = prod_digit == prod_direct
 
-    emb = embedding_for(tower, K)
+    emb = embedding_for(tower, n * (p - 1) + window + 8)
     x = emb.embed(gauss_S(MultChar(tower, e)))
     valuation_ok = x.valuation() == n * (p - 1) - s
 

@@ -35,6 +35,7 @@ from gausslab.gauss import (
 )
 from gausslab.gl2 import CuspidalCharacter, gamma_via_bessel, gl2_group
 from gausslab.padic import gross_koblitz_check, stickelberger_check
+from reference import frobenius_orbit
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -182,7 +183,7 @@ def test_criterion_09_gl2_oracle():
         G = gl2_group(q)
         for e in range(G.tower.mult_order):
             c = MultChar(G.tower, e)
-            if not c.is_regular() or c.orbit_rep() != e:
+            if not c.is_regular() or frobenius_orbit(G.tower, e)[0] != e:
                 continue
             pi = CuspidalCharacter(G, c)  # validation gates run here
             for k in range(q - 1):

@@ -199,6 +199,27 @@ def test_removed_flags_are_refused(capsys, flags):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        pytest.param(argv, message, id=argv)
+        for argv, message in [
+            ("etale-scan --p 3 --n 0", "degree n must be positive, got n=0"),
+            ("etale-scan --p 3 --n -1", "degree n must be positive, got n=-1"),
+            ("primitive-scan --p 3 --n 0 --r 2", "degree n must be positive, got n=0"),
+            ("gross-koblitz --p 3 --n 2 --window -1", "window must be >= 0, got -1"),
+            ("gross-koblitz --p 3 --n 2 --window -3", "window must be >= 0, got -3"),
+            ("mersenne --n 1", "mersenne needs n >= 2, got n=1"),
+            ("mersenne --n -1", "mersenne needs n >= 2, got n=-1"),
+        ]
+    ],
+)
+def test_degenerate_sizes_are_refused(capsys, argv, message):
+    status, out, err = run(capsys, *argv.split())
+    assert (status, out) == (EXIT_CONFIG, "")
+    assert f"invalid configuration: {message}" in err
+
+
 def test_primitive_scan_command(capsys):
     status, out, _ = run(
         capsys, "primitive-scan", "--p", "2", "--n", "6", "--r", "3", "--expect-collisions"

@@ -9,11 +9,9 @@ from gausslab.chars import MultChar, orbit_reps, regular_exponents
 from gausslab.converse import (
     convention_stamp,
     counterexample_search,
-    distinguishable,
     etale_signature_scan,
     lemma_suite,
     mersenne_check,
-    mersenne_spectrum,
     primitive_scan,
     scan_converse,
     signature_classes,
@@ -50,10 +48,10 @@ def test_counterexample_class_signatures(f729):
 
 
 def test_distinguishable(f9, f729):
-    assert not distinguishable(f9, 1, 1)
-    assert not distinguishable(f9, 1, 3)  # same orbit
-    assert distinguishable(f9, 1, 2)
-    assert not distinguishable(f729, 26, 130)  # the failing pair
+    # twist signatures separate chi_a from chi_b iff their keys differ
+    assert _key(f9, 1) == _key(f9, 3)  # same orbit
+    assert _key(f9, 1) != _key(f9, 2)
+    assert _key(f729, 26) == _key(f729, 130)  # the failing pair
 
 
 def test_scan_zero_collisions(f81):
@@ -111,8 +109,7 @@ def test_mersenne():
         rep = mersenne_check(n)
         assert rep.ok
         assert rep.n_orbits == (2**n - 2) // n
-    spec = mersenne_spectrum(5, 1)
-    assert spec[1] == 1 and len(spec) == 6
+    assert mersenne_check(5).coset_representatives == [1, 3, 5, 7, 11, 15]
     with pytest.raises(ArgumentError, match="factor"):
         mersenne_check(4)  # 15 = 3*5
     with pytest.raises(ResourceCapError, match="max_elements cap"):

@@ -54,7 +54,7 @@ def test_negation_duality():
         for e in range(1, N):
             v = D.expand(p, n, e)
             w = D.expand(p, n, N - e)
-            assert w.digits == v.negated().digits
+            assert w.digits == tuple(p - 1 - d for d in v.digits)
             pv, pw = D.digit_profile(v), D.digit_profile(w)
             assert pw.__getitem__(0)[0] == p - 1 - pv[0][-1]
 

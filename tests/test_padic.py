@@ -3,7 +3,8 @@ import pytest
 
 from gausslab import build_tower, digits
 from gausslab.chars import MultChar, ring_for
-from gausslab.errors import ArgumentError, PrecisionError
+from gausslab.errors import ArgumentError
+from gausslab.ff import smallest_irreducible
 from gausslab.gauss import gauss_S
 from gausslab.padic import (
     PadicEmbedding,
@@ -47,6 +48,21 @@ def test_zeta_p_lift(emb9):
     assert (z - ctx.one()).valuation() == 1
     # Dwork pinning: zeta = 1 + pi mod pi^2
     assert (z - ctx.one() - ctx.pi_power(1)).valuation() >= 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_zeta_p_lift_is_the_dwork_root(p, n):
+    modulus = tuple(int(c) for c in smallest_irreducible(p, n))
+    for K in (2, 4) + tuple(range(n * (p - 1) + 8, n * (p - 1) + 12)):
+        ctx = RamifiedContext(p, n, modulus, K)
+        z = zeta_p_lift(ctx)
+        phi, power = ctx.one(), z
+        for _ in range(1, p):
+            phi, power = phi + power, power * z
+        assert phi.is_zero(), (p, n, K)  # Phi_p(z) = 0 mod p^K
+        assert z**p == ctx.one()
+        assert (z - ctx.one()).div_by_pi().residue() == (1,) + (0,) * (n - 1)  # z = 1 + pi mod pi^2
 
 
 def test_zeta_2_is_minus_one():
@@ -117,22 +133,19 @@ def test_embed_matches_per_term_sum(p, n):
 
 
 @pytest.mark.parametrize("p,n", [(3, 3), (5, 2)])
-def test_cached_divisor_matches_divide(p, n):
+def test_pi_shift_gives_the_residue_over_zeta_p_minus_one(p, n):
+    # the Stickelberger residue is read off x / pi^s; it is the residue of
+    # x / (zeta_p - 1)^s exactly when x - r * (zeta_p - 1)^s has valuation > s
     T = build_tower(p, 1, n)
     emb = embedding_for(T)
     pi_unit = emb.zeta_p - emb.ctx.one()
     for e in range(1, T.mult_order):
         s = digits.digit_sum(digits.expand(p, n, e))
         x = emb.embed(gauss_S(MultChar(T, -e)))
-        v, inv = emb.pi_unit_power_inverse(s)
-        assert v == s
-        assert (x * inv).div_by_pi_power(v) == x.divide(pi_unit**s)
-    # a divisor that vanishes at working precision still raises
-    low = PadicEmbedding(T, K=2)
-    with pytest.raises(PrecisionError):
-        low.pi_unit_power_inverse(low.ctx.prec_floor)
-    with pytest.raises(PrecisionError):
-        low.ctx.one().divide((low.zeta_p - low.ctx.one()) ** low.ctx.prec_floor)
+        assert x.valuation() == s
+        r = emb.ctx.from_w(x.div_by_pi_power(s).residue())
+        rest = x - r * pi_unit**s
+        assert rest.is_zero() or rest.valuation() > s
 
 
 def test_embed_examples(f9, emb9):
@@ -149,26 +162,9 @@ def test_embed_examples(f9, emb9):
 
 def test_division(emb9):
     ctx = emb9.ctx
-    x = ctx.from_int(7)
-    y = x.inverse_unit()
-    assert (x * y - ctx.one()).valuation() is None
-    z = ctx.pi_power(3).divide(ctx.pi_power(1))
-    assert z == ctx.pi_power(2)
+    assert ctx.pi_power(3).div_by_pi_power(1) == ctx.pi_power(2)
     with pytest.raises(ArgumentError):
         ctx.pi_power(1).div_by_pi().div_by_pi()
-
-
-@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)])
-def test_inverse_unit_every_residue(p, n):
-    # every unit residue, carrying a pi-term so Hensel has work to do
-    tower = build_tower(p, 1, n)
-    ctx = RamifiedContext(p, n, tower.modulus, 4)
-    tail = ctx.pi_power(1).scale_int(p + 1)
-    for code in range(1, p**n):
-        x = ctx.from_w(tower.vec(code)) + tail
-        assert x * x.inverse_unit() == ctx.one()
-    with pytest.raises(ArgumentError, match="not a unit"):
-        tail.inverse_unit()
 
 
 def test_valuation_symmetry(f9):
