@@ -4,9 +4,12 @@ Twist signatures: the tuple over all base-field twists k of the exact Gauss
 sum S(chi_{e + k*(q^n-1)/(q-1)}).  Two characters index isomorphic cuspidal
 data iff they share a Frobenius orbit, and the converse statements under
 test say the signature separates orbits (within their stated populations).
-Every scan keys a character by `canonical_key` of the stacked canonical
-Gauss-table rows of its twists (their int64 bytes, or Python-int tuples
-past 2^62); the scans of one field group through `signature_classes`.  Equal keys mean equal coefficients and a dict
+Each exact sum is hashed once: a Gauss table numbers the distinct values of
+its rows (`GaussTable.value_id`, equal ids exactly when the coefficients
+are equal), and every scan keys a character by the bytes of the ids of its
+twists' sums.  The scans of one field group through `signature_classes`;
+the etale scan numbers its product values through one dict shared by all
+algebras.  Equal keys mean equal ids, hence equal coefficients, and a dict
 compares keys in full, so no hash re-verification step is needed: the
 grouping key is the exact value.
 
@@ -16,6 +19,7 @@ exhaustive over the stated character sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import digits, numth
 from .chars import MultChar, orbit_minima, orbit_reps, regular_exponents, regular_mask
-from .cyclo import canonical_key
+from .cyclo import value_ids
 from .errors import ArgumentError, ResourceCapError
 from .ff import DEFAULT_MAX_ELEMENTS, FieldTower, build_tower
 from .gauss import GaussTable, etale_gauss, gauss_table
@@ -50,8 +54,9 @@ def convention_stamp(tower: FieldTower) -> dict:
 # signatures
 
 
-def _signature_key(tab: GaussTable, e: int, stride: int, n_twists: int) -> bytes | tuple:
-    return canonical_key(tab.rows(e + stride * np.arange(n_twists)))
+def _signature_key(tab: GaussTable, e: int, stride: int, n_twists: int) -> bytes:
+    """The value ids of S(chi_{e + k*stride}), k < n_twists, as bytes."""
+    return tab.value_id[tab.row_of[(e + stride * np.arange(n_twists)) % tab.mult_order]].tobytes()
 
 
 def signature_classes(tab: GaussTable, exps, stride: int, n_twists: int) -> list[list[int]]:
@@ -265,11 +270,6 @@ def counterexample_search(
 # Mersenne spectra
 
 
-def _spectrum(n: int, e: int, reps: list[int]) -> dict[int, int]:
-    N = 2**n - 1
-    return {j: digits.digit_sum(digits.expand(2, n, e * j % N)) for j in reps}
-
-
 def _coset_reps_mod2(n: int) -> list[int]:
     N = 2**n - 1
     if not numth.is_prime(N):
@@ -288,20 +288,25 @@ def mersenne_check(n: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Repor
         )
     N = 2**n - 1
     reps = _coset_reps_mod2(n)
+    # s(c), the binary digit sum of every c in [0, N): a popcount, at most
+    # n, so a spectrum key takes one byte per representative
+    c = np.arange(N, dtype=np.int64)
+    s = sum((c >> i) & 1 for i in range(n)).astype(np.uint8)
+    # the spectrum of the orbit of a is (s(a*j mod N)) over the representatives j
+    r = np.array(reps, dtype=np.int64)
     spectra = {}
     clash = None
     for a in reps:
-        key = tuple(_spectrum(n, a, reps).values())
+        spectrum = s[a * r % N]
+        key = spectrum.tobytes()
         if key in spectra:
-            clash = {"orbits": [spectra[key], a], "spectrum": list(key)}
+            clash = {"orbits": [spectra[key], a], "spectrum": spectrum.tolist()}
             break
         spectra[key] = a
     # s(c) = 1 iff c is a power of 2 mod N
-    powers = {pow(2, i, N) for i in range(n)}
-    pivot_ok = all(
-        (digits.digit_sum(digits.expand(2, n, c)) == 1) == (c in powers)
-        for c in range(1, N)
-    )
+    powers = np.zeros(N, dtype=bool)
+    powers[[pow(2, i, N) for i in range(n)]] = True
+    pivot_ok = bool(np.array_equal(s[1:] == 1, powers[1:]))
     result = {
         "n": n,
         "N": N,
@@ -357,6 +362,27 @@ def lemma_suite(tower: FieldTower) -> Report:
         for cls in signature_classes(tab, [(-e) % N for e in regular], -stride % N, p - 1)
     ]
 
+    # per-exponent statistics, each computed once however many pairs read it
+    @functools.cache
+    def sum_and_factorial(e: int) -> tuple[int, int]:
+        return digits.digit_sum(vecs[e]), digits.digit_factorial_mod_p(vecs[e])
+
+    @functools.cache
+    def windows(e: int) -> tuple[int, ...]:
+        return tuple(digits.cyclic_window_product(vecs[e], w) for w in (0, 1, 2))
+
+    @functools.cache
+    def profile(e: int) -> tuple:
+        return digits.digit_profile(vecs[e])
+
+    @functools.cache
+    def shifted_multisets(e: int) -> tuple:
+        """The sorted digits of each twist e + k*stride, k < p - 1."""
+        return tuple(
+            tuple(sorted(digits.expand(p, n, (e + k * stride) % N).digits))
+            for k in range(p - 1)
+        )
+
     r_sandt = LemmaResult("equal-sums-match-digit-sum-and-factorial", 0, 0, [])
     r_windows = LemmaResult("equal-sums-match-windowed-products", 0, 0, [])
     for group in by_S:
@@ -364,19 +390,19 @@ def lemma_suite(tower: FieldTower) -> Report:
             for j in range(i + 1, len(group)):
                 a, b = group[i], group[j]
                 cross = orbit_min[a] != orbit_min[b]
-                va, vb = vecs[a], vecs[b]
+                (sum_a, fac_a), (sum_b, fac_b) = sum_and_factorial(a), sum_and_factorial(b)
                 r_sandt.pairs_tested += 1
                 r_sandt.cross_orbit_pairs += cross
-                if digits.digit_sum(va) != digits.digit_sum(vb):
+                if sum_a != sum_b:
                     r_sandt.violations.append({"pair": [a, b], "stat": "digit-sum"})
-                if digits.digit_factorial_mod_p(va) != digits.digit_factorial_mod_p(vb):
+                if fac_a != fac_b:
                     r_sandt.violations.append({"pair": [a, b], "stat": "digit-factorial"})
                 if tab.key((-a) % N) != tab.key((-b) % N):
                     r_sandt.violations.append({"pair": [a, b], "stat": "inverse-sums"})
                 r_windows.pairs_tested += 1
                 r_windows.cross_orbit_pairs += cross
-                for w in (0, 1, 2):
-                    if digits.cyclic_window_product(va, w) != digits.cyclic_window_product(vb, w):
+                for w, (xa, xb) in enumerate(zip(windows(a), windows(b))):
+                    if xa != xb:
                         r_windows.violations.append({"pair": [a, b], "window": w})
 
     r_extremes = LemmaResult("equal-signatures-match-extreme-digits", 0, 0, [])
@@ -386,8 +412,7 @@ def lemma_suite(tower: FieldTower) -> Report:
             for j in range(i + 1, len(group)):
                 a, b = group[i], group[j]
                 cross = orbit_min[a] != orbit_min[b]
-                va, vb = vecs[a], vecs[b]
-                pa, pb = digits.digit_profile(va), digits.digit_profile(vb)
+                pa, pb = profile(a), profile(b)
                 r_extremes.pairs_tested += 1
                 r_extremes.cross_orbit_pairs += cross
                 if pa[0][0] != pb[0][0] or pa[0][-1] != pb[0][-1]:
@@ -395,9 +420,7 @@ def lemma_suite(tower: FieldTower) -> Report:
                 if n <= 5:
                     r_multiset.pairs_tested += 1
                     r_multiset.cross_orbit_pairs += cross
-                    for k in range(p - 1):
-                        da = sorted(digits.expand(p, n, (a + k * stride) % N).digits)
-                        db = sorted(digits.expand(p, n, (b + k * stride) % N).digits)
+                    for k, (da, db) in enumerate(zip(shifted_multisets(a), shifted_multisets(b))):
                         if da != db:
                             r_multiset.violations.append({"pair": [a, b], "k": k})
 
@@ -407,12 +430,6 @@ def lemma_suite(tower: FieldTower) -> Report:
     # counterexamples already at n = 4 ((1,0,2,2) vs (0,2,1,2) base 3), and
     # at n = 6 even signature equality plus equal multisets do not force the
     # transfer ((1,2,2,1,0,0) vs (2,1,2,0,1,0) base 3, exponents 52 vs 104).
-    def _shifted_multisets(e: int) -> tuple:
-        return tuple(
-            tuple(sorted(digits.expand(p, n, (e + k * stride) % N).digits))
-            for k in range(p - 1)
-        )
-
     r_consec = LemmaResult("equal-signatures-match-consecutive-runs", 0, 0, [])
     # (side, run test, index of the side's digit in the sorted profile)
     sides = (("max", digits.max_digits_consecutive, 0), ("min", digits.min_digits_consecutive, -1))
@@ -421,10 +438,10 @@ def lemma_suite(tower: FieldTower) -> Report:
             for j in range(i + 1, len(group)):
                 a, b = group[i], group[j]
                 va, vb = vecs[a], vecs[b]
-                pa, pb = digits.digit_profile(va), digits.digit_profile(vb)
+                pa, pb = profile(a), profile(b)
                 if pa[0][0] - pa[0][-1] <= 1:
                     continue
-                if _shifted_multisets(a) != _shifted_multisets(b):
+                if shifted_multisets(a) != shifted_multisets(b):
                     continue
                 cross = orbit_min[a] != orbit_min[b]
                 tested = False
@@ -487,7 +504,9 @@ def etale_signature_scan(
     lcm(1..n), with each subfield generator pinned to the norm of the master
     generator; inflation along norms is then exponent scaling, so divisor
     bookkeeping and Gauss sums share one indexing.  Each signed product is
-    one `gauss.etale_gauss` call on the master tower's subfield tables.
+    one `gauss.etale_gauss` call on the master tower's subfield tables, and
+    gets the id of its value from one numbering shared by every algebra, so
+    a signature key depends on the values alone, not on the algebra.
     """
     if n < 1:
         raise ArgumentError(f"degree n must be positive, got n={n}")
@@ -506,15 +525,16 @@ def etale_signature_scan(
             points.extend((c * pow(q, j, Nd) % Nd) * inflate % NL for j in range(d))
         return tuple(sorted(points))
 
-    classes: dict[tuple, set] = {}
+    classes: dict[bytes, set] = {}
     divisors_of: dict[tuple, set] = {}
+    ids: dict = {}  # canonical key -> value id, for the products of all algebras
     n_chars = 0
     for parts in _partitions(n):
         chars = list(itertools.product(*(range(q**d - 1) for d in parts)))
-        # signed product epsilon_A * G_A(chi) once per character, as a row
-        rows = np.stack([etale_gauss(master, tables, parts, exps).coeffs for exps in chars])
+        # signed product epsilon_A * G_A(chi) once per character, as a value id
+        value_id = value_ids((etale_gauss(master, tables, parts, exps).coeffs for exps in chars), ids)
         # twisting by eta_k sends (c_i) to (c_i + k*(q^d_i - 1)/(q - 1)), another
-        # character of the same algebra: read its row at its mixed-radix index
+        # character of the same algebra: read its id at its mixed-radix index
         orders = np.array([q**d - 1 for d in parts], dtype=np.int64)
         place = np.array([math.prod(orders[i + 1:]) for i in range(len(parts))], dtype=np.int64)
         twists = np.arange(q - 1)[:, None] * (orders // (q - 1))
@@ -522,7 +542,7 @@ def etale_signature_scan(
         twist_rows = (exps_of[:, None, :] + twists) % orders @ place
         for exps, idx in zip(chars, twist_rows):
             n_chars += 1
-            key = canonical_key(rows[idx])
+            key = value_id[idx].tobytes()
             div = divisor(parts, exps)
             classes.setdefault(key, set()).add(div)
             divisors_of.setdefault(div, set()).add(key)

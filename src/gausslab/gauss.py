@@ -54,6 +54,13 @@ class GaussTable:
     computes one row per orbit of c -> p*c mod (q^d-1) (orbit lengths
     dividing f*d), at the orbit minimum, and `row_of[c]` names the row of S
     that holds S(chi_c).  At d = n, h = g and c is the plain exponent.
+
+    Distinct orbits can share a sum, so each row also gets an id of its
+    exact value: `value_id[r]` numbers the canonical keys of the rows in
+    first-seen order (`cyclo.value_ids`), and two rows have equal ids
+    exactly when their coefficients are equal.  `key(c)` is the id of
+    S(chi_c); signature scans compare these small integers instead of
+    rehashing the coefficients for every character that reads a row.
     """
 
     def __init__(self, tower: FieldTower, d: int | None = None):
@@ -70,17 +77,15 @@ class GaussTable:
         offsets = N * tower.subfield_traces(tower.f * d) % m  # psi(Tr h^l)
         counts = _accel.gauss_counts(p, m, offsets, exps=reps * (N // Nd))
         self.S = self.ring.reduce_matrix(counts)
-
-    def rows(self, es) -> np.ndarray:
-        """Canonical rows of S(chi_c) stacked in the order of `es`."""
-        return self.S[self.row_of[np.asarray(es) % self.mult_order]]
+        self.value_id = cyclo.value_ids(self.S)
 
     def element(self, e: int) -> cyclo.CycloElement:
         row = self.S[self.row_of[e % self.mult_order]]
         return cyclo.CycloElement(self.ring, row.copy())
 
-    def key(self, e: int) -> bytes | tuple[int, ...]:
-        return cyclo.canonical_key(self.S[self.row_of[e % self.mult_order]])
+    def key(self, e: int) -> int:
+        """The id of the exact value S(chi_e)."""
+        return int(self.value_id[self.row_of[e % self.mult_order]])
 
 
 _TABLE_CACHE: dict[int, tuple[FieldTower, GaussTable]] = {}

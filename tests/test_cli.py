@@ -310,6 +310,10 @@ PINNED_REPORTS = [
      "a6bd2fda3053c9346e8f41101cae3495e3db19ccd88a8b1e9c54fe05ac49b417"),
     ("etale-scan --p 2 --f 2 --n 2", 0,
      "a41f2e201ac0b269714ea1012d45d6b1df664623d499aebe5387eb245398676e"),
+    ("stickelberger --p 2 --n 1", 0,
+     "13337c0be850bf4ee6b10d6f070f78e9020266dc362395ac03e0108f1e596b59"),
+    ("gross-koblitz --p 2 --n 1 --window 0", 0,
+     "59aa0cbbf37a77bb311f5ccbfceeeae667e04e36256296adeb730e198aa9c544"),
 ]
 
 
@@ -319,6 +323,18 @@ PINNED_REPORTS = [
 def test_report_bytes_pinned(capsys, argv, exit_code, digest):
     status, out, _ = run(capsys, *argv.split())
     assert (status, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
+
+
+@pytest.mark.parametrize("argv", ["stickelberger --p 2 --n 1",
+                                  "gross-koblitz --p 2 --n 1 --window 0"])
+def test_vacuous_padic_sweep_is_inconclusive(capsys, argv):
+    # F_2 has no nontrivial character: nothing was checked, so nothing passed
+    status, out, _ = run(capsys, *argv.split())
+    assert status == EXIT_OK
+    doc = json.loads(out)
+    assert doc["result"]["checked"] == 0
+    assert [(a["status"], a["witness"]) for a in doc["assertions"]] == \
+        [("inconclusive", {"reason": "no nontrivial character"})]
 
 
 def test_main_leaves_few_reference_cycles(capsys):

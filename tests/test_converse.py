@@ -36,10 +36,35 @@ def _key(T, e):
 def test_signature_entries_and_orbit_invariance(f9, f729):
     entries = _twist_entries(f9, 1)
     assert len(entries) == 2
-    assert _key(f9, 1) == canonical_key(np.stack([x.coeffs for x in entries]))
+    # the key is the value ids of the twists' sums; each id names its sum
+    tab = gauss_table(f9)
+    ids = np.frombuffer(_key(f9, 1), dtype=np.int64).tolist()
+    assert ids == [tab.key(1 + k * 4) for k in range(2)]
+    for i, x in zip(ids, entries):
+        assert np.array_equal(tab.S[np.flatnonzero(tab.value_id == i)[0]], x.coeffs)
     for T, e in [(f9, 3), (f729, 11)]:
         q = T.q
         assert _key(T, e) == _key(T, e * q % T.mult_order)
+
+
+def _classes_by_stacked_rows(tab, exps, stride, n_twists):
+    """Reference grouping: the canonical key of the stacked rows of the twists."""
+    classes = {}
+    for e in exps:
+        rows = tab.S[tab.row_of[(e + stride * np.arange(n_twists)) % tab.mult_order]]
+        classes.setdefault(canonical_key(rows), []).append(e)
+    return list(classes.values())
+
+
+@pytest.mark.parametrize("p,f,n", [(3, 1, 4), (3, 1, 6), (2, 1, 6), (5, 2, 2), (13, 1, 2)])
+def test_signature_classes_match_grouping_by_stacked_rows(p, f, n):
+    T = build_tower(p, f, n)
+    tab, N, q = gauss_table(T), T.mult_order, T.q
+    stride = N // (q - 1)
+    exps = list(range(N))
+    for args in [(stride, q - 1), (stride, 1), (-stride % N, q - 1)]:
+        classes = signature_classes(tab, exps, *args)
+        assert classes == _classes_by_stacked_rows(tab, exps, *args)
 
 
 def test_counterexample_class_signatures(f729):

@@ -6,6 +6,7 @@ import pytest
 
 from gausslab import build_tower
 from gausslab.chars import MultChar, ring_for, twist_offset
+from gausslab.cyclo import canonical_key, value_ids
 from gausslab.errors import ArgumentError, ResourceCapError
 from reference import absolute_traces, value_at
 from gausslab.gauss import (
@@ -398,5 +399,43 @@ def test_orbit_table_matches_single_sums(p, f, n):
     for e in range(N):
         assert tab.row_of[e] == tab.row_of[p * e % N]
         assert tab.element(e) == _single_sum(T, e)
-    es = [N - 1, 0, 7 % N, 7 % N]
-    assert np.array_equal(tab.rows(es), np.stack([tab.element(e).coeffs for e in es]))
+    es = [N - 1, -1, 0, 7 % N]
+    assert [tab.key(a) == tab.key(b) for a in es for b in es] == \
+        [tab.element(a) == tab.element(b) for a in es for b in es]
+
+
+def _ids_match_keys(ids, keys):
+    """value ids number the keys: equal ids exactly when equal keys, first seen first."""
+    ids = list(ids)
+    assert all((ids[i] == ids[j]) == (keys[i] == keys[j])
+               for i in range(len(keys)) for j in range(len(keys)))
+    assert ids == [ids[keys.index(k)] for k in keys]
+    firsts = [ids.index(i) for i in range(len(set(ids)))]
+    assert firsts == sorted(firsts)
+
+
+@pytest.mark.parametrize("p,f,n", [(3, 1, 4), (2, 1, 8), (3, 1, 6), (5, 2, 2)])
+def test_value_ids_are_exact(p, f, n):
+    tab = GaussTable(build_tower(p, f, n))
+    keys = [canonical_key(row) for row in tab.S]
+    _ids_match_keys(tab.value_id.tolist(), keys)
+    # distinct orbits share sums here, so the ids are not just row numbers
+    assert len(set(keys)) < len(keys)
+    N = tab.mult_order
+    assert [tab.key(e) for e in range(N)] == \
+        [tab.value_id[keys.index(canonical_key(tab.element(e).coeffs))] for e in range(N)]
+
+
+def test_value_ids_take_the_tuple_tier_past_2_62():
+    big = 1 << 63
+    rows = np.array([[big, 1], [1, big], [big, 1], [3, 1], [3, 1], [-big, 1], [big + 1, 1]],
+                    dtype=object)
+    keys = [canonical_key(row) for row in rows]
+    assert isinstance(keys[0], tuple) and isinstance(keys[3], bytes)
+    ids = {}
+    assert value_ids(rows, ids).tolist() == [0, 1, 0, 2, 2, 3, 4]
+    _ids_match_keys(value_ids(rows).tolist(), keys)
+    # a shared dict numbers equal values alike whatever their dtype or tier
+    assert value_ids(np.array([[3, 1], [5, 5]], dtype=np.int64), ids).tolist() == [2, 5]
+    assert value_ids(np.array([[-big, 1]], dtype=object), ids).tolist() == [3]
+    assert value_ids(np.zeros((0, 2), dtype=np.int64)).tolist() == []
