@@ -314,6 +314,15 @@ PINNED_REPORTS = [
      "13337c0be850bf4ee6b10d6f070f78e9020266dc362395ac03e0108f1e596b59"),
     ("gross-koblitz --p 2 --n 1 --window 0", 0,
      "59aa0cbbf37a77bb311f5ccbfceeeae667e04e36256296adeb730e198aa9c544"),
+    # p^K = 7^26 >= 2^62: the image matrix holds Python ints
+    ("stickelberger --p 7 --n 3", 0,
+     "2c78de3fb5656899ae82f117ce0b916bd6ff02e2957015a76c0ca73895607b27"),
+    ("gross-koblitz --p 5 --n 3 --window 1", 0,
+     "a4d1b7403359b825330026fc7cd9fe1c528171091b4b86d710d621e4f2f47c37"),
+    ("stickelberger --p 3 --n 4 --e 5", 0,
+     "975938c577b430bb687105aa7358c12a5a22243c44de24ac5c08636badf7808f"),
+    ("gross-koblitz --p 3 --n 3 --e 4 --window 1", 0,
+     "78dae7269dc4ec62b9542c218a8fcfcedda08e84fd88846d8b66e84d6a2923fa"),
 ]
 
 
