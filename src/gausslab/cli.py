@@ -176,11 +176,10 @@ def _sweep_held(name: str, exponents, failures: list) -> Assertion:
 def _cmd_stickelberger(args):
     tower = build_tower(args.p, 1, args.n, max_elements=args.max_elements)
     exponents = [args.e] if args.e is not None else range(1, tower.mult_order)
-    failures = []
-    for e in exponents:
-        r = stickelberger_check(tower, e)
-        if not r.ok:
-            failures.append({"e": e, "measured": r.measured_valuation, "expected": r.s})
+    failures = [
+        {"e": e, "measured": r.measured_valuation, "expected": r.s}
+        for e, r in zip(exponents, stickelberger_check(tower, exponents)) if not r.ok
+    ]
     result = {
         "checked": len(exponents),
         "failures": len(failures),
@@ -194,11 +193,10 @@ def _cmd_stickelberger(args):
 def _cmd_gross_koblitz(args):
     tower = build_tower(args.p, 1, args.n, max_elements=args.max_elements)
     exponents = [args.e] if args.e is not None else range(1, tower.mult_order)
-    failures = []
-    for e in exponents:
-        r = gross_koblitz_check(tower, e, args.window)
-        if not r.ok:
-            failures.append({"e": e, "routes_agree": r.routes_agree, "identity": r.identity_ok})
+    failures = [
+        {"e": e, "routes_agree": r.routes_agree, "identity": r.identity_ok}
+        for e, r in zip(exponents, gross_koblitz_check(tower, exponents, args.window)) if not r.ok
+    ]
     result = {
         "checked": len(exponents),
         "window": args.window,

@@ -88,13 +88,22 @@ def digit_sum_shifted(p: int, n: int, e: int, k: int) -> int:
     return digit_sum(expand(p, n, shifted, zero_rep=rep))
 
 
+_PRIME_FREE_TABLES: dict[tuple[int, int], list[int]] = {}
+
+
 def prime_free_factorial(N: int, p: int, modulus: int) -> int:
-    """N!' = product of i <= N coprime to p, reduced mod `modulus`."""
-    out = 1
-    for i in range(2, N + 1):
-        if i % p:
-            out = out * i % modulus
-    return out
+    """N!' = product of i <= N coprime to p, reduced mod `modulus`.
+
+    Read from one prefix-product table per (p, modulus), extended on demand.
+    Every caller asks for a window value or a gamma argument below
+    modulus = p^(m+1), so a table never holds more than p^(m+1) entries.
+    """
+    if N < 2:
+        return 1
+    table = _PRIME_FREE_TABLES.setdefault((p, modulus), [1, 1])
+    for i in range(len(table), N + 1):
+        table.append(table[-1] * i % modulus if i % p else table[-1])
+    return table[N]
 
 
 def window_value(v: DigitVector, i: int, m: int) -> int:

@@ -18,9 +18,13 @@ ord S(omega^{-k}) = s(k), the unit congruence -t(k)^{-1} (zeta_p - 1)^{s(k)},
 and S(omega^a) = (-1)^n p^n pi^(-s(a)) prod Gamma_p(1 - <p^i a/(p^n-1)>).
 
 Precision bookkeeping is coarse: contexts are built with slack beyond the
-valuations being measured, and pi-divisions (one exact p-division of a
-coordinate per wrap) stay far from the floor.  Checks raise PrecisionError
-rather than silently comparing truncated zeros.
+valuations being measured, and pi-divisions (one exact division of each
+coordinate by a power of -p) stay far from the floor.  Valuations that reach
+the floor read as unknown, never as a comparison of truncated zeros.
+
+The verifiers work on whole sweeps: every Gauss sum a sweep needs is
+embedded by one matrix product, and valuations and pi-shifts act on the
+resulting integer array.
 """
 
 from __future__ import annotations
@@ -31,11 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import digits
-from .chars import MultChar
 from .cyclo import _I64_SAFE, CycloElement
 from .errors import ArgumentError, PrecisionError
 from .ff import FieldTower
-from .gauss import gauss_S
+from .gauss import gauss_table
 
 _I64_LIMIT = 1 << 63  # |partial sums| of an int64 product stay below this
 
@@ -122,6 +125,35 @@ class RamifiedContext:
         coeffs[0] = tuple(int(c) % self.pK for c in w)
         return RamifiedPadic(self, tuple(coeffs))
 
+    # -- rows of elements as integer arrays (rows, p-1, n), entries in [0, p^K) --
+
+    def valuations(self, X: np.ndarray) -> list[int | None]:
+        """pi-adic valuation of each row, None where the truncation reads >= the floor.
+
+        A pi-coefficient of degree i whose W-coordinates all lie in p^k Z has
+        valuation (p-1)k + i; an all-zero coefficient (k reaches K) gives none.
+        """
+        p, K = self.p, self.K
+        vw = np.zeros(X.shape[:2], dtype=np.int64)
+        for k in range(1, K + 1):
+            divisible = (X % p**k == 0).all(axis=2)
+            if not divisible.any():
+                break
+            vw += divisible
+        cand = np.where(vw < K, self.e * vw + np.arange(self.e), self.prec_floor)
+        return [int(v) if v < self.prec_floor else None for v in cand.min(axis=1)]
+
+    def shift_down(self, X: np.ndarray, s) -> np.ndarray:
+        """x / pi^s for each row x of X, s one shift per row; each row must be
+        divisible by pi^s.
+
+        pi^(p-1) = -p, so with i + s = q(p-1) + j the degree-i coefficient of
+        x / pi^s is x_j / (-p)^q: one exact division per coordinate, mod p^K.
+        """
+        t = np.arange(self.e) + np.asarray(s, dtype=np.int64).reshape(-1, 1)
+        src = np.take_along_axis(X.astype(object), (t % self.e)[:, :, None], axis=1)
+        return src // ((-self.p) ** (t // self.e).astype(object))[:, :, None] % self.pK
+
 
 @dataclass(frozen=True, eq=False)
 class RamifiedPadic:
@@ -180,50 +212,6 @@ class RamifiedPadic:
 
     def is_zero(self) -> bool:
         return all(not any(w) for w in self.coeffs)
-
-    # -- valuation ----------------------------------------------------------
-
-    def valuation(self) -> int | None:
-        """pi-adic valuation, or None when the truncation reads >= the floor."""
-        c = self.ctx
-        best = None
-        for i, w in enumerate(self.coeffs):
-            vw = c.K
-            for coord in w:
-                if coord:
-                    v = 0
-                    x = coord
-                    while x % c.p == 0:
-                        v += 1
-                        x //= c.p
-                    vw = min(vw, v)
-            if vw < c.K:
-                cand = (c.p - 1) * vw + i
-                if best is None or cand < best:
-                    best = cand
-        if best is None or best >= c.prec_floor:
-            return None
-        return best
-
-    def residue(self) -> tuple[int, ...]:
-        """Reduction mod pi: the constant pi-coefficient mod p (an F_{p^n} vector)."""
-        return tuple(x % self.ctx.p for x in self.coeffs[0])
-
-    # -- pi-shifts ----------------------------------------------------------
-
-    def div_by_pi(self) -> "RamifiedPadic":
-        c = self.ctx
-        if any(x % c.p for x in self.coeffs[0]):
-            raise ArgumentError("element has valuation 0; cannot divide by pi")
-        out = list(self.coeffs[1:])
-        out.append(tuple((-(x // c.p)) % c.pK for x in self.coeffs[0]))
-        return RamifiedPadic(c, tuple(out))
-
-    def div_by_pi_power(self, s: int) -> "RamifiedPadic":
-        out = self
-        for _ in range(s):
-            out = out.div_by_pi()
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +289,7 @@ class PadicEmbedding:
         if K is None:
             K = n * (p - 1) + 8
         self.ctx = RamifiedContext(p, n, tower.modulus, K)
-        self.teich_g = teichmuller(self.ctx, tower.exp_vec[1].astype(int))
+        self.teich_g = teichmuller(self.ctx, tower.exp_vec[1 % N].astype(int))  # g = 1 on F_2
         self.zeta_p = zeta_p_lift(self.ctx)
         # zeta_m = zeta_p^a * zeta_N^b with a*N + b*p = 1 mod m
         self.m = p * N
@@ -310,44 +298,74 @@ class PadicEmbedding:
         self.img_zeta_m = (self.zeta_p**a) * (self.teich_g**b)
         self._images: np.ndarray | None = None
 
+    def _step_matrix(self) -> np.ndarray:
+        """(D, D) matrix, D = (p-1)*n, of multiplication by img(zeta_m): row k is
+        the k-th coordinate basis element times img(zeta_m), so that a
+        coordinate row v of x gives v @ M, the coordinates of x * img(zeta_m)."""
+        ctx = self.ctx
+        rows = []
+        for i in range(ctx.e):
+            for j in range(ctx.n):
+                basis = [ctx.w_zero()] * ctx.e
+                basis[i] = tuple(int(k == j) for k in range(ctx.n))
+                prod = RamifiedPadic(ctx, tuple(basis)) * self.img_zeta_m
+                rows.append([c for w in prod.coeffs for c in w])
+        return np.array(rows, dtype=object)
+
     def _image_matrix(self, phi: int) -> np.ndarray:
         """(phi, (p-1)*n) matrix whose row k is img(zeta_m)^k, pi-degree major.
 
-        int64 while every entry (< p^K) fits with headroom, Python ints otherwise.
+        Built by doubling: rows L..2L-1 are rows 0..L-1 times M^L, M the
+        step matrix, and M^L is squared between steps, so about log2(phi)
+        matrix products mod p^K.  int64 while every entry (< p^K) fits with
+        headroom, Python ints otherwise.
         """
         ctx = self.ctx
-        rows = [ctx.one()]
-        while len(rows) < phi:
-            rows.append(rows[-1] * self.img_zeta_m)
         dtype = np.int64 if ctx.pK < _I64_SAFE else object
-        return np.array([[c for w in r.coeffs for c in w] for r in rows], dtype=dtype)
+        power = self._step_matrix().astype(dtype)
+        rows = np.zeros((phi, len(power)), dtype=dtype)
+        rows[0, 0] = 1
+        filled = 1
+        while filled < phi:
+            take = min(filled, phi - filled)
+            rows[filled:filled + take] = _matmul_mod(rows[:take], power, ctx.pK)
+            filled += take
+            if filled < phi:
+                power = _matmul_mod(power, power, ctx.pK)
+        return rows
+
+    def embed_rows(self, C: np.ndarray) -> np.ndarray:
+        """Embed every row of C, power-basis coefficients in Z[zeta_m], with one
+        product C @ images mod p^K; returns (rows, p-1, n), pi-degree major."""
+        if self._images is None:
+            self._images = self._image_matrix(C.shape[1])
+        ctx = self.ctx
+        return _matmul_mod(C, self._images, ctx.pK).reshape(len(C), ctx.e, ctx.n)
 
     def embed(self, elt: CycloElement) -> RamifiedPadic:
-        """sum_k c_k img(zeta_m)^k mod p^K, as one integer matrix product.
-
-        The product runs in int64 only when sum |c_k| * (p^K - 1) < 2^63
-        bounds every partial sum; otherwise in Python ints.
-        """
+        """sum_k c_k img(zeta_m)^k mod p^K, by `embed_rows` on the one row."""
         if elt.ring.m != self.m:
             raise ArgumentError(
                 f"conductor {elt.ring.m} does not match the embedding conductor {self.m}"
             )
-        if self._images is None:
-            self._images = self._image_matrix(elt.ring.phi)
-        ctx, images, c = self.ctx, self._images, elt.coeffs
-        exact = images.dtype == object or c.dtype == object
-        if not exact:
-            amax = max(-int(c.min(initial=0)), int(c.max(initial=0)))
-            # the first test keeps the int64 sum of |c_k| itself from wrapping
-            exact = (amax * len(c) >= _I64_LIMIT
-                     or int(np.abs(c).sum()) * (ctx.pK - 1) >= _I64_LIMIT)
-        if exact:
-            prod = c.astype(object, copy=False) @ images.astype(object, copy=False)
-        else:
-            prod = c @ images
-        flat = (prod % ctx.pK).tolist()
-        n = ctx.n
-        return RamifiedPadic(ctx, tuple(tuple(flat[i : i + n]) for i in range(0, len(flat), n)))
+        x = self.embed_rows(elt.coeffs[None, :])[0].tolist()
+        return RamifiedPadic(self.ctx, tuple(map(tuple, x)))
+
+
+def _matmul_mod(A: np.ndarray, B: np.ndarray, modulus: int) -> np.ndarray:
+    """A @ B mod `modulus`, exactly, for integer matrices.
+
+    The product runs in int64 only when (largest row sum of |A|) * max |B|
+    < 2^63 bounds every partial sum; otherwise in Python ints.
+    """
+    if A.dtype != object and B.dtype != object:
+        a_max = max(-int(A.min(initial=0)), int(A.max(initial=0)))
+        b_max = max(-int(B.min(initial=0)), int(B.max(initial=0)))
+        # the first test keeps the int64 row sums of |A| themselves from wrapping
+        if (a_max * A.shape[1] < _I64_LIMIT
+                and int(np.abs(A).sum(axis=1).max(initial=0)) * b_max < _I64_LIMIT):
+            return A @ B % modulus
+    return A.astype(object) @ B.astype(object) % modulus
 
 
 _EMBED_CACHE: dict[tuple[int, int], tuple[FieldTower, PadicEmbedding]] = {}
@@ -382,31 +400,47 @@ class StickelbergerReport:
         return self.valuation_ok and self.congruence_ok
 
 
-def stickelberger_check(tower: FieldTower, e: int) -> StickelbergerReport:
-    """ord_P S(omega^{-e}) = s(e) and S(omega^{-e}) * t(e) / (zeta_p-1)^s(e) = -1 mod pi.
+def _embedded_gauss_sums(emb: PadicEmbedding, exponents) -> np.ndarray:
+    """Embedded S(chi_e) for every exponent, (len, p-1, n): one product over
+    the rows of the whole-field Gauss table, one row per p-orbit."""
+    table = gauss_table(emb.tower)
+    rows = table.row_of[np.asarray(exponents, dtype=np.int64) % table.mult_order]
+    needed, inverse = np.unique(rows, return_inverse=True)
+    return emb.embed_rows(table.S[needed])[inverse]
+
+
+def stickelberger_check(tower: FieldTower, exponents) -> list[StickelbergerReport]:
+    """ord_P S(omega^{-e}) = s(e) and S(omega^{-e}) * t(e) / (zeta_p-1)^s(e) = -1 mod pi,
+    one report per exponent.
 
     zeta_p - 1 = pi * u with u = 1 mod pi, so u^s(e) has residue 1 and the
     residue of S(omega^{-e}) / (zeta_p-1)^s(e) is that of S(omega^{-e}) / pi^s(e).
     """
     p, n, N = tower.p, tower.n, tower.mult_order
-    e %= N
-    if e == 0:
+    es = [e % N for e in exponents]
+    if 0 in es:
         raise ArgumentError("Stickelberger check needs a nontrivial character (e != 0)")
-    v = digits.expand(p, n, e)
-    s = digits.digit_sum(v)
-    t = digits.digit_factorial_mod_p(v)
+    if not es:
+        return []
+    vs = [digits.expand(p, n, e) for e in es]
+    s = [digits.digit_sum(v) for v in vs]
     emb = embedding_for(tower)
-    x = emb.embed(gauss_S(MultChar(tower, -e)))
-    mv = x.valuation()
-    valuation_ok = mv == s
-    congruence_ok = False
-    if valuation_ok:
-        res = x.div_by_pi_power(s).scale_int(t).residue()
-        congruence_ok = res == ((p - 1,) + (0,) * (n - 1))
-    return StickelbergerReport(
-        p=p, n=n, e=e, s=s, measured_valuation=mv,
-        valuation_ok=valuation_ok, congruence_ok=congruence_ok,
-    )
+    X = _embedded_gauss_sums(emb, [-e for e in es])
+    measured = emb.ctx.valuations(X)
+    at_s = [i for i, mv in enumerate(measured) if mv == s[i]]
+    congruent = set()
+    if at_s:
+        head = emb.ctx.shift_down(X[at_s], [s[i] for i in at_s])[:, 0, :]
+        t = np.array([digits.digit_factorial_mod_p(vs[i]) for i in at_s], dtype=object)
+        unit = [p - 1] + [0] * (n - 1)
+        congruent = {i for i, r in zip(at_s, (head * t[:, None] % p).tolist()) if r == unit}
+    return [
+        StickelbergerReport(
+            p=p, n=n, e=e, s=s[i], measured_valuation=measured[i],
+            valuation_ok=measured[i] == s[i], congruence_ok=i in congruent,
+        )
+        for i, e in enumerate(es)
+    ]
 
 
 @dataclass(frozen=True)
@@ -426,15 +460,15 @@ class GrossKoblitzReport:
         return self.routes_agree and self.valuation_ok and self.identity_ok
 
 
-def gross_koblitz_check(tower: FieldTower, e: int, window: int = 1) -> GrossKoblitzReport:
+def gross_koblitz_check(tower: FieldTower, exponents, window: int = 1) -> list[GrossKoblitzReport]:
     """S(omega^e) = (-1)^n p^n pi^(-s(e)) prod_i Gamma_p(1 - <p^i e/(p^n-1)>),
     compared mod p^(window+1) after clearing the common p^n scale, with the
     Gamma product evaluated independently by the digit-window formula and by
-    the direct integer product definition.
+    the direct integer product definition; one report per exponent.
     """
     p, n, N = tower.p, tower.n, tower.mult_order
-    e %= N
-    if e == 0:
+    es = [e % N for e in exponents]
+    if 0 in es:
         raise ArgumentError("Gross-Koblitz needs a nontrivial character (e != 0)")
     if window < 0:
         raise ArgumentError(f"window must be >= 0, got {window}")
@@ -442,41 +476,45 @@ def gross_koblitz_check(tower: FieldTower, e: int, window: int = 1) -> GrossKobl
         # Gamma_2 is not 1-Lipschitz: x = y mod 4 does not force
         # Gamma_2(x) = Gamma_2(y) mod 4, so the window routes only certify mod 2.
         raise ArgumentError("for p = 2 the comparison is only valid at window 0")
-    v = digits.expand(p, n, e)
-    s = digits.digit_sum(v)
+    if not es:
+        return []
     mod = p ** (window + 1)
+    top = n * (p - 1)
+    s, prod_digit, prod_direct = [], [], []
+    for e in es:
+        v = digits.expand(p, n, e)
+        s.append(digits.digit_sum(v))
+        g = 1
+        for i in range(1, n + 1):
+            g = g * digits.padic_gamma_window(i, v, window) % mod
+        prod_digit.append(g)
+        g = 1
+        for i in range(n):
+            r = pow(p, i, N) * e % N
+            x_int = (N - r) * pow(N, -1, mod) % mod
+            g = g * digits.padic_gamma_int(x_int, p, mod) % mod
+        prod_direct.append(g)
 
-    prod_digit = 1
-    for i in range(1, n + 1):
-        prod_digit = prod_digit * digits.padic_gamma_window(i, v, window) % mod
-    prod_direct = 1
-    for i in range(n):
-        r = pow(p, i, N) * e % N
-        x_int = (N - r) * pow(N, -1, mod) % mod
-        prod_direct = prod_direct * digits.padic_gamma_int(x_int, p, mod) % mod
-    routes_agree = prod_digit == prod_direct
-
-    emb = embedding_for(tower, n * (p - 1) + window + 8)
-    x = emb.embed(gauss_S(MultChar(tower, e)))
-    valuation_ok = x.valuation() == n * (p - 1) - s
-
-    identity_ok = False
-    if valuation_ok:
+    emb = embedding_for(tower, top + window + 8)
+    X = _embedded_gauss_sums(emb, es)
+    measured = emb.ctx.valuations(X)
+    at_top = [i for i, mv in enumerate(measured) if mv == top - s[i]]
+    identity = set()
+    if at_top:
         # under the Dwork pinning the exact identity is
         #   S(omega^e) * pi^s(e) = -pi^(n(p-1)) * prod_i Gamma_p(1 - <p^i e/N>)
-        # (the global sign is part of the pinning, not n-dependent)
-        u = x * emb.ctx.pi_power(s)
-        w = -u.div_by_pi_power(n * (p - 1))
-        head = w.coeffs[0]
-        tail_ok = all(
-            all(c % mod == 0 for c in w.coeffs[i]) for i in range(1, emb.ctx.e)
+        # (the global sign is part of the pinning, not n-dependent), so
+        # -S(omega^e) / pi^(n(p-1) - s(e)) is the Gamma product
+        w = -emb.ctx.shift_down(X[at_top], [top - s[i] for i in at_top]) % mod
+        want = np.zeros_like(w)
+        want[:, 0, 0] = [prod_digit[i] for i in at_top]
+        identity = {i for i, ok in zip(at_top, (w == want).all(axis=(1, 2))) if ok}
+    return [
+        GrossKoblitzReport(
+            p=p, n=n, e=e, window=window,
+            gamma_digit_route=prod_digit[i], gamma_direct_route=prod_direct[i],
+            routes_agree=prod_digit[i] == prod_direct[i],
+            valuation_ok=measured[i] == top - s[i], identity_ok=i in identity,
         )
-        head_ok = head[0] % mod == prod_digit % mod and all(
-            c % mod == 0 for c in head[1:]
-        )
-        identity_ok = head_ok and tail_ok
-    return GrossKoblitzReport(
-        p=p, n=n, e=e, window=window,
-        gamma_digit_route=prod_digit, gamma_direct_route=prod_direct,
-        routes_agree=routes_agree, valuation_ok=valuation_ok, identity_ok=identity_ok,
-    )
+        for i, e in enumerate(es)
+    ]

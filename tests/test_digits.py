@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gausslab import digits as D
 from gausslab.errors import ArgumentError
+from reference import prime_free_factorial
 
 
 def test_expansion_examples():
@@ -63,6 +64,15 @@ def test_prime_free_factorial():
     assert D.prime_free_factorial(0, 3, 9) == 1
     assert D.prime_free_factorial(4, 3, 10**9) == 8  # 1*2*4
     assert D.prime_free_factorial(3, 3, 10**9) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_free_table_equals_the_loop(p):
+    # every window value and gamma argument lies below p^(m+1)
+    for m in (0, 1, 2):
+        modulus = p ** (m + 1)
+        for N in range(modulus):
+            assert D.prime_free_factorial(N, p, modulus) == prime_free_factorial(N, p, modulus), (N, m)
 
 
 def test_window_products():

@@ -15,6 +15,16 @@ from gausslab.padic import (
     teichmuller,
     zeta_p_lift,
 )
+from reference import (
+    div_by_pi,
+    div_by_pi_power,
+    embed_by_terms,
+    gross_koblitz_one,
+    image_powers,
+    residue,
+    stickelberger_one,
+    valuation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -35,19 +45,19 @@ def test_teichmuller_basics(f9, emb9):
     # defining property at full precision for all of F_9^x
     for x in range(1, 9):
         t = teichmuller(ctx, f9.vec(x).astype(int))
-        assert (t ** 8 - ctx.one()).valuation() is None
-        assert t.residue() == tuple(int(c) for c in f9.vec(x))
+        assert valuation(t ** 8 - ctx.one()) is None
+        assert residue(t) == tuple(int(c) for c in f9.vec(x))
 
 
 def test_zeta_p_lift(emb9):
     ctx = emb9.ctx
     z = emb9.zeta_p
     phi = ctx.one() + z + z * z
-    assert phi.valuation() is None  # Phi_3 vanishes at working precision
-    assert (z ** 3 - ctx.one()).valuation() is None
-    assert (z - ctx.one()).valuation() == 1
+    assert valuation(phi) is None  # Phi_3 vanishes at working precision
+    assert valuation(z ** 3 - ctx.one()) is None
+    assert valuation(z - ctx.one()) == 1
     # Dwork pinning: zeta = 1 + pi mod pi^2
-    assert (z - ctx.one() - ctx.pi_power(1)).valuation() >= 2
+    assert valuation(z - ctx.one() - ctx.pi_power(1)) >= 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -62,7 +72,7 @@ def test_zeta_p_lift_is_the_dwork_root(p, n):
             phi, power = phi + power, power * z
         assert phi.is_zero(), (p, n, K)  # Phi_p(z) = 0 mod p^K
         assert z**p == ctx.one()
-        assert (z - ctx.one()).div_by_pi().residue() == (1,) + (0,) * (n - 1)  # z = 1 + pi mod pi^2
+        assert residue(div_by_pi(z - ctx.one())) == (1,) + (0,) * (n - 1)  # z = 1 + pi mod pi^2
 
 
 def test_zeta_2_is_minus_one():
@@ -71,12 +81,23 @@ def test_zeta_2_is_minus_one():
     assert e.zeta_p == e.ctx.from_int(-1)
 
 
+def _rows(*elts):
+    return np.array([[list(w) for w in x.coeffs] for x in elts], dtype=object)
+
+
 def test_valuations(emb9):
     ctx = emb9.ctx
-    assert ctx.from_int(3).valuation() == 2  # v(p) = p-1
-    assert ctx.from_int(1).valuation() == 0
-    assert ctx.zero().valuation() is None
-    assert ctx.pi_power(5).valuation() == 5
+    elts = [ctx.from_int(3), ctx.from_int(1), ctx.zero(), ctx.pi_power(5)]
+    assert [valuation(x) for x in elts] == [2, 0, None, 5]  # v(p) = p-1
+    assert ctx.valuations(_rows(*elts)) == [2, 0, None, 5]
+    assert ctx.valuations(_rows(*elts).astype(np.int64)) == [2, 0, None, 5]
+    # the array valuations agree with the tuple reference on every kind of row
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        x = ctx.zero()
+        for s in rng.integers(0, ctx.prec_floor + 2, 3):
+            x = x + ctx.pi_power(int(s)) * ctx.from_w(rng.integers(0, 9, ctx.n))
+        assert ctx.valuations(_rows(x)) == [valuation(x)], x
 
 
 def test_embed_is_morphism(f9, emb9):
@@ -88,26 +109,14 @@ def test_embed_is_morphism(f9, emb9):
         lhs = emb9.embed(a * b)
         rhs = emb9.embed(a) * emb9.embed(b)
         diff = lhs - rhs
-        assert diff.is_zero() or diff.valuation() is None
+        assert diff.is_zero() or valuation(diff) is None
         dsum = emb9.embed(a + b) - (emb9.embed(a) + emb9.embed(b))
         assert dsum.is_zero()
 
 
-def _embed_by_terms(emb, elt):
-    """Reference: sum of c_k * img(zeta_m)^k, one ring call per term."""
-    ctx = emb.ctx
-    pows = [ctx.one()]
-    while len(pows) < elt.ring.phi:
-        pows.append(pows[-1] * emb.img_zeta_m)
-    out = ctx.zero()
-    for k, c in enumerate(elt.coeffs):
-        c = int(c)
-        if c:
-            out = out + pows[k].scale_int(c)
-    return out
-
-
-@pytest.mark.parametrize("p,n", [(3, 2), (2, 5), (5, 2), (7, 3)])
+# (2, 1), (3, 1) and (2, 4) are the doubling's edge cases: phi = 1,
+# phi = 2 = 2^0 + 1 and phi = 8, a power of two
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 5), (5, 2), (7, 3), (2, 1), (3, 1), (2, 4)])
 def test_embed_matches_per_term_sum(p, n):
     T = build_tower(p, 1, n)
     emb = embedding_for(T)
@@ -121,7 +130,7 @@ def test_embed_matches_per_term_sum(p, n):
     assert sum(abs(int(c)) for c in elts[-1].coeffs) * (emb.ctx.pK - 1) >= 2**63
     for elt in elts:
         got = emb.embed(elt)
-        assert got.coeffs == _embed_by_terms(emb, elt).coeffs
+        assert got.coeffs == embed_by_terms(emb, elt).coeffs
         assert all(type(c) is int for w in got.coeffs for c in w)
     # p^K = 7^26 > 2^62: the image matrix holds Python ints
     assert (emb._images.dtype == object) == (emb.ctx.pK >= 2**62)
@@ -132,82 +141,129 @@ def test_embed_matches_per_term_sum(p, n):
     assert emb.embed(as_objects).coeffs == emb.embed(elt).coeffs
 
 
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 5), (5, 2), (7, 2), (2, 1), (13, 1)])
+def test_image_matrix_is_the_sequential_powers(p, n):
+    # row k of the doubled matrix is img(zeta_m)^k, entry for entry in
+    # [0, p^K), for the tower's phi and for counts that stop the doubling
+    # at every kind of step: 1, powers of two and 2^k + 1; at (13, 1),
+    # p^K = 13^20 >= 2^62 and the rows hold Python ints
+    T = build_tower(p, 1, n)
+    emb = embedding_for(T)
+    for count in sorted({ring_for(T).phi, 1, 2, 3, 4, 8, 9, 16, 17, 33}):
+        got = emb._image_matrix(count)
+        assert got.tolist() == image_powers(emb, count).tolist(), count
+        assert got.dtype == (object if emb.ctx.pK >= 2**62 else np.int64)
+
+
 @pytest.mark.parametrize("p,n", [(3, 3), (5, 2)])
 def test_pi_shift_gives_the_residue_over_zeta_p_minus_one(p, n):
     # the Stickelberger residue is read off x / pi^s; it is the residue of
     # x / (zeta_p - 1)^s exactly when x - r * (zeta_p - 1)^s has valuation > s
     T = build_tower(p, 1, n)
     emb = embedding_for(T)
-    pi_unit = emb.zeta_p - emb.ctx.one()
+    ctx = emb.ctx
+    pi_unit = emb.zeta_p - ctx.one()
     for e in range(1, T.mult_order):
         s = digits.digit_sum(digits.expand(p, n, e))
         x = emb.embed(gauss_S(MultChar(T, -e)))
-        assert x.valuation() == s
-        r = emb.ctx.from_w(x.div_by_pi_power(s).residue())
+        assert ctx.valuations(_rows(x)) == [s]
+        r = ctx.from_w(ctx.shift_down(_rows(x), [s])[0, 0] % p)
         rest = x - r * pi_unit**s
-        assert rest.is_zero() or rest.valuation() > s
+        assert rest.is_zero() or valuation(rest) > s
 
 
 def test_embed_examples(f9, emb9):
     ring = ring_for(f9)
     assert emb9.embed(ring.one()) == emb9.ctx.one()
     zeta_p = ring.zeta_pow(8)  # zeta_m^(m/p) = zeta_p
-    assert emb9.embed(zeta_p - ring.one()).valuation() == 1
-    assert emb9.embed(ring.from_int(3)).valuation() == 2
+    assert valuation(emb9.embed(zeta_p - ring.one())) == 1
+    assert valuation(emb9.embed(ring.from_int(3))) == 2
     with pytest.raises(ArgumentError):
         from gausslab.cyclo import get_ring
 
         emb9.embed(get_ring(8).one())
 
 
-def test_division(emb9):
-    ctx = emb9.ctx
-    assert ctx.pi_power(3).div_by_pi_power(1) == ctx.pi_power(2)
-    with pytest.raises(ArgumentError):
-        ctx.pi_power(1).div_by_pi().div_by_pi()
+def test_division():
+    # x / pi^s in one shift equals s single pi-divisions, up to the top
+    # p-adic digits that each wrap of pi^(p-1) = -p leaves undetermined
+    for p, n in [(3, 2), (5, 1), (2, 3)]:
+        ctx = embedding_for(build_tower(p, 1, n)).ctx
+        rng = np.random.default_rng(p + n)
+        xs, shifts = [], []
+        for s in range(0, 3 * ctx.e + 2):
+            for a in (s, s + 1, s + ctx.e):
+                y = ctx.from_w(rng.integers(0, p**3, n))
+                xs += [ctx.pi_power(a), ctx.pi_power(s) * y * ctx.pi_power(a - s)]
+                shifts += [s, s]
+        got = ctx.shift_down(_rows(*xs), shifts)
+        for x, s, row in zip(xs, shifts, got.tolist()):
+            prec = p ** (ctx.K - -(-s // ctx.e))
+            want = div_by_pi_power(x, s)
+            assert [[c % prec for c in w] for w in row] == [[c % prec for c in w] for w in want.coeffs]
+        # pi^(p-1) = -p: -p / pi^(p-1) is one, to the p^(K-1) the wrap leaves
+        one = ctx.shift_down(_rows(ctx.from_int(-p)), [ctx.e]) % p ** (ctx.K - 1)
+        assert one.tolist() == _rows(ctx.one()).tolist()
 
 
 def test_valuation_symmetry(f9):
     # v(S(chi)) + v(S(chi^-1)) = n(p-1) for nontrivial chi
     emb = embedding_for(f9)
     for e in range(1, 8):
-        v1 = emb.embed(gauss_S(MultChar(f9, e))).valuation()
-        v2 = emb.embed(gauss_S(MultChar(f9, -e))).valuation()
+        v1 = valuation(emb.embed(gauss_S(MultChar(f9, e))))
+        v2 = valuation(emb.embed(gauss_S(MultChar(f9, -e))))
         assert v1 + v2 == 2 * 2
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (2, 4)])
 def test_stickelberger_examples(p, n):
     T = build_tower(p, 1, n)
-    for e in range(1, T.mult_order):
-        r = stickelberger_check(T, e)
-        assert r.ok, (p, n, e, r)
+    reports = stickelberger_check(T, range(1, T.mult_order))
+    assert [r.e for r in reports] == list(range(1, T.mult_order))
+    assert all(r.ok for r in reports), [r for r in reports if not r.ok]
 
 
 def test_stickelberger_specific_values(f9):
-    r = stickelberger_check(f9, 1)
-    assert r.s == 1 and r.measured_valuation == 1
-    r = stickelberger_check(f9, 4)  # digits (1,1)
-    assert r.s == 2 and r.measured_valuation == 2
+    r1, r4 = stickelberger_check(f9, [1, 4])  # digits (1,0) and (1,1)
+    assert r1.s == 1 and r1.measured_valuation == 1
+    assert r4.s == 2 and r4.measured_valuation == 2
+    assert stickelberger_check(f9, []) == []
     with pytest.raises(ArgumentError):
-        stickelberger_check(f9, 0)
+        stickelberger_check(f9, [1, 0])
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
 def test_gross_koblitz_windows(p, n):
     T = build_tower(p, 1, n)
     for w in (0, 1, 2):
-        for e in range(1, T.mult_order):
-            r = gross_koblitz_check(T, e, w)
-            assert r.ok, (p, n, e, w)
+        reports = gross_koblitz_check(T, range(1, T.mult_order), w)
+        assert len(reports) == T.mult_order - 1
+        assert all(r.ok for r in reports), (p, n, w)
 
 
 def test_gross_koblitz_p2_degenerate():
     T = build_tower(2, 1, 3)
-    for e in range(1, 7):
-        assert gross_koblitz_check(T, e, 0).ok
-    with pytest.raises(ArgumentError):
-        gross_koblitz_check(T, 1, 1)
+    assert all(r.ok for r in gross_koblitz_check(T, range(1, 7), 0))
+    for exponents in ([1], []):
+        with pytest.raises(ArgumentError):
+            gross_koblitz_check(T, exponents, 1)
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (2, 5), (7, 2), (13, 2)])
+def test_batched_reports_match_the_per_element_route(p, n):
+    # one embedding product, array valuations and one closed-form shift per
+    # sweep, against one embedding, tuple valuation and s single pi-divisions
+    # per exponent on the sequential image powers
+    T = build_tower(p, 1, n)
+    N = T.mult_order
+    exponents = list(range(1, N))
+    assert stickelberger_check(T, exponents) == [stickelberger_one(T, e) for e in exponents]
+    for w in (0,) if p == 2 else (0, 1, 2):
+        assert gross_koblitz_check(T, exponents, w) == [gross_koblitz_one(T, e, w) for e in exponents]
+    # order, repeats and unreduced exponents are kept exponent by exponent
+    mixed = [N - 1, 1, 1 + N, p, -1, 2]
+    assert stickelberger_check(T, mixed) == [stickelberger_one(T, e) for e in mixed]
+    assert gross_koblitz_check(T, mixed, 0) == [gross_koblitz_one(T, e, 0) for e in mixed]
 
 
 def test_quadratic_gauss_sum_is_minus_pi():
@@ -215,7 +271,7 @@ def test_quadratic_gauss_sum_is_minus_pi():
     T1 = build_tower(3, 1, 1)
     emb = embedding_for(T1)
     s = emb.embed(gauss_S(MultChar(T1, 1)))
-    assert (s + emb.ctx.pi_power(1)).valuation() is None
+    assert valuation(s + emb.ctx.pi_power(1)) is None
 
 
 def test_context_rejects_bad_modulus():
