@@ -323,6 +323,15 @@ PINNED_REPORTS = [
      "975938c577b430bb687105aa7358c12a5a22243c44de24ac5c08636badf7808f"),
     ("gross-koblitz --p 3 --n 3 --e 4 --window 1", 0,
      "78dae7269dc4ec62b9542c218a8fcfcedda08e84fd88846d8b66e84d6a2923fa"),
+    # m = 8190 = 2 * 3^2 * 5 * 7 * 13, m = 3120 (with 2^4), m = 6840, and f = 2
+    ("scan --p 2 --n 12 --expect-collisions", 0,
+     "085ab7ded2011ccfce768add3416cacab6e406a49fdf31564a7cf64a6a5dbbc1"),
+    ("scan --p 5 --n 4", 0,
+     "8aba697fe238109ae9c8d41915742292da1787190d3a7a445a940b7ed014fac9"),
+    ("scan --p 19 --n 2 --population all", 0,
+     "65ea3df1959fe6bd435b5ade2c602d8d6fbdb3f759ffcafe804895b0430243b4"),
+    ("scan --p 5 --f 2 --n 2 --population all", 0,
+     "8fc9491be834e74de1299a7695f2d137420946528bc456163865429c3cc062cc"),
 ]
 
 
