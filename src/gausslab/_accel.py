@@ -53,15 +53,19 @@ def power_table(mul_mat: np.ndarray, p: int, count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-sum histograms: counts[r, (p*exps[r]*j + off[j]) % m] += 1 for all r, j
+# Gauss-sum histograms: counts[r, position[(p*exps[r]*j + off[j]) % m]] += 1
 
 
-def gauss_counts(p: int, m: int, offsets: np.ndarray, *, exps: np.ndarray) -> np.ndarray:
+def gauss_counts(p: int, m: int, offsets: np.ndarray, *, position: np.ndarray,
+                 exps: np.ndarray) -> np.ndarray:
     """Exponent histograms over Z/m for a character family at once.
 
     Row r collects the multiset {p*exps[r]*j + offsets[j] mod m : j}, i.e.
     the unreduced cyclotomic-exponent counts of the Gauss sum of exponent
-    exps[r].  offsets[j] must already lie in [0, m).
+    exps[r], with the count of exponent e in column position[e].  A ring's
+    `tensor_position` lays the rows out for `CycloRing.reduce_tensor`; the
+    identity permutation gives the plain exponent order.  offsets[j] must
+    already lie in [0, m).
     """
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     exps = np.ascontiguousarray(exps, dtype=np.int64)
@@ -69,5 +73,5 @@ def gauss_counts(p: int, m: int, offsets: np.ndarray, *, exps: np.ndarray) -> np
     j = np.arange(offsets.shape[0], dtype=np.int64)
     for r, e in enumerate(exps):
         idx = (p * e * j + offsets) % m
-        counts[r] = np.bincount(idx, minlength=m)
+        counts[r] = np.bincount(position[idx], minlength=m)
     return counts

@@ -24,12 +24,14 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, converse, gl2
-from .chars import MultChar, orbit_reps, regular_mask
+from .chars import MultChar, orbit_reps, regular_mask, ring_for
 from .converse import Assertion, Report, check, every_held
 from .errors import ArgumentError, GausslabError, ResourceCapError
 from .ff import DEFAULT_MAX_ELEMENTS, build_tower
-from .gauss import gamma_n_by_1, gauss_S, hasse_davenport_check, tensor_gamma_rhs
+from .gauss import ScaledCyclo, gamma_n_by_1, gauss_S, hasse_davenport_check, tensor_gamma_rhs
 from .padic import gross_koblitz_check, stickelberger_check
 
 EXIT_OK = 0
@@ -237,6 +239,23 @@ def _cmd_gl2_check(args):
     ])
 
 
+def _literal_tensor_rhs_m1(tower, chi_e: int, eta_e: int) -> ScaledCyclo:
+    """The m = 1 right side summed term by term over x = g^j in F_{q^n}^x:
+    (-eta(-1))^(n-1) q^-(n-1) * sum_x chi(x) eta(Nr x) psi(Tr x^-1), with
+    chi(g^j) = zeta_N^(chi_e j), eta(Nr g^j) = zeta_{q-1}^(eta_e j) and
+    psi(Tr g^-j) = zeta_p^Tr(g^(N-j)).  Its exponent histogram is built in
+    the plain order of Z/m and reduced on its own, without a Gauss table."""
+    ring = ring_for(tower)
+    N, p, q, m = tower.mult_order, tower.p, tower.q, ring.m
+    j = np.arange(N, dtype=np.int64)
+    traces = tower.subfield_traces(tower.f * tower.n)  # Tr(g^j)
+    idx = (p * chi_e * j + p * (N // (q - 1)) * eta_e * j + N * traces[-j % N]) % m
+    total = ring.element(np.bincount(idx, minlength=m))
+    eta_minus_one = 1 if p == 2 else (-1) ** eta_e  # -1 = Nr(g)^((q-1)/2)
+    sign = (-eta_minus_one) ** (tower.n - 1)
+    return ScaledCyclo(total if sign > 0 else -total, tower.n - 1, q)
+
+
 def _cmd_tensor_rhs(args):
     big = build_tower(args.p, args.f, args.n * args.m, max_elements=args.max_elements)
     val = tensor_gamma_rhs(big, args.n, args.m, args.chi_e, args.eta_e)
@@ -249,7 +268,8 @@ def _cmd_tensor_rhs(args):
     assertions = []
     if args.m == 1:  # the degree-n tower itself: chi is a plain exponent on it
         direct = gamma_n_by_1(MultChar(big, args.chi_e), args.eta_e % (big.q - 1))
-        assertions.append(check("m=1-consistency-with-gamma-formula", direct == val))
+        literal = _literal_tensor_rhs_m1(big, args.chi_e, args.eta_e)
+        assertions.append(check("m=1-consistency-with-gamma-formula", direct == val == literal))
     return Report(result, assertions)
 
 

@@ -9,23 +9,32 @@ Products (convolutions and reductions) run on float64 BLAS while a bound
 certifies that every partial sum is an exact integer below 2^52.  Both fall
 back to Python integers otherwise.
 
-Reduction runs through the odd kernel k of rad(m).  With s = m / rad(m),
-Phi_m(x) = Phi_rad(x^s), so a row splits into s interleaved rows in
-y = x^s that reduce mod Phi_rad independently.  Phi_rad divides y^k - 1
-when rad = k is odd, and y^k + 1 when rad = 2k (Phi_2k(y) = Phi_k(-y)), so
-each row first folds to width k; the table then holds y^j mod Phi_rad for
-phi(k) <= j < k only.  Each ring holds that one (k - phi(k)) x phi(k)
-table, stored as float64 with exact integer entries, and every reduction
-goes through `CycloRing.reduce_matrix`.
+Power-basis reduction runs through the odd kernel k of rad(m).  With
+s = m / rad(m), Phi_m(x) = Phi_rad(x^s), so a row splits into s interleaved
+rows in y = x^s that reduce mod Phi_rad independently.  Phi_rad divides
+y^k - 1 when rad = k is odd, and y^k + 1 when rad = 2k
+(Phi_2k(y) = Phi_k(-y)), so each row first folds to width k; the table then
+holds y^j mod Phi_rad for phi(k) <= j < k only.  A ring builds that one
+(k - phi(k)) x phi(k) table, stored as float64 with exact integer entries,
+on the first `CycloRing.reduce_matrix` call that reads it.
 
-Rings are cached per conductor and immutable after construction; elements
-are value types, safe to share across workers.
+Rows that are only compared, never read as coefficients, need no table.
+Over the prime powers m_i of m, Z[zeta_m] is the tensor product of the
+Z[zeta_{m_i}], and `CycloRing.reduce_tensor` maps a row laid out in that
+tensor order to its unique coordinates in the tensor ("powerful") basis with
+subtractions alone (Lyubashevsky-Peikert-Regev, A Toolkit for Ring-LWE
+Cryptography, 2013).  `CycloRing.from_powerful` converts such coordinates to
+the power basis when they are read.
+
+Rings are cached per conductor; their tables and maps are built once, on
+first use, and never change.  Elements are value types, safe to share
+across workers.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -128,7 +137,7 @@ def _exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _max_abs(mat: np.ndarray) -> int:
     # max |entry| without an |mat| temporary
-    return max(int(mat.max()), -int(mat.min()))
+    return max(int(mat.max(initial=0)), -int(mat.min(initial=0)))
 
 
 def _pad(mat: np.ndarray, width: int) -> np.ndarray:
@@ -146,14 +155,18 @@ class CycloRing:
     def __init__(self, m: int):
         self.m = m
         self.phi = numth.euler_phi(m)
-        rad = numth.radical(m)
+        self._rad = rad = numth.radical(m)
         self._s = m // rad  # Phi_m(x) = Phi_rad(x^s)
         self._k = rad // 2 if rad % 2 == 0 else rad  # odd kernel of rad
         self._sign = -1 if rad % 2 == 0 else 1  # zeta^(s*k) = -1 or 1
-        self._build_reduction_table(_cyclotomic_radical(rad))
+        # (l, m_i) for the prime powers m_i = l^a of m, ascending: the tensor axes
+        self._axes = tuple((l, l**a) for l, a in numth.factorize(m).items())
 
-    def _build_reduction_table(self, poly: tuple[int, ...]) -> None:
-        # row r holds y^(d + r) mod Phi_rad, r < k - d, d = phi(k) = deg Phi_rad
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Row r holds y^(d + r) mod Phi_rad, r < k - d, d = phi(k) = deg Phi_rad;
+        built by the first reduction that reads it."""
+        poly = _cyclotomic_radical(self._rad)
         d = len(poly) - 1
         n = self._k - d
         nz = np.flatnonzero(poly[:d])
@@ -170,16 +183,19 @@ class CycloRing:
             lo -= 1
             if top:
                 work[lo + nz] += top * minus_head
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def _rows_max(self) -> int:
         # every row is stored, so one check on the table sees every row
-        rows_max = int(max(table.max(initial=0), -table.min(initial=0)))
+        rows_max = _max_abs(self.table)
         if rows_max > 1 << 50:  # pragma: no cover
             raise OverflowError(
                 "reduction-row coefficients exceeded the exact-integer guard; "
                 "object-precision rebuild required"
             )
-        table.setflags(write=False)
-        self.table = table
-        self._rows_max = rows_max
+        return rows_max
 
     # -- reduction ----------------------------------------------------------
 
@@ -234,6 +250,70 @@ class CycloRing:
     def reduce_vector(self, vec: np.ndarray) -> np.ndarray:
         """Canonical coefficients of sum vec[k] * zeta^k (any length)."""
         return self.reduce_matrix(np.asarray(vec)[None])[0]
+
+    # -- the tensor ("powerful") basis ----------------------------------------
+
+    @cached_property
+    def tensor_position(self) -> np.ndarray:
+        """position[e] is the column of zeta^e in tensor order: the mixed-radix
+        index of (e mod m_i)_i, first axis most significant.  The ring map
+        zeta -> (x)_i zeta_{m_i} is an isomorphism onto the tensor product,
+        and it sends zeta^e to (x)_i zeta_{m_i}^(e mod m_i)."""
+        e = np.arange(self.m, dtype=np.int64)
+        position = np.zeros(self.m, dtype=np.int64)
+        for _, mi in self._axes:
+            position = position * mi + e % mi
+        position.setflags(write=False)
+        return position
+
+    def reduce_tensor(self, mat: np.ndarray) -> np.ndarray:
+        """Powerful-basis coordinates of each row of `mat`, (b, m) in tensor
+        order (column `tensor_position[e]` holds the coefficient of zeta^e).
+
+        Along the axis of m_i = l^a, Phi_{m_i}(x) = Phi_l(x^(m_i/l)), so with
+        the axis viewed as l blocks of m_i/l places, the last block is minus
+        the sum of the others: subtracting it from the first l - 1 blocks and
+        keeping those leaves the power basis of Z[zeta_{m_i}] on that axis.
+        The result, (b, phi) in mixed radix over (phi(m_i))_i, is the unique
+        coordinate vector in the tensor basis.  Each axis at most doubles
+        max|entry|, so the subtractions run in int64 while 2^r * max < 2^62
+        (r axes) and in Python ints otherwise.
+        """
+        mat = np.asarray(mat)
+        b = mat.shape[0]
+        if mat.dtype != object and _max_abs(mat) << len(self._axes) >= _I64_SAFE:
+            mat = mat.astype(object)
+        out = mat.reshape(b, *(mi for _, mi in self._axes))
+        for axis, (l, mi) in enumerate(self._axes, start=1):
+            pre, post = out.shape[:axis], out.shape[axis + 1 :]
+            head, last = np.split(out.reshape(*pre, l, mi // l, *post), [l - 1], axis=axis)
+            out = (head - last).reshape(*pre, (l - 1) * (mi // l), *post)
+        return out.reshape(b, self.phi)
+
+    @cached_property
+    def _powerful_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        # the exponent e of each tensor basis element (x)_i zeta_{m_i}^(j_i),
+        # in `reduce_tensor`'s column order, is e = j_i mod m_i for every i;
+        # as zeta^(s*k) = sign, it is the column e mod s*k, negated where
+        # sign = -1 and e >= s*k (distinct basis elements never share a column)
+        exps = np.zeros(1, dtype=np.int64)
+        for _, mi in self._axes:
+            rest = self.m // mi
+            unit = rest * pow(rest, -1, mi)  # 1 mod m_i, 0 mod m / m_i
+            exps = (exps[:, None] + unit * np.arange(numth.euler_phi(mi), dtype=np.int64)).ravel() % self.m
+        fold = self._s * self._k
+        return exps % fold, exps[exps >= fold] % fold
+
+    def from_powerful(self, coords: np.ndarray) -> np.ndarray:
+        """Power-basis (canonical) coefficients of rows of tensor-basis
+        coordinates (`reduce_tensor`'s output), by one `reduce_matrix` call
+        on rows already folded to width s*k."""
+        coords = np.asarray(coords)
+        cols, negated = self._powerful_columns
+        mat = np.zeros((coords.shape[0], self._s * self._k), dtype=coords.dtype)
+        mat[:, cols] = coords
+        mat[:, negated] = -mat[:, negated]
+        return self.reduce_matrix(mat)
 
     # -- element constructors -------------------------------------------
 

@@ -11,9 +11,12 @@ Conventions, fixed once for the whole artifact:
 
 Every Gauss sum is a row of a GaussTable, built by one histogram call
 (_accel.gauss_counts) over the p-orbit minima of the exponents, since
-S(chi_{pe}) = S(chi_e), and one matrix reduction.  The whole-field table is
-cached per tower and serves gauss_S; a table over a subfield F_{q^d} serves
-the subfield sums of Hasse-Davenport, the etale products and the tensor RHS.
+S(chi_{pe}) = S(chi_e).  The histograms reduce to exact tensor-basis
+coordinates by subtractions alone, which key the rows for signature scans;
+the power-basis coefficients are computed, in one matrix reduction, only
+when a sum is read.  The whole-field table is cached per tower and serves
+gauss_S; a table over a subfield F_{q^d} serves the subfield sums of
+Hasse-Davenport, the etale products and the tensor RHS.
 
 Every character of a subfield F_{q^d} is an exponent on the one ambient
 tower, indexed against h = Nr_{n:d}(g), the norm of the tower generator, so
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,12 +59,16 @@ class GaussTable:
     dividing f*d), at the orbit minimum, and `row_of[c]` names the row of S
     that holds S(chi_c).  At d = n, h = g and c is the plain exponent.
 
-    Distinct orbits can share a sum, so each row also gets an id of its
-    exact value: `value_id[r]` numbers the canonical keys of the rows in
-    first-seen order (`cyclo.value_ids`), and two rows have equal ids
-    exactly when their coefficients are equal.  `key(c)` is the id of
-    S(chi_c); signature scans compare these small integers instead of
-    rehashing the coefficients for every character that reads a row.
+    The histograms are laid out in the ring's tensor order and reduced by
+    `CycloRing.reduce_tensor` to their unique coordinates in the tensor
+    ("powerful") basis.  Distinct orbits can share a sum, so each row gets
+    an id of its exact value: `value_id[r]` numbers the canonical keys of
+    those coordinate rows in first-seen order (`cyclo.value_ids`), and two
+    rows have equal ids exactly when the sums are equal.  `key(c)` is the id
+    of S(chi_c); signature scans compare these small integers and never need
+    the power basis.  `S`, the power-basis coefficients of every row, is
+    built from the coordinates by one `reduce_matrix` call on its first
+    read, which then drops the coordinates.
     """
 
     def __init__(self, tower: FieldTower, d: int | None = None):
@@ -75,9 +83,17 @@ class GaussTable:
         reps = np.flatnonzero(mins == np.arange(Nd))
         self.row_of = np.searchsorted(reps, mins)
         offsets = N * tower.subfield_traces(tower.f * d) % m  # psi(Tr h^l)
-        counts = _accel.gauss_counts(p, m, offsets, exps=reps * (N // Nd))
-        self.S = self.ring.reduce_matrix(counts)
-        self.value_id = cyclo.value_ids(self.S)
+        counts = _accel.gauss_counts(p, m, offsets, position=self.ring.tensor_position,
+                                     exps=reps * (N // Nd))
+        self._powerful = self.ring.reduce_tensor(counts)
+        self.value_id = cyclo.value_ids(self._powerful)
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        """Canonical (power-basis) coefficients, one row per orbit."""
+        S = self.ring.from_powerful(self._powerful)
+        del self._powerful
+        return S
 
     def element(self, e: int) -> cyclo.CycloElement:
         row = self.S[self.row_of[e % self.mult_order]]

@@ -40,11 +40,16 @@ def test_gauss_counts_exponent_subset():
     rng = np.random.default_rng(2)
     offsets = rng.integers(0, 72, size=26).astype(np.int64)
     exps = np.array([0, 1, 5, 7, 25])  # an exponent subset, as orbit tables pass
-    a = _accel.gauss_counts(3, 72, offsets, exps=np.arange(len(offsets)))
-    a_sub = _accel.gauss_counts(3, 72, offsets, exps=exps)
+    plain = np.arange(72)
+    a = _accel.gauss_counts(3, 72, offsets, position=plain, exps=np.arange(len(offsets)))
+    a_sub = _accel.gauss_counts(3, 72, offsets, position=plain, exps=exps)
     assert a.shape == (26, 72)
     assert np.all(a.sum(axis=1) == 26)
     assert np.array_equal(a_sub, a[exps])
+    # a position map moves the count of exponent e to column position[e]
+    position = rng.permutation(72)
+    moved = _accel.gauss_counts(3, 72, offsets, position=position, exps=exps)
+    assert np.array_equal(moved[:, position], a_sub)
 
 
 def test_whole_pipeline_on_numpy_backend():

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from gausslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, main
+from gausslab import cyclo, gauss
+from gausslab.chars import MultChar
+from gausslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, _literal_tensor_rhs_m1, main
 from gausslab.converse import (
     counterexample_search,
     etale_signature_scan,
@@ -14,6 +16,7 @@ from gausslab.converse import (
     scan_converse,
 )
 from gausslab.ff import build_tower
+from gausslab.gauss import tensor_gamma_rhs
 
 
 def run(capsys, *argv):
@@ -125,6 +128,48 @@ def test_tensor_rhs_command(capsys):
     assert status == EXIT_OK
     doc = json.loads(out)
     assert doc["assertions"][0]["status"] == "pass"
+
+
+# p = 2 (eta(-1) = 1), odd n, f = 2
+@pytest.mark.parametrize("p,f,n", [(3, 1, 2), (5, 1, 2), (2, 1, 3), (3, 1, 3), (2, 2, 2)])
+def test_tensor_rhs_m1_equals_the_literal_sum(p, f, n):
+    T = build_tower(p, f, n)
+    pairs = [(c, k) for c in range(T.mult_order) if MultChar(T, c).is_regular()
+             for k in range(T.q - 1)]
+    for c, k in pairs:
+        assert tensor_gamma_rhs(T, n, 1, c, k) == _literal_tensor_rhs_m1(T, c, k)
+
+
+@pytest.mark.parametrize("argv", [
+    "--p 5 --n 2 --m 1 --chi-e 2 --eta-e 1",
+    "--p 5 --n 2 --m 1 --chi-e -3 --eta-e 3",
+    "--p 3 --n 3 --m 1 --chi-e 1 --eta-e 0",
+    "--p 2 --f 2 --n 2 --m 1 --chi-e 7 --eta-e 2",
+])
+def test_tensor_rhs_m1_assertion_holds(capsys, argv):
+    status, out, _ = run(capsys, "tensor-rhs", *argv.split())
+    assert status == EXIT_OK
+    assert [(a["name"], a["status"]) for a in json.loads(out)["assertions"]] == \
+        [("m=1-consistency-with-gamma-formula", "pass")]
+
+
+def test_scan_reads_keys_only(capsys, monkeypatch):
+    # a scan compares Gauss sums by value ids: it never reduces to the power
+    # basis, so its ring never builds the reduction table
+    monkeypatch.setattr(cyclo, "_RING_CACHE", {})
+    monkeypatch.setattr(gauss, "_TABLE_CACHE", {})
+    calls = []
+    reduce_matrix = cyclo.CycloRing.reduce_matrix
+
+    def counting(self, mat):
+        calls.append(self.m)
+        return reduce_matrix(self, mat)
+
+    monkeypatch.setattr(cyclo.CycloRing, "reduce_matrix", counting)
+    status, _, _ = run(capsys, "scan", "--p", "3", "--n", "7")
+    assert status == EXIT_OK and calls == []
+    assert list(cyclo._RING_CACHE) == [6558]
+    assert "table" not in vars(cyclo._RING_CACHE[6558])
 
 
 def test_etale_scan_command(capsys):

@@ -150,13 +150,61 @@ def test_reduce_matrix_matches_sympy_remainder(m):
         assert [int(v) for v in R.reduce_matrix(row)[0]] == _sympy_remainder(row[0], m)
 
 
+def _arrays(obj) -> list[tuple[tuple[int, ...], np.dtype]]:
+    return [(v.shape, v.dtype) for v in vars(obj).values() if isinstance(v, np.ndarray)]
+
+
 def test_ring_holds_one_float64_table():
-    # the (k - phi(k)) x phi(k) table of the odd kernel k of rad(m)
-    for m, shape in ((8190, (789, 576)), (8192, (0, 1))):
-        R = CycloRing(m)
-        R.reduce_vector(np.arange(2 * m))
-        tables = [v for v in vars(R).values() if isinstance(v, np.ndarray)]
-        assert [(t.shape, t.dtype) for t in tables] == [(shape, np.float64)]
+    # the (k - phi(k)) x phi(k) table of the odd kernel k of rad(m), built
+    # by the first reduction that reads it
+    R = CycloRing(8190)
+    assert _arrays(R) == []
+    R.reduce_vector(np.arange(2 * R.m))
+    assert _arrays(R) == [((789, 576), np.float64)]
+    # at m = 2^e a folded row has no tail, so no reduction reads the empty table
+    R = CycloRing(8192)
+    R.reduce_vector(np.arange(2 * R.m))
+    assert _arrays(R) == []
+
+
+# m = 1 (no tensor axis), one axis (2, 8, 9, 27, 8192), odd squarefree (105),
+# and the scan conductors 2184 = 2^3 * 3 * 7 * 13 and 8190 = 2 * 3^2 * 5 * 7 * 13
+@pytest.mark.parametrize("m", [1, 2, 8, 9, 27, 105, 2184, 8190, 8192])
+def test_powerful_basis_round_trip(m):
+    R = CycloRing(m)
+    rng = np.random.default_rng(m)
+    mat = rng.integers(-1000, 1000, (3, m))
+    tensor = np.empty_like(mat)
+    tensor[:, R.tensor_position] = mat
+    coords = R.reduce_tensor(tensor)
+    assert coords.shape == (3, R.phi) and coords.dtype == np.int64
+    want = R.reduce_matrix(mat)
+    got = R.from_powerful(coords)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the coordinates are unique: adding x^i * Phi_m(x) mod x^m - 1 changes none
+    Phi = np.array(cyclotomic_poly(m), dtype=np.int64)
+    shifted = mat.copy()
+    np.add.at(shifted[0], (int(rng.integers(m)) + np.arange(len(Phi))) % m, 7 * Phi)
+    tensor[:, R.tensor_position] = shifted
+    assert np.array_equal(R.reduce_tensor(tensor), coords)
+    # Python ints scaled by 2^60 take the object tier and scale exactly
+    big = R.reduce_tensor(tensor.astype(object) * 2**60)
+    assert big.dtype == object and np.array_equal(big, coords.astype(object) * 2**60)
+    got = R.from_powerful(big)
+    assert got.dtype == object and np.array_equal(got, want.astype(object) * 2**60)
+
+
+def test_reduce_tensor_int64_tier_bound():
+    # 5 axes: int64 while 2^5 * max|entry| < 2^62, Python ints from there
+    R = CycloRing(8190)
+    rng = np.random.default_rng(5)
+    row = rng.integers(-3, 4, (1, R.m))
+    for top, dtype in ((2**57 - 1, np.int64), (2**57, object)):
+        row[0, :2] = top, -top
+        coords = R.reduce_tensor(row)
+        assert coords.dtype == dtype
+        exact = R.reduce_tensor(row.astype(object))
+        assert exact.dtype == object and np.array_equal(coords, exact)
 
 
 def test_reduce_idempotent():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gausslab import build_tower
+from gausslab import _accel, build_tower
 from gausslab.chars import MultChar, ring_for, twist_offset
 from gausslab.cyclo import canonical_key, value_ids
 from gausslab.errors import ArgumentError, ResourceCapError
@@ -439,3 +439,27 @@ def test_value_ids_take_the_tuple_tier_past_2_62():
     assert value_ids(np.array([[3, 1], [5, 5]], dtype=np.int64), ids).tolist() == [2, 5]
     assert value_ids(np.array([[-big, 1]], dtype=object), ids).tolist() == [3]
     assert value_ids(np.zeros((0, 2), dtype=np.int64)).tolist() == []
+
+
+# the scan-ladder fields, a subfield table (d < n) on each side of p | n/d,
+# and f = 2
+@pytest.mark.parametrize("p,f,n,d", [
+    (2, 1, 10, 10), (3, 1, 6, 6), (5, 1, 4, 4), (7, 1, 3, 3), (2, 1, 11, 11), (3, 1, 7, 7),
+    (2, 1, 12, 12), (2, 1, 12, 4), (3, 1, 6, 2), (5, 2, 2, 2), (2, 2, 3, 1),
+])
+def test_table_matches_the_power_basis_route(p, f, n, d):
+    """Keys from the tensor coordinates number the rows exactly as keys from
+    the power-basis rows do, and S, built on first read, is those rows: the
+    plain-order histograms reduced by one `reduce_matrix` call."""
+    T = build_tower(p, f, n)
+    tab = GaussTable(T, d)
+    ring, N, Nd = tab.ring, T.mult_order, T.q**d - 1
+    reps = np.unique(tab.row_of, return_index=True)[1]  # the orbit minima
+    offsets = N * T.subfield_traces(f * d) % ring.m
+    counts = _accel.gauss_counts(p, ring.m, offsets, position=np.arange(ring.m),
+                                 exps=reps * (N // Nd))
+    want = ring.reduce_matrix(counts)
+    assert np.array_equal(tab.value_id, value_ids(want))
+    assert "_powerful" in vars(tab) and "S" not in vars(tab)
+    assert tab.S.dtype == want.dtype and np.array_equal(tab.S, want)
+    assert "_powerful" not in vars(tab)  # dropped once S is built
