@@ -377,6 +377,11 @@ PINNED_REPORTS = [
      "65ea3df1959fe6bd435b5ade2c602d8d6fbdb3f759ffcafe804895b0430243b4"),
     ("scan --p 5 --f 2 --n 2 --population all", 0,
      "8fc9491be834e74de1299a7695f2d137420946528bc456163865429c3cc062cc"),
+    # S read from tables built in several row blocks: m = 6558, m = 4094
+    ("gauss --p 3 --n 7 --e 5", 0,
+     "94bf636f587d8b37f099e2588e6bba0c93e5a7da27b1885ffb69874895615cc4"),
+    ("gauss --p 2 --n 11 --e 3", 0,
+     "0d154c0c0ca1cb4175c2df6a4406108458ecc41ede735670ebd3ec199a2c779f"),
 ]
 
 
