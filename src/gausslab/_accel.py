@@ -2,10 +2,10 @@
 
 Two loops carry the bulk numeric work: building the multiplicative power
 table of a field generator (O(q^n * (fn)^2) small-int work) and
-accumulating the exponent histograms of a family of Gauss sums at once
+accumulating the exponent histograms of a family of Gauss sums
 (O(q^n) per sum).  The power table advances in chunks through a
 precomputed matrix power of the multiply-by-g map; each histogram row is
-one `np.bincount`.
+one `np.bincount`, and a Gauss table asks for its rows a block at a time.
 
 All arithmetic is exact int64; values are bounded well below 2**63 by the
 field size cap (q^n < 2**20, conductors m = p*(q^n-1) < 2**41).
@@ -65,7 +65,8 @@ def gauss_counts(p: int, m: int, offsets: np.ndarray, *, position: np.ndarray,
     exps[r], with the count of exponent e in column position[e].  A ring's
     `tensor_position` lays the rows out for `CycloRing.reduce_tensor`; the
     identity permutation gives the plain exponent order.  offsets[j] must
-    already lie in [0, m).
+    already lie in [0, m).  The result is (len(exps), m): `GaussTable` passes
+    one row block of exponents per call, so it never holds all its rows.
     """
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     exps = np.ascontiguousarray(exps, dtype=np.int64)

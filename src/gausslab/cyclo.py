@@ -310,10 +310,11 @@ class CycloRing:
         on rows already folded to width s*k."""
         coords = np.asarray(coords)
         cols, negated = self._powerful_columns
-        mat = np.zeros((coords.shape[0], self._s * self._k), dtype=coords.dtype)
-        mat[:, cols] = coords
-        mat[:, negated] = -mat[:, negated]
-        return self.reduce_matrix(mat)
+        # scattered as whole rows of the transpose: a column fancy index is slower
+        mat = np.zeros((self._s * self._k, coords.shape[0]), dtype=coords.dtype)
+        mat[cols] = coords.T
+        mat[negated] = -mat[negated]
+        return self.reduce_matrix(mat.T)
 
     # -- element constructors -------------------------------------------
 

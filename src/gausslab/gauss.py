@@ -9,14 +9,16 @@ Conventions, fixed once for the whole artifact:
 * S(chi_e) = sum_j zeta_{q^n-1}^(e*j) * psi(Tr g^j).
 * G(beta, psi) = sum_a beta(a) psi(Tr a^{-1}) = S(beta^{-1}).
 
-Every Gauss sum is a row of a GaussTable, built by one histogram call
-(_accel.gauss_counts) over the p-orbit minima of the exponents, since
+Every Gauss sum is a row of a GaussTable, built from the histograms
+(_accel.gauss_counts) of the p-orbit minima of the exponents, since
 S(chi_{pe}) = S(chi_e).  The histograms reduce to exact tensor-basis
 coordinates by subtractions alone, which key the rows for signature scans;
-the power-basis coefficients are computed, in one matrix reduction, only
-when a sum is read.  The whole-field table is cached per tower and serves
-gauss_S; a table over a subfield F_{q^d} serves the subfield sums of
-Hasse-Davenport, the etale products and the tensor RHS.
+the power-basis coefficients are computed, by matrix reduction, only when a
+sum is read.  Both run in row blocks of about 1 MiB of histogram, so no
+table ever holds an (R, m) matrix of all its rows.  The whole-field table
+is cached per tower and serves gauss_S; a table over a subfield F_{q^d}
+serves the subfield sums of Hasse-Davenport, the etale products and the
+tensor RHS.
 
 Every character of a subfield F_{q^d} is an exponent on the one ambient
 tower, indexed against h = Nr_{n:d}(g), the norm of the tower generator, so
@@ -45,6 +47,10 @@ from .ff import FieldTower
 # ---------------------------------------------------------------------------
 # Gauss-sum tables
 
+# A table is built in row blocks of about this many bytes of int64 histogram,
+# so no (rows, m) matrix is ever held and each block stays in cache.
+_BLOCK_BYTES = 1 << 20
+
 
 class GaussTable:
     """Canonical coefficients of S(chi_c) for every character c of the
@@ -61,14 +67,18 @@ class GaussTable:
 
     The histograms are laid out in the ring's tensor order and reduced by
     `CycloRing.reduce_tensor` to their unique coordinates in the tensor
-    ("powerful") basis.  Distinct orbits can share a sum, so each row gets
+    ("powerful") basis.  Both run one row block at a time, each block about
+    _BLOCK_BYTES of (rows, m) int64 histogram, and write into one (R, phi)
+    coordinate array.  Distinct orbits can share a sum, so each row gets
     an id of its exact value: `value_id[r]` numbers the canonical keys of
     those coordinate rows in first-seen order (`cyclo.value_ids`), and two
     rows have equal ids exactly when the sums are equal.  `key(c)` is the id
     of S(chi_c); signature scans compare these small integers and never need
     the power basis.  `S`, the power-basis coefficients of every row, is
-    built from the coordinates by one `reduce_matrix` call on its first
-    read, which then drops the coordinates.
+    built from the coordinates on its first read, block by block through
+    `CycloRing.from_powerful`, in place of the coordinates, which the table
+    then drops.  Either array is int64 unless some block needs Python ints,
+    and then the whole array is object.
     """
 
     def __init__(self, tower: FieldTower, d: int | None = None):
@@ -83,15 +93,37 @@ class GaussTable:
         reps = np.flatnonzero(mins == np.arange(Nd))
         self.row_of = np.searchsorted(reps, mins)
         offsets = N * tower.subfield_traces(tower.f * d) % m  # psi(Tr h^l)
-        counts = _accel.gauss_counts(p, m, offsets, position=self.ring.tensor_position,
-                                     exps=reps * (N // Nd))
-        self._powerful = self.ring.reduce_tensor(counts)
+        exps, position = reps * (N // Nd), self.ring.tensor_position
+
+        def coordinates(rows: slice) -> np.ndarray:
+            counts = _accel.gauss_counts(p, m, offsets, position=position, exps=exps[rows])
+            return self.ring.reduce_tensor(counts)
+
+        out = np.empty((len(reps), self.ring.phi), dtype=np.int64)
+        self._powerful = self._by_blocks(coordinates, out)
         self.value_id = cyclo.value_ids(self._powerful)
+
+    def _by_blocks(self, build, out: np.ndarray) -> np.ndarray:
+        """`out`, an int64 (rows, phi) array, filled with build(block) over
+        consecutive row blocks of about _BLOCK_BYTES of m-wide int64
+        histogram each.  If some block returns Python ints, the whole array
+        becomes object, as one call on all rows would return it."""
+        step = max(1, _BLOCK_BYTES // (8 * self.ring.m))
+        for lo in range(0, len(out), step):
+            part = build(slice(lo, lo + step))
+            if part.dtype == object and out.dtype != object:
+                out = out.astype(object)
+            out[lo : lo + step] = part
+        return out
 
     @cached_property
     def S(self) -> np.ndarray:
         """Canonical (power-basis) coefficients, one row per orbit."""
-        S = self.ring.from_powerful(self._powerful)
+        powerful = self._powerful
+        # each block reads its rows before it overwrites them, so int64
+        # coordinates give their buffer to S
+        out = powerful if powerful.dtype == np.int64 else np.empty(powerful.shape, dtype=np.int64)
+        S = self._by_blocks(lambda rows: self.ring.from_powerful(powerful[rows]), out)
         del self._powerful
         return S
 

@@ -1,10 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gausslab import _accel, build_tower
+from gausslab import _accel, build_tower, gauss
 from gausslab.chars import MultChar, ring_for, twist_offset
 from gausslab.cyclo import canonical_key, value_ids
 from gausslab.errors import ArgumentError, ResourceCapError
@@ -463,3 +464,53 @@ def test_table_matches_the_power_basis_route(p, f, n, d):
     assert "_powerful" in vars(tab) and "S" not in vars(tab)
     assert tab.S.dtype == want.dtype and np.array_equal(tab.S, want)
     assert "_powerful" not in vars(tab)  # dropped once S is built
+
+
+def _peak_above_kept(build):
+    """build() and how far the traced heap peaked, during it, above what it
+    left allocated."""
+    tracemalloc.start()
+    try:
+        out = build()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - now
+
+
+def test_table_transient_is_bounded():
+    """At (2,12), building the table and the first read of S each peak less
+    than 8 MiB above the bytes they keep, so neither holds the (R, m)
+    histograms or the (R, s*k) power-basis rows of all R rows at once."""
+    T = build_tower(2, 1, 12)
+    GaussTable(T).S  # the ring's maps and table, which every later table shares
+    tab, over = _peak_above_kept(lambda: GaussTable(T))
+    assert len(tab.value_id) * tab.ring.m * 8 > 16 << 20  # whole histograms: 22 MiB
+    assert over < 8 << 20
+    _, over = _peak_above_kept(lambda: tab.S)
+    assert over < 8 << 20
+
+
+@pytest.mark.parametrize("p,f,n,d", [(2, 1, 10, 10), (2, 1, 12, 4), (5, 2, 2, 2)])
+def test_row_blocks_match_one_block(monkeypatch, p, f, n, d):
+    """Tables built in one-row blocks and in blocks of three rows (a ragged
+    last block) have the value ids and S of the default build, in values and
+    dtype, and still drop the coordinates once S is built."""
+    T = build_tower(p, f, n)
+    want = GaussTable(T, d)
+    assert len(want.value_id) % 3 != 0
+    for rows in (1, 3):
+        monkeypatch.setattr(gauss, "_BLOCK_BYTES", rows * 8 * want.ring.m)
+        tab = GaussTable(T, d)
+        assert tab.value_id.dtype == want.value_id.dtype
+        assert np.array_equal(tab.value_id, want.value_id)
+        assert tab.S.dtype == want.S.dtype and np.array_equal(tab.S, want.S)
+        assert "_powerful" not in vars(tab)
+    # one block of Python ints (the second of three rows) turns the whole
+    # array into Python ints, exactly
+    coords = GaussTable(T, d)._powerful
+    big = lambda rows: coords[rows].astype(object) * 2**62 if rows.start == 3 else coords[rows]
+    out = tab._by_blocks(big, np.empty_like(coords))
+    scaled = coords.astype(object)
+    scaled[3:6] *= 2**62
+    assert out.dtype == object and np.array_equal(out, scaled)
