@@ -21,6 +21,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 import time
 
@@ -396,11 +397,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_common(args) -> None:
+    """Refuse, before any work, a cap no field can meet and a report that
+    could not be written."""
+    if args.max_elements < 1:
+        raise ArgumentError(f"--max-elements must be positive, got {args.max_elements}")
+    if args.output and args.output != "-":
+        folder = os.path.dirname(os.path.abspath(args.output))
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ArgumentError(f"output directory {folder} is missing or not writable")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     t0 = time.monotonic()
     try:
+        _check_common(args)
         report = args.func(args)
     except ArgumentError as exc:
         print(f"gausslab: invalid configuration: {exc}", file=sys.stderr)

@@ -4,7 +4,16 @@ Stickelberger / Gross-Koblitz verifiers.
 The ring: elements are polynomials in the uniformizer pi of degree < p-1
 whose coefficients live in the unramified ring W = Z_p[x]/(M~), M~ the
 integer lift of the field tower's modulus, truncated at p^K.  The relation
-pi^(p-1) = -p makes v(pi) = 1, v(p) = p-1 in pi-units.
+pi^(p-1) = -p makes v(pi) = 1, v(p) = p-1 in pi-units.  An element is its
+(p-1, n) integer array of coordinates, pi-degree major, entries in [0, p^K).
+
+The ring factors as Z/p^K[pi]/(pi^(p-1) + p) tensor W, so multiplication by
+zeta_p^a * teich(g)^b, whose first factor lies in Z_p[pi] and second in W,
+is the Kronecker product Z^a (x) T^b mod p^K of the (p-1, p-1) matrix Z of
+multiplication by zeta_p and the (n, n) matrix T of multiplication by
+teich(g).  Both lifts are computed as those matrices, from the two
+generator matrices of `RamifiedContext`, and every product goes through
+`_matmul_mod`.
 
 Pinned choices (they select the prime over p that the whole artifact uses):
 
@@ -44,7 +53,9 @@ _I64_LIMIT = 1 << 63  # |partial sums| of an int64 product stay below this
 
 
 class RamifiedContext:
-    """Arithmetic context: p, residue degree n, unramified modulus, precision K."""
+    """Arithmetic context: p, residue degree n, unramified modulus, precision K,
+    and the multiplication matrices of the two generators: `pi` on the
+    pi-basis, with pi^(p-1) = -p, and `x` on W, the companion matrix of M~."""
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...], K: int):
         if len(modulus) != n + 1 or modulus[-1] != 1:
@@ -56,74 +67,8 @@ class RamifiedContext:
         self.pK = p**K
         self.modulus = tuple(int(c) % self.pK for c in modulus)
         self.prec_floor = (p - 1) * K  # valuations at or beyond this read ">= floor"
-
-    # -- unramified (W) arithmetic: tuples of n ints mod p^K ----------------
-
-    def w_zero(self) -> tuple[int, ...]:
-        return (0,) * self.n
-
-    def w_from_int(self, c: int) -> tuple[int, ...]:
-        return (c % self.pK,) + (0,) * (self.n - 1)
-
-    def w_add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % self.pK for x, y in zip(a, b))
-
-    def w_sub(self, a, b) -> tuple[int, ...]:
-        return tuple((x - y) % self.pK for x, y in zip(a, b))
-
-    def w_scale(self, a, c: int) -> tuple[int, ...]:
-        return tuple(x * c % self.pK for x in a)
-
-    def w_mul(self, a, b) -> tuple[int, ...]:
-        n, pK = self.n, self.pK
-        tmp = [0] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    tmp[i + j] += x * y
-        for d in range(2 * n - 2, n - 1, -1):
-            c = tmp[d] % pK
-            if c:
-                for j in range(n):
-                    tmp[d - n + j] -= c * self.modulus[j]
-            tmp[d] = 0
-        return tuple(t % pK for t in tmp[:n])
-
-    def w_pow(self, a, k: int) -> tuple[int, ...]:
-        out = self.w_from_int(1)
-        acc = a
-        while k:
-            if k & 1:
-                out = self.w_mul(out, acc)
-            acc = self.w_mul(acc, acc)
-            k >>= 1
-        return out
-
-    # -- ramified elements: tuples of (p-1) W-coefficients -------------------
-
-    def zero(self) -> "RamifiedPadic":
-        return RamifiedPadic(self, ((0,) * self.n,) * self.e)
-
-    def from_int(self, c: int) -> "RamifiedPadic":
-        coeffs = [self.w_zero() for _ in range(self.e)]
-        coeffs[0] = self.w_from_int(c)
-        return RamifiedPadic(self, tuple(coeffs))
-
-    def one(self) -> "RamifiedPadic":
-        return self.from_int(1)
-
-    def pi_power(self, s: int) -> "RamifiedPadic":
-        if s < 0:
-            raise ArgumentError("negative pi powers are elements of the fraction field")
-        wraps, r = divmod(s, self.e)
-        coeffs = [self.w_zero() for _ in range(self.e)]
-        coeffs[r] = self.w_from_int((-self.p) ** wraps)
-        return RamifiedPadic(self, tuple(coeffs))
-
-    def from_w(self, w) -> "RamifiedPadic":
-        coeffs = [self.w_zero() for _ in range(self.e)]
-        coeffs[0] = tuple(int(c) % self.pK for c in w)
-        return RamifiedPadic(self, tuple(coeffs))
+        self.pi = _companion((p,) + (0,) * (p - 2), self.pK)
+        self.x = _companion(self.modulus[:n], self.pK)
 
     # -- rows of elements as integer arrays (rows, p-1, n), entries in [0, p^K) --
 
@@ -155,87 +100,45 @@ class RamifiedContext:
         return src // ((-self.p) ** (t // self.e).astype(object))[:, :, None] % self.pK
 
 
-@dataclass(frozen=True, eq=False)
-class RamifiedPadic:
-    ctx: RamifiedContext
-    coeffs: tuple[tuple[int, ...], ...]  # pi-degree major, W-coordinate minor
-
-    def __add__(self, other: "RamifiedPadic") -> "RamifiedPadic":
-        c = self.ctx
-        return RamifiedPadic(c, tuple(c.w_add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "RamifiedPadic") -> "RamifiedPadic":
-        c = self.ctx
-        return RamifiedPadic(c, tuple(c.w_sub(a, b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "RamifiedPadic":
-        c = self.ctx
-        return RamifiedPadic(c, tuple(c.w_scale(a, -1) for a in self.coeffs))
-
-    def scale_int(self, k: int) -> "RamifiedPadic":
-        c = self.ctx
-        return RamifiedPadic(c, tuple(c.w_scale(a, k) for a in self.coeffs))
-
-    def __mul__(self, other: "RamifiedPadic") -> "RamifiedPadic":
-        c = self.ctx
-        e = c.e
-        tmp = [c.w_zero() for _ in range(2 * e - 1)]
-        for i, a in enumerate(self.coeffs):
-            if any(a):
-                for j, b in enumerate(other.coeffs):
-                    if any(b):
-                        tmp[i + j] = c.w_add(tmp[i + j], c.w_mul(a, b))
-        # fold pi^(e + r) = -p * pi^r
-        for d in range(2 * e - 2, e - 1, -1):
-            w = tmp[d]
-            if any(w):
-                tmp[d - e] = c.w_add(tmp[d - e], c.w_scale(w, -c.p))
-        return RamifiedPadic(c, tuple(tmp[:e]))
-
-    def __pow__(self, k: int) -> "RamifiedPadic":
-        out = self.ctx.one()
-        acc = self
-        while k:
-            if k & 1:
-                out = out * acc
-            acc = acc * acc
-            k >>= 1
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RamifiedPadic):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(not any(w) for w in self.coeffs)
+def _companion(low, modulus: int) -> np.ndarray:
+    """Multiplication by t on Z/modulus[t]/(t^d + low[d-1] t^(d-1) + ... + low[0]):
+    row i is t * t^i, so t^(d-1) goes to -low."""
+    d = len(low)
+    C = np.zeros((d, d), dtype=np.int64 if modulus < _I64_SAFE else object)
+    C[:-1, 1:] = np.identity(d - 1, dtype=C.dtype)
+    C[-1] = [-int(c) % modulus for c in low]
+    return C
 
 
 # ---------------------------------------------------------------------------
-# canonical lifts
+# canonical lifts, as multiplication matrices
 
 
-def teichmuller(ctx: RamifiedContext, residue_vec) -> RamifiedPadic:
-    """The unique root of x^(p^n) = x lifting the residue (zero excluded)."""
+def teichmuller(ctx: RamifiedContext, residue_vec) -> np.ndarray:
+    """The (n, n) matrix of multiplication on W by the unique root of
+    y^(p^n) = y lifting the residue (zero excluded).
+
+    Each step T <- T^(p^n) fixes one more p-adic digit; row 0 of T holds the
+    lift's W-coordinates.
+    """
     if not any(int(c) % ctx.p for c in residue_vec):
         raise ArgumentError("Teichmueller lift of zero is not defined")
-    y = tuple(int(c) % ctx.pK for c in residue_vec)
-    q = ctx.p**ctx.n
+    one = np.identity(ctx.n, dtype=ctx.x.dtype)
+    T = 0 * one
+    for c in reversed(residue_vec):  # Horner in the companion matrix
+        T = (_matmul_mod(T, ctx.x, ctx.pK) + int(c) % ctx.pK * one) % ctx.pK
     for _ in range(ctx.K + 3):
-        y2 = ctx.w_pow(y, q)
-        if y2 == y:
-            break
-        y = y2
-    else:  # pragma: no cover
-        raise PrecisionError("Teichmueller iteration did not stabilize")
-    return ctx.from_w(y)
+        T2 = _matpow_mod(T, ctx.p**ctx.n, ctx.pK)
+        if (T2 == T).all():
+            return T
+        T = T2
+    raise PrecisionError("Teichmueller iteration did not stabilize")  # pragma: no cover
 
 
-def zeta_p_lift(ctx: RamifiedContext) -> RamifiedPadic:
-    """The p-th root of unity with zeta_p = 1 + pi mod pi^2 (Dwork pinning).
+def zeta_p_lift(ctx: RamifiedContext) -> np.ndarray:
+    """The (p-1, p-1) matrix of multiplication by the p-th root of unity with
+    zeta_p = 1 + pi mod pi^2 (Dwork pinning); zeta_p lies in Z_p[pi], so it
+    does not depend on n.
 
     zeta_p = 1 + pi*u with u = 1 mod pi a root of
     G(u) = u^(p-1) - 1 - sum_{1<k<p} (C(p,k)/p) (pi*u)^(k-1), which is
@@ -244,29 +147,33 @@ def zeta_p_lift(ctx: RamifiedContext) -> RamifiedPadic:
     inverse of p - 1 and is refined by w <- w(2 - G'(u)w) before each step
     u <- u - G(u)w.  The iteration runs in a padded-precision context until
     G, and with it Phi_p, vanishes mod p^K; the result reduced mod p^K is
-    then an exact truncated root.
+    then an exact truncated root.  A step takes e = v(G(u)) and
+    f = v(1 - G'(u)w) to at least min(2e, e + 2f) and min(2f, e); both start
+    >= 1, so G(u_k) lies in pi^(2^k) and step ceil(log2((p-1)K)) is the last
+    one the loop needs.
     """
     p = ctx.p
     if p == 2:
-        return ctx.from_int(-1)
+        return np.array([[ctx.pK - 1]], dtype=ctx.pi.dtype)
     pad = RamifiedContext(p, ctx.n, ctx.modulus, ctx.K + 8)
+    pi, mod = pad.pi, pad.pK
+    one = np.identity(p - 1, dtype=pi.dtype)
     # G(u) = sum_j a[j] u^j, constant term first
-    a = ([pad.from_int(-1)]
-         + [pad.pi_power(j).scale_int(-math.comb(p, j + 1) // p) for j in range(1, p - 1)]
-         + [pad.one()])
-    u = pad.one()
-    w = pad.from_int(pow(p - 1, -1, pad.pK))
-    two = pad.from_int(2)
-    for _ in range(4 * pad.K + 16):
-        g, dg = a[-1], pad.zero()  # Horner for G(u) and G'(u) together
+    a = ([one * (mod - 1)]
+         + [_matmul_mod(one * (-math.comb(p, j + 1) // p % mod), _matpow_mod(pi, j, mod), mod)
+            for j in range(1, p - 1)]
+         + [one])
+    u = one
+    w = one * pow(p - 1, -1, mod)
+    for _ in range((ctx.e * ctx.K - 1).bit_length() + 1):
+        g, dg = a[-1], 0 * one  # Horner for G(u) and G'(u) together
         for c in reversed(a[:-1]):
-            dg = dg * u + g
-            g = g * u + c
-        if all(x % ctx.pK == 0 for coord in g.coeffs for x in coord):
-            z = pad.one() + pad.pi_power(1) * u
-            return RamifiedPadic(ctx, tuple(tuple(x % ctx.pK for x in coord) for coord in z.coeffs))
-        w = w * (two - dg * w)
-        u = u - g * w
+            dg = (_matmul_mod(dg, u, mod) + g) % mod
+            g = (_matmul_mod(g, u, mod) + c) % mod
+        if not (g % ctx.pK).any():
+            return (one + _matmul_mod(pi, u, mod)) % ctx.pK
+        w = _matmul_mod(w, (2 * one - _matmul_mod(dg, w, mod)) % mod, mod)
+        u = (u - _matmul_mod(g, w, mod)) % mod
     raise PrecisionError("Newton iteration for zeta_p did not converge")  # pragma: no cover
 
 
@@ -278,7 +185,8 @@ class PadicEmbedding:
     """Ring morphism zeta_{p^n-1} -> teich(g), zeta_p -> Dwork zeta_p.
 
     Realizes the choice of prime over p: its kernel is reduction mod pi.
-    Prime-base towers only (q = p).
+    Prime-base towers only (q = p).  `zeta_p` and `teich_g` hold the
+    multiplication matrices of the two images.
     """
 
     def __init__(self, tower: FieldTower, K: int | None = None):
@@ -291,26 +199,21 @@ class PadicEmbedding:
         self.ctx = RamifiedContext(p, n, tower.modulus, K)
         self.teich_g = teichmuller(self.ctx, tower.exp_vec[1 % N].astype(int))  # g = 1 on F_2
         self.zeta_p = zeta_p_lift(self.ctx)
-        # zeta_m = zeta_p^a * zeta_N^b with a*N + b*p = 1 mod m
         self.m = p * N
-        a = pow(N, -1, p)
-        b = pow(p, -1, N)
-        self.img_zeta_m = (self.zeta_p**a) * (self.teich_g**b)
         self._images: np.ndarray | None = None
 
     def _step_matrix(self) -> np.ndarray:
-        """(D, D) matrix, D = (p-1)*n, of multiplication by img(zeta_m): row k is
-        the k-th coordinate basis element times img(zeta_m), so that a
-        coordinate row v of x gives v @ M, the coordinates of x * img(zeta_m)."""
-        ctx = self.ctx
-        rows = []
-        for i in range(ctx.e):
-            for j in range(ctx.n):
-                basis = [ctx.w_zero()] * ctx.e
-                basis[i] = tuple(int(k == j) for k in range(ctx.n))
-                prod = RamifiedPadic(ctx, tuple(basis)) * self.img_zeta_m
-                rows.append([c for w in prod.coeffs for c in w])
-        return np.array(rows, dtype=object)
+        """(D, D) matrix, D = (p-1)*n, of multiplication by img(zeta_m), so that
+        a coordinate row v of x gives v @ M, the coordinates of x * img(zeta_m).
+
+        zeta_m = zeta_p^a * zeta_N^b with a*N + b*p = 1 mod m, and the ring is
+        Z/p^K[pi]/(pi^(p-1) + p) tensor W, so M is the Kronecker product of
+        the two factors' multiplication matrices.
+        """
+        ctx, N = self.ctx, self.tower.mult_order
+        Za = _matpow_mod(self.zeta_p, pow(N, -1, ctx.p), ctx.pK)
+        Tb = _matpow_mod(self.teich_g, pow(ctx.p, -1, N), ctx.pK)
+        return np.kron(Za.astype(object), Tb.astype(object)) % ctx.pK
 
     def _image_matrix(self, phi: int) -> np.ndarray:
         """(phi, (p-1)*n) matrix whose row k is img(zeta_m)^k, pi-degree major.
@@ -342,14 +245,14 @@ class PadicEmbedding:
         ctx = self.ctx
         return _matmul_mod(C, self._images, ctx.pK).reshape(len(C), ctx.e, ctx.n)
 
-    def embed(self, elt: CycloElement) -> RamifiedPadic:
-        """sum_k c_k img(zeta_m)^k mod p^K, by `embed_rows` on the one row."""
+    def embed(self, elt: CycloElement) -> np.ndarray:
+        """sum_k c_k img(zeta_m)^k mod p^K as a (p-1, n) array, by `embed_rows`
+        on the one row."""
         if elt.ring.m != self.m:
             raise ArgumentError(
                 f"conductor {elt.ring.m} does not match the embedding conductor {self.m}"
             )
-        x = self.embed_rows(elt.coeffs[None, :])[0].tolist()
-        return RamifiedPadic(self.ctx, tuple(map(tuple, x)))
+        return self.embed_rows(elt.coeffs[None, :])[0]
 
 
 def _matmul_mod(A: np.ndarray, B: np.ndarray, modulus: int) -> np.ndarray:
@@ -366,6 +269,18 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, modulus: int) -> np.ndarray:
                 and int(np.abs(A).sum(axis=1).max(initial=0)) * b_max < _I64_LIMIT):
             return A @ B % modulus
     return A.astype(object) @ B.astype(object) % modulus
+
+
+def _matpow_mod(A: np.ndarray, k: int, modulus: int) -> np.ndarray:
+    """A^k mod `modulus` by square-and-multiply, every product through `_matmul_mod`."""
+    out = np.identity(len(A), dtype=A.dtype)
+    while k:
+        if k & 1:
+            out = _matmul_mod(out, A, modulus)
+        k >>= 1
+        if k:
+            A = _matmul_mod(A, A, modulus)
+    return out
 
 
 _EMBED_CACHE: dict[tuple[int, int], tuple[FieldTower, PadicEmbedding]] = {}

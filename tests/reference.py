@@ -4,11 +4,15 @@ Each helper computes by a route the library does not take: a character
 value from its defining formula, absolute traces from Newton's identities
 on the modulus, Phi_m by stretching the squarefree-radical polynomial,
 Frobenius orbits by walking them, p-free factorials by a loop, and the
-p-adic verifiers one exponent at a time on sequential image powers, with
-valuations read off coordinate tuples and pi-divisions one step at a time.
+p-adic side by a schoolbook product of (p-1, n) coordinate arrays, which
+reduces x^n by the modulus and pi^(p-1) by -p where the library multiplies
+by Kronecker products of matrices.  On it the p-adic verifiers run one
+exponent at a time on sequential image powers, with valuations read off
+coordinates and pi-divisions one step at a time.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -17,7 +21,7 @@ from gausslab.chars import MultChar, ring_for
 from gausslab.cyclo import _cyclotomic_radical
 from gausslab.gauss import gauss_S
 from gausslab.numth import radical
-from gausslab.padic import GrossKoblitzReport, RamifiedPadic, StickelbergerReport, embedding_for
+from gausslab.padic import GrossKoblitzReport, StickelbergerReport, embedding_for
 
 
 def value_at(tower, e, x):
@@ -76,64 +80,122 @@ def prime_free_factorial(N, p, modulus):
 
 
 # ---------------------------------------------------------------------------
-# the p-adic side one element at a time
+# the p-adic side one element at a time, on (p-1, n) coordinate arrays of
+# Python ints, pi-degree major
 
 
-def valuation(x):
-    """pi-adic valuation of a RamifiedPadic, None where the truncation reads >= the floor."""
-    c = x.ctx
+def mul(ctx, a, b):
+    """Schoolbook product in W[pi]/(pi^(p-1) + p), W = Z/p^K[x]/(modulus):
+    x^n is reduced by the modulus and pi^(p-1) by -p."""
+    e, n, pK = ctx.e, ctx.n, ctx.pK
+    acc = [[0] * (2 * n - 1) for _ in range(2 * e - 1)]
+    for i, j in itertools.product(range(e), range(n)):
+        if a[i][j]:
+            for k, l in itertools.product(range(e), range(n)):
+                acc[i + k][j + l] += int(a[i][j]) * int(b[k][l])
+    for row in acc:
+        for d in range(2 * n - 2, n - 1, -1):  # x^d = -sum_j modulus[j] x^(d-n+j)
+            top = row[d] % pK
+            for j in range(n):
+                row[d - n + j] -= top * ctx.modulus[j]
+    for d in range(2 * e - 2, e - 1, -1):  # pi^d = -p pi^(d-e)
+        acc[d - e] = [c - ctx.p * t for c, t in zip(acc[d - e], acc[d])]
+    return np.array([[c % pK for c in row[:n]] for row in acc[:e]], dtype=object)
+
+
+def power(ctx, a, k):
+    out = scalar(ctx, 1)
+    for bit in bin(k)[2:]:
+        out = mul(ctx, out, out)
+        if bit == "1":
+            out = mul(ctx, out, a)
+    return out
+
+
+def scalar(ctx, c, s=0):
+    """c * pi^s, with pi^(p-1) = -p."""
+    wraps, r = divmod(s, ctx.e)
+    out = np.zeros((ctx.e, ctx.n), dtype=object)
+    out[r, 0] = c * (-ctx.p) ** wraps % ctx.pK
+    return out
+
+
+def from_w(ctx, w):
+    """The element of W with coordinates w."""
+    out = scalar(ctx, 0)
+    out[0] = [int(c) % ctx.pK for c in w]
+    return out
+
+
+def valuation(ctx, x):
+    """pi-adic valuation, None where the truncation reads >= the floor."""
     best = None
-    for i, w in enumerate(x.coeffs):
-        vw = c.K
+    for i, w in enumerate(x):
+        vw = ctx.K
         for coord in w:
+            coord = int(coord)
             if coord:
                 v = 0
-                while coord % c.p == 0:
+                while coord % ctx.p == 0:
                     v += 1
-                    coord //= c.p
+                    coord //= ctx.p
                 vw = min(vw, v)
-        if vw < c.K:
-            cand = (c.p - 1) * vw + i
+        if vw < ctx.K:
+            cand = (ctx.p - 1) * vw + i
             best = cand if best is None else min(best, cand)
-    return None if best is None or best >= c.prec_floor else best
+    return None if best is None or best >= ctx.prec_floor else best
 
 
-def residue(x):
+def residue(ctx, x):
     """Reduction mod pi: the constant pi-coefficient mod p."""
-    return tuple(c % x.ctx.p for c in x.coeffs[0])
+    return tuple(int(c) % ctx.p for c in x[0])
 
 
-def div_by_pi(x):
+def div_by_pi(ctx, x):
     """x / pi: the pi-coefficients move down one degree and pi^(p-1) = -p
     sends the constant coefficient to the top, divided by -p."""
-    c = x.ctx
-    if any(v % c.p for v in x.coeffs[0]):
+    if any(int(v) % ctx.p for v in x[0]):
         raise ValueError("element has valuation 0; cannot divide by pi")
-    top = tuple((-(v // c.p)) % c.pK for v in x.coeffs[0])
-    return RamifiedPadic(c, x.coeffs[1:] + (top,))
+    top = [(-(int(v) // ctx.p)) % ctx.pK for v in x[0]]
+    return np.concatenate([x[1:], np.array([top], dtype=object)])
 
 
-def div_by_pi_power(x, s):
+def div_by_pi_power(ctx, x, s):
     for _ in range(s):
-        x = div_by_pi(x)
+        x = div_by_pi(ctx, x)
     return x
+
+
+def zeta_p_element(emb):
+    """zeta_p, read off row 0 of its multiplication matrix; it lies in Z_p[pi]."""
+    out = scalar(emb.ctx, 0)
+    out[:, 0] = emb.zeta_p[0].tolist()
+    return out
+
+
+def teich_element(emb):
+    """teich(g), read off row 0 of its multiplication matrix; it lies in W."""
+    return from_w(emb.ctx, emb.teich_g[0].tolist())
 
 
 @functools.cache
 def image_powers(emb, count):
-    """Coordinates of img(zeta_m)^k for k < count, one ring product each,
-    as a (count, (p-1)*n) matrix of Python ints."""
-    pows = [emb.ctx.one()]
+    """Coordinates of img(zeta_m)^k for k < count, one schoolbook product
+    each, img(zeta_m) = zeta_p^a * teich(g)^b with a*N + b*p = 1 mod pN, as a
+    (count, (p-1)*n) matrix of Python ints."""
+    ctx, N = emb.ctx, emb.tower.mult_order
+    img = mul(ctx, power(ctx, zeta_p_element(emb), pow(N, -1, ctx.p)),
+              power(ctx, teich_element(emb), pow(ctx.p, -1, N)))
+    pows = [scalar(ctx, 1)]
     while len(pows) < count:
-        pows.append(pows[-1] * emb.img_zeta_m)
-    return np.array([[c for w in x.coeffs for c in w] for x in pows], dtype=object)
+        pows.append(mul(ctx, pows[-1], img))
+    return np.array([x.ravel().tolist() for x in pows], dtype=object)
 
 
 def embed_by_terms(emb, elt):
     """sum of c_k * img(zeta_m)^k over the sequential powers, in Python ints."""
-    flat = (elt.coeffs.astype(object) @ image_powers(emb, elt.ring.phi) % emb.ctx.pK).tolist()
-    n = emb.ctx.n
-    return RamifiedPadic(emb.ctx, tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)))
+    flat = elt.coeffs.astype(object) @ image_powers(emb, elt.ring.phi) % emb.ctx.pK
+    return flat.reshape(emb.ctx.e, emb.ctx.n)
 
 
 def stickelberger_one(tower, e):
@@ -142,11 +204,13 @@ def stickelberger_one(tower, e):
     e %= N
     v = digits.expand(p, n, e)
     s = digits.digit_sum(v)
-    x = embed_by_terms(embedding_for(tower), gauss_S(MultChar(tower, -e)))
-    mv = valuation(x)
+    emb = embedding_for(tower)
+    x = embed_by_terms(emb, gauss_S(MultChar(tower, -e)))
+    mv = valuation(emb.ctx, x)
     congruence_ok = False
     if mv == s:
-        res = residue(div_by_pi_power(x, s).scale_int(digits.digit_factorial_mod_p(v)))
+        t = digits.digit_factorial_mod_p(v)
+        res = residue(emb.ctx, div_by_pi_power(emb.ctx, x, s) * t)
         congruence_ok = res == (p - 1,) + (0,) * (n - 1)
     return StickelbergerReport(p=p, n=n, e=e, s=s, measured_valuation=mv,
                                valuation_ok=mv == s, congruence_ok=congruence_ok)
@@ -166,13 +230,14 @@ def gross_koblitz_one(tower, e, window):
         x_int = (N - pow(p, i, N) * e % N) * pow(N, -1, mod) % mod
         prod_direct = prod_direct * digits.padic_gamma_int(x_int, p, mod) % mod
     emb = embedding_for(tower, n * (p - 1) + window + 8)
+    ctx = emb.ctx
     x = embed_by_terms(emb, gauss_S(MultChar(tower, e)))
-    valuation_ok = valuation(x) == n * (p - 1) - s
+    valuation_ok = valuation(ctx, x) == n * (p - 1) - s
     identity_ok = False
     if valuation_ok:
-        w = -div_by_pi_power(x * emb.ctx.pi_power(s), n * (p - 1))
+        w = -div_by_pi_power(ctx, mul(ctx, x, scalar(ctx, 1, s)), n * (p - 1))
         want = [[prod_digit] + [0] * (n - 1)] + [[0] * n] * (p - 2)
-        identity_ok = [[c % mod for c in coord] for coord in w.coeffs] == want
+        identity_ok = (w % mod).tolist() == want
     return GrossKoblitzReport(p=p, n=n, e=e, window=window,
                               gamma_digit_route=prod_digit, gamma_direct_route=prod_direct,
                               routes_agree=prod_digit == prod_direct,

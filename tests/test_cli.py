@@ -256,6 +256,8 @@ def test_removed_flags_are_refused(capsys, flags):
             ("gross-koblitz --p 3 --n 2 --window -3", "window must be >= 0, got -3"),
             ("mersenne --n 1", "mersenne needs n >= 2, got n=1"),
             ("mersenne --n -1", "mersenne needs n >= 2, got n=-1"),
+            ("scan --p 3 --n 2 --max-elements -1", "--max-elements must be positive, got -1"),
+            ("field-info --p 3 --n 2 --max-elements 0", "--max-elements must be positive, got 0"),
         ]
     ],
 )
@@ -263,6 +265,16 @@ def test_degenerate_sizes_are_refused(capsys, argv, message):
     status, out, err = run(capsys, *argv.split())
     assert (status, out) == (EXIT_CONFIG, "")
     assert f"invalid configuration: {message}" in err
+
+
+def test_missing_output_directory_is_refused_before_the_work(capsys, tmp_path, monkeypatch):
+    # exit 2, not a traceback after the whole report is computed
+    monkeypatch.setattr("gausslab.cli.build_tower", lambda *a, **k: pytest.fail("the handler ran"))
+    target = tmp_path / "missing" / "r.json"
+    status, out, err = run(capsys, "field-info", "--p", "3", "--n", "2", "--output", str(target))
+    assert (status, out) == (EXIT_CONFIG, "")
+    assert f"invalid configuration: output directory {tmp_path / 'missing'} is missing" in err
+    assert not target.parent.exists()
 
 
 def test_primitive_scan_command(capsys):

@@ -9,6 +9,7 @@ from gausslab.gauss import gauss_S
 from gausslab.padic import (
     PadicEmbedding,
     RamifiedContext,
+    _matpow_mod,
     embedding_for,
     gross_koblitz_check,
     stickelberger_check,
@@ -19,11 +20,17 @@ from reference import (
     div_by_pi,
     div_by_pi_power,
     embed_by_terms,
+    from_w,
     gross_koblitz_one,
     image_powers,
+    mul,
+    power,
     residue,
+    scalar,
     stickelberger_one,
+    teich_element,
     valuation,
+    zeta_p_element,
 )
 
 
@@ -34,30 +41,32 @@ def emb9(f9):
 
 def test_teichmuller_basics(f9, emb9):
     ctx = emb9.ctx
-    one = teichmuller(ctx, (1, 0))
-    assert one == ctx.one()
+    assert teichmuller(ctx, (1, 0)).tolist() == [[1, 0], [0, 1]]  # the lift of 1 multiplies by 1
     with pytest.raises(ArgumentError):
         teichmuller(ctx, (0, 0))
     # p=3, n=1: the lift of 2 is -1
     T1 = build_tower(3, 1, 1)
     e1 = embedding_for(T1)
-    assert teichmuller(e1.ctx, (2,)) == e1.ctx.from_int(-1)
-    # defining property at full precision for all of F_9^x
+    assert teichmuller(e1.ctx, (2,)).tolist() == [[e1.ctx.pK - 1]]
+    # defining property at full precision for all of F_9^x, on row 0 of the
+    # matrix; row j is x^j times it
     for x in range(1, 9):
-        t = teichmuller(ctx, f9.vec(x).astype(int))
-        assert valuation(t ** 8 - ctx.one()) is None
-        assert residue(t) == tuple(int(c) for c in f9.vec(x))
+        T = teichmuller(ctx, f9.vec(x).astype(int))
+        t = from_w(ctx, T[0])
+        assert valuation(ctx, (power(ctx, t, 8) - scalar(ctx, 1)) % ctx.pK) is None
+        assert residue(ctx, t) == tuple(int(c) for c in f9.vec(x))
+        assert T[1].tolist() == mul(ctx, from_w(ctx, (0, 1)), t)[0].tolist()
 
 
 def test_zeta_p_lift(emb9):
     ctx = emb9.ctx
-    z = emb9.zeta_p
-    phi = ctx.one() + z + z * z
-    assert valuation(phi) is None  # Phi_3 vanishes at working precision
-    assert valuation(z ** 3 - ctx.one()) is None
-    assert valuation(z - ctx.one()) == 1
+    z, one = zeta_p_element(emb9), scalar(ctx, 1)
+    phi = (one + z + mul(ctx, z, z)) % ctx.pK
+    assert valuation(ctx, phi) is None  # Phi_3 vanishes at working precision
+    assert valuation(ctx, (power(ctx, z, 3) - one) % ctx.pK) is None
+    assert valuation(ctx, (z - one) % ctx.pK) == 1
     # Dwork pinning: zeta = 1 + pi mod pi^2
-    assert valuation(z - ctx.one() - ctx.pi_power(1)) >= 2
+    assert valuation(ctx, (z - one - scalar(ctx, 1, 1)) % ctx.pK) >= 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -66,38 +75,40 @@ def test_zeta_p_lift_is_the_dwork_root(p, n):
     modulus = tuple(int(c) for c in smallest_irreducible(p, n))
     for K in (2, 4) + tuple(range(n * (p - 1) + 8, n * (p - 1) + 12)):
         ctx = RamifiedContext(p, n, modulus, K)
-        z = zeta_p_lift(ctx)
-        phi, power = ctx.one(), z
+        Z = zeta_p_lift(ctx)
+        z, one = scalar(ctx, 0), scalar(ctx, 1)
+        z[:, 0] = Z[0].tolist()  # zeta_p lies in Z_p[pi]
+        phi, z_power = one, z
         for _ in range(1, p):
-            phi, power = phi + power, power * z
-        assert phi.is_zero(), (p, n, K)  # Phi_p(z) = 0 mod p^K
-        assert z**p == ctx.one()
-        assert residue(div_by_pi(z - ctx.one())) == (1,) + (0,) * (n - 1)  # z = 1 + pi mod pi^2
+            phi, z_power = (phi + z_power) % ctx.pK, mul(ctx, z_power, z)
+        assert not phi.any(), (p, n, K)  # Phi_p(z) = 0 mod p^K
+        assert z_power.tolist() == one.tolist()  # z^p = 1
+        assert residue(ctx, div_by_pi(ctx, (z - one) % ctx.pK)) == (1,) + (0,) * (n - 1)  # z = 1 + pi mod pi^2
 
 
 def test_zeta_2_is_minus_one():
     T = build_tower(2, 1, 3)
     e = embedding_for(T)
-    assert e.zeta_p == e.ctx.from_int(-1)
+    assert e.zeta_p.tolist() == [[e.ctx.pK - 1]]
 
 
 def _rows(*elts):
-    return np.array([[list(w) for w in x.coeffs] for x in elts], dtype=object)
+    return np.array(elts, dtype=object)
 
 
 def test_valuations(emb9):
     ctx = emb9.ctx
-    elts = [ctx.from_int(3), ctx.from_int(1), ctx.zero(), ctx.pi_power(5)]
-    assert [valuation(x) for x in elts] == [2, 0, None, 5]  # v(p) = p-1
+    elts = [scalar(ctx, 3), scalar(ctx, 1), scalar(ctx, 0), scalar(ctx, 1, 5)]
+    assert [valuation(ctx, x) for x in elts] == [2, 0, None, 5]  # v(p) = p-1
     assert ctx.valuations(_rows(*elts)) == [2, 0, None, 5]
     assert ctx.valuations(_rows(*elts).astype(np.int64)) == [2, 0, None, 5]
-    # the array valuations agree with the tuple reference on every kind of row
+    # the array valuations agree with the per-element reference on every kind of row
     rng = np.random.default_rng(1)
     for _ in range(200):
-        x = ctx.zero()
+        x = scalar(ctx, 0)
         for s in rng.integers(0, ctx.prec_floor + 2, 3):
-            x = x + ctx.pi_power(int(s)) * ctx.from_w(rng.integers(0, 9, ctx.n))
-        assert ctx.valuations(_rows(x)) == [valuation(x)], x
+            x = (x + mul(ctx, scalar(ctx, 1, int(s)), from_w(ctx, rng.integers(0, 9, ctx.n)))) % ctx.pK
+        assert ctx.valuations(_rows(x)) == [valuation(ctx, x)], x
 
 
 def test_embed_is_morphism(f9, emb9):
@@ -106,12 +117,13 @@ def test_embed_is_morphism(f9, emb9):
     for _ in range(50):
         a = ring.element(rng.integers(-9, 9, ring.phi))
         b = ring.element(rng.integers(-9, 9, ring.phi))
+        pK = emb9.ctx.pK
         lhs = emb9.embed(a * b)
-        rhs = emb9.embed(a) * emb9.embed(b)
-        diff = lhs - rhs
-        assert diff.is_zero() or valuation(diff) is None
-        dsum = emb9.embed(a + b) - (emb9.embed(a) + emb9.embed(b))
-        assert dsum.is_zero()
+        rhs = mul(emb9.ctx, emb9.embed(a), emb9.embed(b))
+        diff = (lhs - rhs) % pK
+        assert not diff.any() or valuation(emb9.ctx, diff) is None
+        dsum = (emb9.embed(a + b) - (emb9.embed(a) + emb9.embed(b))) % pK
+        assert not dsum.any()
 
 
 # (2, 1), (3, 1) and (2, 4) are the doubling's edge cases: phi = 1,
@@ -130,15 +142,15 @@ def test_embed_matches_per_term_sum(p, n):
     assert sum(abs(int(c)) for c in elts[-1].coeffs) * (emb.ctx.pK - 1) >= 2**63
     for elt in elts:
         got = emb.embed(elt)
-        assert got.coeffs == embed_by_terms(emb, elt).coeffs
-        assert all(type(c) is int for w in got.coeffs for c in w)
+        assert got.tolist() == embed_by_terms(emb, elt).tolist()
+        assert got.shape == (p - 1, n) and 0 <= got.min() and got.max() < emb.ctx.pK
     # p^K = 7^26 > 2^62: the image matrix holds Python ints
     assert (emb._images.dtype == object) == (emb.ctx.pK >= 2**62)
     # one input on both routes: int64 coefficients against the same values as objects
     elt = elts[3]
     as_objects = ring.element(elt.coeffs.astype(object))
     assert as_objects.coeffs.dtype == object
-    assert emb.embed(as_objects).coeffs == emb.embed(elt).coeffs
+    assert emb.embed(as_objects).tolist() == emb.embed(elt).tolist()
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (2, 5), (5, 2), (7, 2), (2, 1), (13, 1)])
@@ -155,6 +167,36 @@ def test_image_matrix_is_the_sequential_powers(p, n):
         assert got.dtype == (object if emb.ctx.pK >= 2**62 else np.int64)
 
 
+@pytest.mark.parametrize("wide", [False, True], ids=["below-2^62", "past-2^62"])
+@pytest.mark.parametrize("p,n,Ks", [(2, 3, (11, 63)), (3, 2, (12, 40)), (7, 3, (20, 26)), (13, 1, (16, 20))],
+                         ids=["2-3", "3-2", "7-3", "13-1"])
+def test_kronecker_matrices_match_the_schoolbook_product(p, n, Ks, wide):
+    # v @ kron(A, B) must be the coordinates of v times a * b, for a in
+    # Z/p^K[pi] and b in W: the generators pi and x, zeta_p^a * teich(g)^b
+    # at random exponents and the step matrix's img(zeta_m); the first K of
+    # each field keeps p^K below 2^62, the second takes it past
+    T = build_tower(p, 1, n)
+    emb = PadicEmbedding(T, Ks[wide])
+    ctx = emb.ctx
+    assert (ctx.pK >= 2**62) == wide
+    z, t = zeta_p_element(emb), teich_element(emb)
+    pi = scalar(ctx, 1, 1)
+    x = from_w(ctx, [int(j == 1) for j in range(n)]) if n > 1 else scalar(ctx, -ctx.modulus[0])
+    rng = np.random.default_rng(p * 1000 + ctx.K)
+    N = T.mult_order
+    cases = [(np.kron(ctx.pi, np.identity(n, dtype=int)), pi),
+             (np.kron(np.identity(p - 1, dtype=int), ctx.x), x),
+             (emb._step_matrix(), mul(ctx, power(ctx, z, pow(N, -1, p)), power(ctx, t, pow(p, -1, N))))]
+    for a, b in [(0, 0), (1, 1)] + [tuple(int(c) for c in rng.integers(0, 50, 2)) for _ in range(3)]:
+        M = np.kron(_matpow_mod(emb.zeta_p, a, ctx.pK), _matpow_mod(emb.teich_g, b, ctx.pK))
+        cases.append((M, mul(ctx, power(ctx, z, a), power(ctx, t, b))))
+    for M, y in cases:
+        for _ in range(4):
+            v = np.array([[int(c) for c in rng.integers(0, 2**62, n)] for _ in range(p - 1)], dtype=object) % ctx.pK
+            got = v.ravel() @ M.astype(object) % ctx.pK
+            assert got.tolist() == mul(ctx, v, y).ravel().tolist()
+
+
 @pytest.mark.parametrize("p,n", [(3, 3), (5, 2)])
 def test_pi_shift_gives_the_residue_over_zeta_p_minus_one(p, n):
     # the Stickelberger residue is read off x / pi^s; it is the residue of
@@ -162,22 +204,23 @@ def test_pi_shift_gives_the_residue_over_zeta_p_minus_one(p, n):
     T = build_tower(p, 1, n)
     emb = embedding_for(T)
     ctx = emb.ctx
-    pi_unit = emb.zeta_p - ctx.one()
+    pi_unit = (zeta_p_element(emb) - scalar(ctx, 1)) % ctx.pK
     for e in range(1, T.mult_order):
         s = digits.digit_sum(digits.expand(p, n, e))
         x = emb.embed(gauss_S(MultChar(T, -e)))
         assert ctx.valuations(_rows(x)) == [s]
-        r = ctx.from_w(ctx.shift_down(_rows(x), [s])[0, 0] % p)
-        rest = x - r * pi_unit**s
-        assert rest.is_zero() or valuation(rest) > s
+        r = from_w(ctx, ctx.shift_down(_rows(x), [s])[0, 0] % p)
+        rest = (x - mul(ctx, r, power(ctx, pi_unit, s))) % ctx.pK
+        assert not rest.any() or valuation(ctx, rest) > s
 
 
 def test_embed_examples(f9, emb9):
     ring = ring_for(f9)
-    assert emb9.embed(ring.one()) == emb9.ctx.one()
+    ctx = emb9.ctx
+    assert emb9.embed(ring.one()).tolist() == scalar(ctx, 1).tolist()
     zeta_p = ring.zeta_pow(8)  # zeta_m^(m/p) = zeta_p
-    assert valuation(emb9.embed(zeta_p - ring.one())) == 1
-    assert valuation(emb9.embed(ring.from_int(3))) == 2
+    assert valuation(ctx, emb9.embed(zeta_p - ring.one())) == 1
+    assert valuation(ctx, emb9.embed(ring.from_int(3))) == 2
     with pytest.raises(ArgumentError):
         from gausslab.cyclo import get_ring
 
@@ -193,25 +236,25 @@ def test_division():
         xs, shifts = [], []
         for s in range(0, 3 * ctx.e + 2):
             for a in (s, s + 1, s + ctx.e):
-                y = ctx.from_w(rng.integers(0, p**3, n))
-                xs += [ctx.pi_power(a), ctx.pi_power(s) * y * ctx.pi_power(a - s)]
+                y = from_w(ctx, rng.integers(0, p**3, n))
+                xs += [scalar(ctx, 1, a), mul(ctx, mul(ctx, scalar(ctx, 1, s), y), scalar(ctx, 1, a - s))]
                 shifts += [s, s]
         got = ctx.shift_down(_rows(*xs), shifts)
         for x, s, row in zip(xs, shifts, got.tolist()):
             prec = p ** (ctx.K - -(-s // ctx.e))
-            want = div_by_pi_power(x, s)
-            assert [[c % prec for c in w] for w in row] == [[c % prec for c in w] for w in want.coeffs]
+            want = div_by_pi_power(ctx, x, s)
+            assert [[c % prec for c in w] for w in row] == (want % prec).tolist()
         # pi^(p-1) = -p: -p / pi^(p-1) is one, to the p^(K-1) the wrap leaves
-        one = ctx.shift_down(_rows(ctx.from_int(-p)), [ctx.e]) % p ** (ctx.K - 1)
-        assert one.tolist() == _rows(ctx.one()).tolist()
+        one = ctx.shift_down(_rows(scalar(ctx, -p)), [ctx.e]) % p ** (ctx.K - 1)
+        assert one.tolist() == _rows(scalar(ctx, 1)).tolist()
 
 
 def test_valuation_symmetry(f9):
     # v(S(chi)) + v(S(chi^-1)) = n(p-1) for nontrivial chi
     emb = embedding_for(f9)
     for e in range(1, 8):
-        v1 = valuation(emb.embed(gauss_S(MultChar(f9, e))))
-        v2 = valuation(emb.embed(gauss_S(MultChar(f9, -e))))
+        v1 = valuation(emb.ctx, emb.embed(gauss_S(MultChar(f9, e))))
+        v2 = valuation(emb.ctx, emb.embed(gauss_S(MultChar(f9, -e))))
         assert v1 + v2 == 2 * 2
 
 
@@ -271,7 +314,7 @@ def test_quadratic_gauss_sum_is_minus_pi():
     T1 = build_tower(3, 1, 1)
     emb = embedding_for(T1)
     s = emb.embed(gauss_S(MultChar(T1, 1)))
-    assert valuation(s + emb.ctx.pi_power(1)) is None
+    assert valuation(emb.ctx, (s + scalar(emb.ctx, 1, 1)) % emb.ctx.pK) is None
 
 
 def test_context_rejects_bad_modulus():
