@@ -12,6 +12,11 @@ Exit status: 0 when `report.ok` (every asserted property held, was
 inconclusive or was expected, see --expect-collisions), 1 property
 violation, 2 invalid configuration, 3 resource cap exceeded.  --max-elements
 binds on every subcommand.
+
+Nothing a call builds outlives it: on every exit path `main` empties the
+library's module caches (rings, Gauss tables, p-adic embeddings, GL2 groups
+and factorial tables) in place, so a scripted sweep of calls in one process
+peaks at its largest call, not at the sum of its calls.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import time
 
 import numpy as np
 
-from . import __version__, converse, gl2
+from . import __version__, converse, cyclo, digits, gauss, gl2, padic
 from .chars import MultChar, orbit_reps, regular_mask, ring_for
 from .converse import Assertion, Report, check, every_held
 from .errors import ArgumentError, GausslabError, ResourceCapError
@@ -408,7 +413,23 @@ def _check_common(args) -> None:
             raise ArgumentError(f"output directory {folder} is missing or not writable")
 
 
+def _release_caches() -> None:
+    """Empty every module-level cache of the library in place.  A call builds
+    its own tower, and tables and embeddings are keyed by it, so no later
+    call could hit what they hold; rings and groups are rebuilt on demand."""
+    for cache in (cyclo._RING_CACHE, gauss._TABLE_CACHE, padic._EMBED_CACHE,
+                  gl2._GROUP_CACHE, digits._PRIME_FREE_TABLES):
+        cache.clear()
+
+
 def main(argv: list[str] | None = None) -> int:
+    try:
+        return _run(argv)
+    finally:
+        _release_caches()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     t0 = time.monotonic()

@@ -26,9 +26,11 @@ subtractions alone (Lyubashevsky-Peikert-Regev, A Toolkit for Ring-LWE
 Cryptography, 2013).  `CycloRing.from_powerful` converts such coordinates to
 the power basis when they are read.
 
-Rings are cached per conductor; their tables and maps are built once, on
-first use, and never change.  Elements are value types, safe to share
-across workers.
+Rings are cached per conductor in `_RING_CACHE`; their tables and maps are
+built once, on first use, and never change.  A CLI call empties the cache
+when it ends, so a ring lives as long as the call that built it; a library
+caller keeps its rings for the life of the process.  Elements are value
+types, safe to share across workers.
 """
 
 from __future__ import annotations

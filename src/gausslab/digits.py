@@ -94,7 +94,8 @@ _PRIME_FREE_TABLES: dict[tuple[int, int], list[int]] = {}
 def prime_free_factorial(N: int, p: int, modulus: int) -> int:
     """N!' = product of i <= N coprime to p, reduced mod `modulus`.
 
-    Read from one prefix-product table per (p, modulus), extended on demand.
+    Read from one prefix-product table per (p, modulus), extended on demand
+    and kept until the CLI call that built it ends.
     Every caller asks for a window value or a gamma argument below
     modulus = p^(m+1), so a table never holds more than p^(m+1) entries.
     """

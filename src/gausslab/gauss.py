@@ -16,8 +16,10 @@ coordinates by subtractions alone, which key the rows for signature scans;
 the power-basis coefficients are computed, by matrix reduction, only when a
 sum is read.  Both run in row blocks of about 1 MiB of histogram, so no
 table ever holds an (R, m) matrix of all its rows.  The whole-field table
-is cached per tower and serves gauss_S; a table over a subfield F_{q^d}
-serves the subfield sums of Hasse-Davenport, the etale products and the
+is cached per tower in `_TABLE_CACHE` and serves gauss_S; a CLI call
+empties that cache when it ends, so a table lives as long as the call that
+built its tower.  A table over a subfield F_{q^d} is owned by its caller
+and serves the subfield sums of Hasse-Davenport, the etale products and the
 tensor RHS.
 
 Every character of a subfield F_{q^d} is an exponent on the one ambient
@@ -140,7 +142,9 @@ _TABLE_CACHE: dict[int, tuple[FieldTower, GaussTable]] = {}
 
 
 def gauss_table(tower: FieldTower) -> GaussTable:
-    """The whole-field table of a tower, built once and cached."""
+    """The whole-field table of a tower, built once and cached until the CLI
+    call that built the tower ends (a library caller keeps it for the life
+    of the process)."""
     hit = _TABLE_CACHE.get(id(tower))
     if hit is not None and hit[0] is tower:
         return hit[1]

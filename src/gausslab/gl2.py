@@ -240,6 +240,9 @@ _GROUP_CACHE: dict[int, GL2Group] = {}
 def gl2_group(
     q: int, max_q: int = DEFAULT_MAX_Q, *, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> GL2Group:
+    """The group GL2(F_q), built once per q and cached until the CLI call
+    that built it ends (a library caller keeps it for the life of the
+    process)."""
     # the caps bind on cache hits too, so they never depend on earlier calls
     if not is_prime(q) or q == 2:
         raise ArgumentError(f"GL2 oracle needs an odd prime q, got {q}")

@@ -287,6 +287,9 @@ _EMBED_CACHE: dict[tuple[int, int], tuple[FieldTower, PadicEmbedding]] = {}
 
 
 def embedding_for(tower: FieldTower, K: int | None = None) -> PadicEmbedding:
+    """The embedding of a tower at precision K, built once and cached until
+    the CLI call that built the tower ends (a library caller keeps it for
+    the life of the process)."""
     key = (id(tower), K if K is not None else -1)
     hit = _EMBED_CACHE.get(key)
     if hit is not None and hit[0] is tower:

@@ -1,10 +1,12 @@
 import gc
 import hashlib
 import json
+import tracemalloc
+import weakref
 
 import pytest
 
-from gausslab import cyclo, gauss
+from gausslab import cli, cyclo, digits, gauss, gl2, padic
 from gausslab.chars import MultChar
 from gausslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, _literal_tensor_rhs_m1, main
 from gausslab.converse import (
@@ -156,8 +158,15 @@ def test_tensor_rhs_m1_assertion_holds(capsys, argv):
 def test_scan_reads_keys_only(capsys, monkeypatch):
     # a scan compares Gauss sums by value ids: it never reduces to the power
     # basis, so its ring never builds the reduction table
-    monkeypatch.setattr(cyclo, "_RING_CACHE", {})
-    monkeypatch.setattr(gauss, "_TABLE_CACHE", {})
+    monkeypatch.setattr(cyclo, "_RING_CACHE", {})  # every ring the scan gets is built by it
+    rings = {}
+    get_ring = cyclo.get_ring
+
+    def recording(m):
+        rings[m] = get_ring(m)
+        return rings[m]
+
+    monkeypatch.setattr(cyclo, "get_ring", recording)
     calls = []
     reduce_matrix = cyclo.CycloRing.reduce_matrix
 
@@ -168,8 +177,9 @@ def test_scan_reads_keys_only(capsys, monkeypatch):
     monkeypatch.setattr(cyclo.CycloRing, "reduce_matrix", counting)
     status, _, _ = run(capsys, "scan", "--p", "3", "--n", "7")
     assert status == EXIT_OK and calls == []
-    assert list(cyclo._RING_CACHE) == [6558]
-    assert "table" not in vars(cyclo._RING_CACHE[6558])
+    assert list(rings) == [6558]
+    assert "table" not in vars(rings[6558])
+    assert cyclo._RING_CACHE == {}  # released when main returned
 
 
 def test_etale_scan_command(capsys):
@@ -380,6 +390,9 @@ PINNED_REPORTS = [
      "975938c577b430bb687105aa7358c12a5a22243c44de24ac5c08636badf7808f"),
     ("gross-koblitz --p 3 --n 3 --e 4 --window 1", 0,
      "78dae7269dc4ec62b9542c218a8fcfcedda08e84fd88846d8b66e84d6a2923fa"),
+    # window + 1 > n + 1: a Teichmueller lift right only mod p^(n+1) fails here
+    ("gross-koblitz --p 5 --n 2 --window 4", 0,
+     "219cb9feefcf0119d3bd56d0ae1189a6e691ec0e5ab88edec32a960255ecb5a5"),
     # m = 8190 = 2 * 3^2 * 5 * 7 * 13, m = 3120 (with 2^4), m = 6840, and f = 2
     ("scan --p 2 --n 12 --expect-collisions", 0,
      "085ab7ded2011ccfce768add3416cacab6e406a49fdf31564a7cf64a6a5dbbc1"),
@@ -429,3 +442,44 @@ def test_main_leaves_few_reference_cycles(capsys):
         gc.enable()
     assert runs == [first] * 5
     assert found < 100  # a fresh argparse parser per call left about 795
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    ("gross-koblitz --p 3 --n 3 --window 2", EXIT_OK),  # ring, table, embedding, factorials
+    ("gl2-check --q 3", EXIT_OK),  # the GL2 group
+    ("scan --p 3 --n 6", EXIT_VIOLATION),  # collisions not expected
+    ("tensor-rhs --p 3 --n 2 --m 1 --chi-e 0 --eta-e 1", EXIT_CONFIG),  # refused after its table
+    ("scan --p 3 --n 8", EXIT_RESOURCE),  # the conductor cap, after the tower
+])
+def test_every_exit_path_releases_the_caches(capsys, monkeypatch, argv, exit_code):
+    towers = []
+
+    def recording(*args, **kwargs):
+        tower = build_tower(*args, **kwargs)
+        towers.append(weakref.ref(tower))
+        return tower
+
+    for module in (cli, gl2):
+        monkeypatch.setattr(module, "build_tower", recording)
+    caches = (cyclo._RING_CACHE, gauss._TABLE_CACHE, padic._EMBED_CACHE, gl2._GROUP_CACHE,
+              digits._PRIME_FREE_TABLES)
+    for cache in caches:
+        cache[-1] = None  # what earlier calls left goes too
+    assert run(capsys, *argv.split())[0] == exit_code
+    assert [len(cache) for cache in caches] == [0] * len(caches)
+    gc.collect()
+    assert towers and [ref() for ref in towers] == [None] * len(towers)
+
+
+def test_successive_scans_retain_little(capsys):
+    argv = ["scan --p 2 --n 10 --expect-collisions", "scan --p 3 --n 6 --expect-collisions"]
+    run(capsys, *argv[0].split())  # the parser and lazy imports are built once per process
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert [run(capsys, *a.split())[0] for a in argv] == [EXIT_OK, EXIT_OK]
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 18  # the two tables alone hold 1.1 MiB
