@@ -37,7 +37,7 @@ from .chars import MultChar, orbit_reps, regular_mask, ring_for
 from .converse import Assertion, Report, check, every_held
 from .errors import ArgumentError, GausslabError, ResourceCapError
 from .ff import DEFAULT_MAX_ELEMENTS, build_tower
-from .gauss import ScaledCyclo, gamma_n_by_1, gauss_S, hasse_davenport_check, tensor_gamma_rhs
+from .gauss import ScaledCyclo, gamma_n_by_1, hasse_davenport_check, tensor_gamma_rhs
 from .padic import gross_koblitz_check, stickelberger_check
 
 EXIT_OK = 0
@@ -121,7 +121,8 @@ def _cmd_field_info(args):
 def _cmd_gauss(args):
     tower = build_tower(args.p, args.f, args.n, max_elements=args.max_elements)
     c = MultChar(tower, args.e)
-    s = gauss_S(c)
+    tab = gauss.gauss_table(tower)
+    s = cyclo.CycloElement(tab.ring, tab.rows([c.e])[0])  # one row, not the whole S
     val, err = s.embed_complex()
     return Report({
         "exponent": c.e,

@@ -233,12 +233,11 @@ def counterexample_search(
     reps = _orbits_under(family, p, N, n)
     values: list[int] = []
     all_int = True
-    for e in family:
-        el = tab.element(e)
-        if el.is_integer():
-            values.append(el.int_value())
-        else:
+    for row in tab.rows(family):  # the family's sums alone, not the whole S
+        if np.any(row[1:]):
             all_int = False
+        else:
+            values.append(int(row[0]))
     expected = (-p) ** t
     all_match = all_int and all(v == expected for v in values)
     # group the family orbits by full twist signature

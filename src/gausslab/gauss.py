@@ -9,13 +9,16 @@ Conventions, fixed once for the whole artifact:
 * S(chi_e) = sum_j zeta_{q^n-1}^(e*j) * psi(Tr g^j).
 * G(beta, psi) = sum_a beta(a) psi(Tr a^{-1}) = S(beta^{-1}).
 
-Every Gauss sum is a row of a GaussTable, built from the histograms
+Every Gauss sum is a row of a GaussTable, computed from the histograms
 (_accel.gauss_counts) of the p-orbit minima of the exponents, since
-S(chi_{pe}) = S(chi_e).  The histograms reduce to exact tensor-basis
-coordinates by subtractions alone, which key the rows for signature scans;
-the power-basis coefficients are computed, by matrix reduction, only when a
-sum is read.  Both run in row blocks of about 1 MiB of histogram, so no
-table ever holds an (R, m) matrix of all its rows.  The whole-field table
+S(chi_{pe}) = S(chi_e).  A table keeps only the recipe of its rows and
+computes them when read, in row blocks of about 1 MiB of histogram, so a
+scan never holds an (R, m) or (R, phi) matrix of all its rows.  The
+histograms reduce to exact tensor-basis coordinates by subtractions alone;
+signature scans read only integer ids of the rows' values, numbered from
+digests of those coordinates with an exact recheck wherever digests meet.
+The power-basis coefficients are computed, by matrix reduction, only when a
+sum is read: all of them for `S`, a few for `rows`.  The whole-field table
 is cached per tower in `_TABLE_CACHE` and serves gauss_S; a CLI call
 empties that cache when it ends, so a table lives as long as the call that
 built its tower.  A table over a subfield F_{q^d} is owned by its caller
@@ -49,9 +52,25 @@ from .ff import FieldTower
 # ---------------------------------------------------------------------------
 # Gauss-sum tables
 
-# A table is built in row blocks of about this many bytes of int64 histogram,
-# so no (rows, m) matrix is ever held and each block stays in cache.
+# A table computes its rows in blocks of about this many bytes of int64
+# histogram, so no (rows, m) matrix is ever held and each block stays in cache.
 _BLOCK_BYTES = 1 << 20
+
+
+def _digest(key: bytes | tuple[int, ...]) -> int:
+    """A digest of a `cyclo.canonical_key`: equal keys, equal digests.  Rows
+    whose digests meet are compared in full (`GaussTable.value_id`), so the
+    digest's quality costs only rechecks, never exactness."""
+    return hash(key)
+
+
+def _put(out: np.ndarray, block: slice, part: np.ndarray) -> np.ndarray:
+    """`out` with `part` written into its rows `block`: an int64 `out`
+    becomes object first if `part` holds Python ints."""
+    if part.dtype == object and out.dtype != object:
+        out = out.astype(object)
+    out[block] = part
+    return out
 
 
 class GaussTable:
@@ -63,24 +82,31 @@ class GaussTable:
     subfield's own absolute trace, so S(chi_c) is the histogram of
     p*c*s*l + (q^n-1)*Tr(h^l) mod m in the tower's ring.  x -> x^p permutes
     the subfield and fixes the trace, so S(chi_{pc}) = S(chi_c): the table
-    computes one row per orbit of c -> p*c mod (q^d-1) (orbit lengths
-    dividing f*d), at the orbit minimum, and `row_of[c]` names the row of S
-    that holds S(chi_c).  At d = n, h = g and c is the plain exponent.
+    has one row per orbit of c -> p*c mod (q^d-1) (orbit lengths dividing
+    f*d), at the orbit minimum, and `row_of[c]` names the row that holds
+    S(chi_c).  At d = n, h = g and c is the plain exponent.
 
-    The histograms are laid out in the ring's tensor order and reduced by
-    `CycloRing.reduce_tensor` to their unique coordinates in the tensor
-    ("powerful") basis.  Both run one row block at a time, each block about
-    _BLOCK_BYTES of (rows, m) int64 histogram, and write into one (R, phi)
-    coordinate array.  Distinct orbits can share a sum, so each row gets
-    an id of its exact value: `value_id[r]` numbers the canonical keys of
-    those coordinate rows in first-seen order (`cyclo.value_ids`), and two
-    rows have equal ids exactly when the sums are equal.  `key(c)` is the id
-    of S(chi_c); signature scans compare these small integers and never need
-    the power basis.  `S`, the power-basis coefficients of every row, is
-    built from the coordinates on its first read, block by block through
-    `CycloRing.from_powerful`, in place of the coordinates, which the table
-    then drops.  Either array is int64 unless some block needs Python ints,
-    and then the whole array is object.
+    A table holds `row_of` and the recipe of its rows (the trace offsets and
+    the orbit-minimum exponents), never their coefficients: each reader
+    computes the rows it needs, one block of about _BLOCK_BYTES of (rows, m)
+    int64 histogram at a time.  A block's histograms are laid out in the
+    ring's tensor order and reduced by `CycloRing.reduce_tensor` to their
+    unique coordinates in the tensor ("powerful") basis.
+
+    * `value_id[r]` numbers the exact value of row r in first-seen order, so
+      two rows have equal ids exactly when their sums are equal; `key(c)` is
+      the id of S(chi_c).  Signature scans compare these small integers.
+      Each coordinate row is kept only as a digest of its canonical key;
+      rows whose digests meet are recomputed and their keys compared in full
+      before they share an id.
+    * `S`, the power-basis coefficients of every row, is built on its first
+      read through `CycloRing.from_powerful`; `rows(exps)` computes just the
+      rows of some exponents, for callers that read a few sums.  Either is
+      int64 unless some block needs Python ints, and then all of it is
+      object.
+
+    Neither `value_id` nor `S` builds the other, so scans never touch the
+    power basis and readers of sums never number them.
     """
 
     def __init__(self, tower: FieldTower, d: int | None = None):
@@ -94,40 +120,67 @@ class GaussTable:
         mins = orbit_minima(Nd, p, tower.f * d)
         reps = np.flatnonzero(mins == np.arange(Nd))
         self.row_of = np.searchsorted(reps, mins)
-        offsets = N * tower.subfield_traces(tower.f * d) % m  # psi(Tr h^l)
-        exps, position = reps * (N // Nd), self.ring.tensor_position
+        self._offsets = N * tower.subfield_traces(tower.f * d) % m  # psi(Tr h^l)
+        self._exps = reps * (N // Nd)
 
-        def coordinates(rows: slice) -> np.ndarray:
-            counts = _accel.gauss_counts(p, m, offsets, position=position, exps=exps[rows])
-            return self.ring.reduce_tensor(counts)
+    def _coordinates(self, rows: slice | np.ndarray) -> np.ndarray:
+        """Tensor-basis coordinates of the given rows, (len(rows), phi)."""
+        ring = self.ring
+        counts = _accel.gauss_counts(self.tower.p, ring.m, self._offsets,
+                                     position=ring.tensor_position, exps=self._exps[rows])
+        return ring.reduce_tensor(counts)
 
-        out = np.empty((len(reps), self.ring.phi), dtype=np.int64)
-        self._powerful = self._by_blocks(coordinates, out)
-        self.value_id = cyclo.value_ids(self._powerful)
-
-    def _by_blocks(self, build, out: np.ndarray) -> np.ndarray:
-        """`out`, an int64 (rows, phi) array, filled with build(block) over
-        consecutive row blocks of about _BLOCK_BYTES of m-wide int64
-        histogram each.  If some block returns Python ints, the whole array
-        becomes object, as one call on all rows would return it."""
+    def _blocks(self, n: int):
+        """Consecutive slices of range(n), each a block of about _BLOCK_BYTES
+        of m-wide int64 histogram."""
         step = max(1, _BLOCK_BYTES // (8 * self.ring.m))
-        for lo in range(0, len(out), step):
-            part = build(slice(lo, lo + step))
-            if part.dtype == object and out.dtype != object:
-                out = out.astype(object)
-            out[lo : lo + step] = part
+        return (slice(lo, lo + step) for lo in range(0, n, step))
+
+    @cached_property
+    def value_id(self) -> np.ndarray:
+        """An int64 id per row, numbering the rows' exact values in
+        first-seen order."""
+        R = len(self._exps)
+        digests = np.empty(R, dtype=np.int64)
+        for block in self._blocks(R):
+            digests[block] = [_digest(cyclo.canonical_key(row)) for row in self._coordinates(block)]
+        _, first, inverse, count = np.unique(digests, return_index=True, return_inverse=True,
+                                             return_counts=True)
+        # same[r] is the first row with the value of row r: the first row
+        # with its digest, unless that digest is shared, when the rows that
+        # share it are recomputed (in ascending order) and keyed exactly
+        same = first[inverse]
+        shared = np.flatnonzero(count[inverse] > 1)
+        seen: dict = {}
+        for block in self._blocks(len(shared)):
+            for r, row in zip(shared[block].tolist(), self._coordinates(shared[block])):
+                same[r] = seen.setdefault(cyclo.canonical_key(row), r)
+        return np.unique(same, return_inverse=True)[1].astype(np.int64)
+
+    def _power_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Power-basis coefficients of the given rows, (len(rows), phi);
+        int64 unless some block needs Python ints, then all object.  The
+        coordinates of every block are written into the result first and
+        then converted there, block by block, so no block is held twice
+        beside it.  (Converting each block as soon as it is computed peaks
+        no higher on the heap, but measured about 0.2 MB more RSS.)"""
+        out = np.empty((len(rows), self.ring.phi), dtype=np.int64)
+        for block in self._blocks(len(rows)):
+            out = _put(out, block, self._coordinates(rows[block]))
+        for block in self._blocks(len(rows)):
+            out = _put(out, block, self.ring.from_powerful(out[block]))
         return out
 
     @cached_property
     def S(self) -> np.ndarray:
         """Canonical (power-basis) coefficients, one row per orbit."""
-        powerful = self._powerful
-        # each block reads its rows before it overwrites them, so int64
-        # coordinates give their buffer to S
-        out = powerful if powerful.dtype == np.int64 else np.empty(powerful.shape, dtype=np.int64)
-        S = self._by_blocks(lambda rows: self.ring.from_powerful(powerful[rows]), out)
-        del self._powerful
-        return S
+        return self._power_rows(np.arange(len(self._exps)))
+
+    def rows(self, exps) -> np.ndarray:
+        """`S[row_of[exps]]`, computed for just those orbits."""
+        needed, inverse = np.unique(self.row_of[np.asarray(exps, dtype=np.int64) % self.mult_order],
+                                    return_inverse=True)
+        return self._power_rows(needed)[inverse]
 
     def element(self, e: int) -> cyclo.CycloElement:
         row = self.S[self.row_of[e % self.mult_order]]

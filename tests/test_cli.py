@@ -1,12 +1,16 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
 import pytest
 
-from gausslab import cli, cyclo, digits, gauss, gl2, padic
+import gausslab
+from gausslab import _accel, cli, cyclo, digits, gauss, gl2, padic
 from gausslab.chars import MultChar
 from gausslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, _literal_tensor_rhs_m1, main
 from gausslab.converse import (
@@ -180,6 +184,31 @@ def test_scan_reads_keys_only(capsys, monkeypatch):
     assert list(rings) == [6558]
     assert "table" not in vars(rings[6558])
     assert cyclo._RING_CACHE == {}  # released when main returned
+
+
+def test_gauss_reads_one_row(capsys, monkeypatch):
+    # `gauss --e` computes the histogram of its own orbit alone: neither the
+    # table's ids nor its whole S, which would compute every row
+    rows = []
+    gauss_counts = _accel.gauss_counts
+
+    def counting(*args, exps, **kwargs):
+        rows.append(len(exps))
+        return gauss_counts(*args, exps=exps, **kwargs)
+
+    monkeypatch.setattr(_accel, "gauss_counts", counting)
+    status, _, _ = run(capsys, "gauss", "--p", "2", "--n", "10", "--e", "5")
+    assert status == EXIT_OK and rows == [1]
+
+
+def test_the_cli_does_not_load_openssl():
+    # importing hashlib loads OpenSSL's _hashlib, about 3.6 MB of RSS in
+    # every CLI process; Gauss tables digest rows with the built-in hash
+    src = os.path.dirname(os.path.dirname(gausslab.__file__))
+    code = "import sys, gausslab.cli; sys.exit('_hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert proc.returncode == 0
 
 
 def test_etale_scan_command(capsys):

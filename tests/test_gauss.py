@@ -444,73 +444,178 @@ def test_value_ids_take_the_tuple_tier_past_2_62():
 
 # the scan-ladder fields, a subfield table (d < n) on each side of p | n/d,
 # and f = 2
-@pytest.mark.parametrize("p,f,n,d", [
+ROUTE_FIELDS = [
     (2, 1, 10, 10), (3, 1, 6, 6), (5, 1, 4, 4), (7, 1, 3, 3), (2, 1, 11, 11), (3, 1, 7, 7),
     (2, 1, 12, 12), (2, 1, 12, 4), (3, 1, 6, 2), (5, 2, 2, 2), (2, 2, 3, 1),
-])
+]
+
+
+def _recomputed(T, d, tab, position):
+    """The histograms of GaussTable(T, d), one row per orbit minimum, with
+    the count of zeta^e in column position[e]."""
+    ring, N, Nd = tab.ring, T.mult_order, tab.mult_order
+    reps = np.unique(tab.row_of, return_index=True)[1]  # the orbit minima
+    offsets = N * T.subfield_traces(T.f * d) % ring.m
+    return _accel.gauss_counts(T.p, ring.m, offsets, position=position, exps=reps * (N // Nd))
+
+
+def _row_arrays(tab):
+    """The names of the table's attributes that hold a matrix of rows."""
+    return sorted(k for k, v in vars(tab).items() if isinstance(v, np.ndarray) and v.ndim > 1)
+
+
+@pytest.mark.parametrize("p,f,n,d", ROUTE_FIELDS)
 def test_table_matches_the_power_basis_route(p, f, n, d):
-    """Keys from the tensor coordinates number the rows exactly as keys from
-    the power-basis rows do, and S, built on first read, is those rows: the
-    plain-order histograms reduced by one `reduce_matrix` call."""
+    """Ids number the rows exactly as the keys of their recomputed tensor
+    coordinates and of the power-basis rows do, and S, built on first read,
+    is those rows: the plain-order histograms reduced by one `reduce_matrix`
+    call.  The table holds no matrix of rows but S."""
     T = build_tower(p, f, n)
     tab = GaussTable(T, d)
-    ring, N, Nd = tab.ring, T.mult_order, T.q**d - 1
-    reps = np.unique(tab.row_of, return_index=True)[1]  # the orbit minima
-    offsets = N * T.subfield_traces(f * d) % ring.m
-    counts = _accel.gauss_counts(p, ring.m, offsets, position=np.arange(ring.m),
-                                 exps=reps * (N // Nd))
-    want = ring.reduce_matrix(counts)
+    ring = tab.ring
+    want = ring.reduce_matrix(_recomputed(T, d, tab, np.arange(ring.m)))
+    coords = ring.reduce_tensor(_recomputed(T, d, tab, ring.tensor_position))
+    assert np.array_equal(ring.from_powerful(coords), want)
+    assert np.array_equal(tab.value_id, value_ids(coords))
     assert np.array_equal(tab.value_id, value_ids(want))
-    assert "_powerful" in vars(tab) and "S" not in vars(tab)
+    assert _row_arrays(tab) == []
     assert tab.S.dtype == want.dtype and np.array_equal(tab.S, want)
-    assert "_powerful" not in vars(tab)  # dropped once S is built
+    assert _row_arrays(tab) == ["S"]
+
+
+def _counting_gauss_counts(monkeypatch):
+    """Wrap `_accel.gauss_counts`; the list returned collects the number of
+    rows of each call."""
+    calls, counts = [], _accel.gauss_counts
+
+    def counting(*args, exps, **kwargs):
+        calls.append(len(exps))
+        return counts(*args, exps=exps, **kwargs)
+
+    monkeypatch.setattr(_accel, "gauss_counts", counting)
+    return calls
+
+
+def test_tables_compute_only_what_is_read(monkeypatch):
+    """A table computes no row until it is read; readers of sums never build
+    ids, and `key` never builds S."""
+    calls = _counting_gauss_counts(monkeypatch)
+    T = build_tower(3, 1, 6)
+    tab = GaussTable(T)
+    assert calls == [] and "value_id" not in vars(tab) and "S" not in vars(tab)
+    tab.rows([5, 7])
+    assert "value_id" not in vars(tab) and "S" not in vars(tab)
+    tab.element(5)
+    assert "S" in vars(tab) and "value_id" not in vars(tab)
+    tab = GaussTable(T)
+    tab.key(5)
+    assert "value_id" in vars(tab) and "S" not in vars(tab)
+
+
+@pytest.mark.parametrize("p,f,n,d", [(3, 1, 6, 6), (2, 1, 12, 4), (5, 2, 2, 2), (2, 2, 3, 1)])
+def test_rows_are_the_rows_of_S(monkeypatch, p, f, n, d):
+    """`rows(exps)` is S[row_of[exps]] in values and dtype, for any exponents
+    (repeated, negative, past q^d - 1, sharing orbits), and computes each
+    orbit it reads once."""
+    T = build_tower(p, f, n)
+    want = GaussTable(T, d)
+    Nd = want.mult_order
+    exps = [1, 5, 1, -1, Nd + 5, 0, p % Nd, Nd - 2]
+    calls = _counting_gauss_counts(monkeypatch)
+    got = want.rows(exps)
+    assert sum(calls) == len(set(want.row_of[np.array(exps) % Nd].tolist()))
+    assert got.dtype == want.S.dtype and np.array_equal(got, want.S[want.row_of[np.array(exps) % Nd]])
+    assert want.rows([]).shape == (0, want.ring.phi)
+
+
+def _scaling_coordinates(monkeypatch, scaled_rows):
+    """Make GaussTable._coordinates return Python ints, times 2^62, on the
+    given rows: the blocks that hold them come back as object arrays."""
+    coordinates = GaussTable._coordinates
+
+    def scaled(self, rows):
+        out = coordinates(self, rows)
+        hit = np.isin(rows, scaled_rows)
+        if hit.any():
+            out = out.astype(object)
+            out[hit] *= 2**62
+        return out
+
+    monkeypatch.setattr(GaussTable, "_coordinates", scaled)
+
+
+@pytest.mark.parametrize("p,f,n,d", [(2, 1, 10, 10), (2, 1, 12, 4), (5, 2, 2, 2)])
+def test_row_blocks_match_one_block(monkeypatch, p, f, n, d):
+    """Tables read in one-row blocks and in blocks of three rows (a ragged
+    last block) have the value ids, S and rows of the default build, in
+    values and dtype.  One block of Python ints (rows 3 to 5) turns S and
+    every rows() call that reads it into Python ints, exactly, and its ids
+    still number the exact values."""
+    T = build_tower(p, f, n)
+    want = GaussTable(T, d)
+    R = len(want.value_id)
+    assert R % 3 != 0
+    exps = np.flatnonzero(np.isin(want.row_of, [0, 4, R - 1]))
+    scaled = want.S.astype(object)
+    scaled[3:6] *= 2**62
+    for rows in (None, 1, 3):
+        if rows is not None:
+            monkeypatch.setattr(gauss, "_BLOCK_BYTES", rows * 8 * want.ring.m)
+            tab = GaussTable(T, d)
+            assert tab.value_id.dtype == want.value_id.dtype
+            assert np.array_equal(tab.value_id, want.value_id)
+            assert tab.S.dtype == want.S.dtype and np.array_equal(tab.S, want.S)
+            got = GaussTable(T, d).rows(exps)
+            assert got.dtype == want.S.dtype and np.array_equal(got, want.S[want.row_of[exps]])
+        with monkeypatch.context() as patched:
+            _scaling_coordinates(patched, [3, 4, 5])
+            tab = GaussTable(T, d)
+            assert tab.S.dtype == object and np.array_equal(tab.S, scaled)
+            assert np.array_equal(tab.value_id, value_ids(scaled))
+            got = GaussTable(T, d).rows(exps)
+            assert got.dtype == object and np.array_equal(got, scaled[want.row_of[exps]])
+            got = GaussTable(T, d).rows(exps[want.row_of[exps] != 4])  # no scaled row read
+            assert got.dtype == np.int64
+
+
+@pytest.mark.parametrize("digest", [lambda key: 0, lambda key: hash(key) & 0xFF],
+                         ids=["constant", "low-byte"])
+@pytest.mark.parametrize("p,f,n,d", ROUTE_FIELDS + [(3, 1, 4, 4), (2, 1, 8, 8)])
+def test_value_ids_survive_digest_collisions(monkeypatch, p, f, n, d, digest):
+    """Rows whose digests meet are compared exactly, so a digest that
+    collides on every row, or on most of them, changes neither the id
+    partition nor the first-seen numbering."""
+    T = build_tower(p, f, n)
+    want = GaussTable(T, d).value_id
+    monkeypatch.setattr(gauss, "_digest", digest)
+    assert np.array_equal(GaussTable(T, d).value_id, want)
 
 
 def _peak_above_kept(build):
-    """build() and how far the traced heap peaked, during it, above what it
-    left allocated."""
+    """build(), the traced heap it left allocated, and how far the heap
+    peaked, during it, above that."""
     tracemalloc.start()
     try:
         out = build()
         now, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return out, peak - now
+    return out, now, peak - now
 
 
 def test_table_transient_is_bounded():
-    """At (2,12), building the table and the first read of S each peak less
-    than 8 MiB above the bytes they keep, so neither holds the (R, m)
-    histograms or the (R, s*k) power-basis rows of all R rows at once."""
+    """At (2,12), a table and its ids keep under 256 KiB and peak less than
+    4 MiB above that, so they hold neither the (R, m) histograms nor the
+    (R, phi) coordinates of all R rows, nor the keys of all their values.
+    The first read of S peaks less than 4 MiB above the S it keeps."""
     T = build_tower(2, 1, 12)
     GaussTable(T).S  # the ring's maps and table, which every later table shares
-    tab, over = _peak_above_kept(lambda: GaussTable(T))
+    tab, kept, over = _peak_above_kept(lambda: GaussTable(T))
+    assert "value_id" not in vars(tab)
+    _, ids_kept, ids_over = _peak_above_kept(lambda: tab.value_id)
     assert len(tab.value_id) * tab.ring.m * 8 > 16 << 20  # whole histograms: 22 MiB
-    assert over < 8 << 20
-    _, over = _peak_above_kept(lambda: tab.S)
-    assert over < 8 << 20
-
-
-@pytest.mark.parametrize("p,f,n,d", [(2, 1, 10, 10), (2, 1, 12, 4), (5, 2, 2, 2)])
-def test_row_blocks_match_one_block(monkeypatch, p, f, n, d):
-    """Tables built in one-row blocks and in blocks of three rows (a ragged
-    last block) have the value ids and S of the default build, in values and
-    dtype, and still drop the coordinates once S is built."""
-    T = build_tower(p, f, n)
-    want = GaussTable(T, d)
-    assert len(want.value_id) % 3 != 0
-    for rows in (1, 3):
-        monkeypatch.setattr(gauss, "_BLOCK_BYTES", rows * 8 * want.ring.m)
-        tab = GaussTable(T, d)
-        assert tab.value_id.dtype == want.value_id.dtype
-        assert np.array_equal(tab.value_id, want.value_id)
-        assert tab.S.dtype == want.S.dtype and np.array_equal(tab.S, want.S)
-        assert "_powerful" not in vars(tab)
-    # one block of Python ints (the second of three rows) turns the whole
-    # array into Python ints, exactly
-    coords = GaussTable(T, d)._powerful
-    big = lambda rows: coords[rows].astype(object) * 2**62 if rows.start == 3 else coords[rows]
-    out = tab._by_blocks(big, np.empty_like(coords))
-    scaled = coords.astype(object)
-    scaled[3:6] *= 2**62
-    assert out.dtype == object and np.array_equal(out, scaled)
+    assert len(tab.value_id) * tab.ring.phi * 8 > 4 << 20  # whole coordinates: 4.6 MiB
+    assert kept + ids_kept < 256 << 10
+    assert max(over, kept + ids_over) < 4 << 20
+    S, kept, over = _peak_above_kept(lambda: tab.S)
+    assert kept >= S.nbytes and over < 4 << 20
