@@ -16,9 +16,12 @@ F_{q^2}^x):
 
 Because this table is imported knowledge, a constructed character is gated
 before use: dimension, unit self-inner-product, orthogonality to the
-trivial character and to every Borel-induced character (cuspidality).  A
-wrong table cannot silently poison the cross-check; it raises
-FormulaValidationError.
+trivial character, and cuspidality.  A character is cuspidal when its
+Jacquet sums J(a, b) = sum_x chi_pi([[a, x], [0, b]]) over the unipotent
+radical of the Borel all vanish; by Frobenius reciprocity
+|G| <chi_pi, Ind(c1, c2)> = (q+1) sum_{a,b} J(a, b) conj(tau_c1(a) tau_c2(b)),
+so that is orthogonality to every Borel-induced character.  A wrong table
+cannot silently poison the cross-check; it raises FormulaValidationError.
 
 q is restricted to odd primes (default cap 7): conjugacy classes of 2x2
 matrices are resolved by the discriminant of the characteristic polynomial,
@@ -58,7 +61,7 @@ def _add_shifted(acc: np.ndarray, rows: np.ndarray, shifts: np.ndarray) -> None:
     """acc[b] += rows[b] * x^shifts[b] in Z[x]/(x^m - 1), m = acc.shape[1].
 
     `acc` is C-contiguous (a fresh array or a slice of whole rows of one);
-    `rows` is (B, L) or (1, L) with L <= m.  Within one row the target
+    `rows` is (B, L) with L <= m.  Within one row the target
     positions are distinct, so the fancy-indexed add is exact.
     """
     B, m = acc.shape
@@ -82,10 +85,10 @@ class GL2Group:
     """Conjugacy data of GL2(F_q) for odd prime q, with class lookup by
     (trace, det) and the quadratic-residue table of F_q.
 
-    The class tables the batched sums read (sizes, the classes of
-    [[0,1],[a,0]] u_x, the cuspidal and Borel-induced formulas as sparse
-    group-ring terms) are built once per group, on first use.  Build
-    through `gl2_group`, which validates q.
+    The class tables the batched sums read (sizes, the classes of the
+    Borel elements [[a,x],[0,b]], the cuspidal formula as sparse group-ring
+    terms) are built once per group, on first use.  Build through
+    `gl2_group`, which validates q.
     """
 
     def __init__(self, q: int):
@@ -154,16 +157,6 @@ class GL2Group:
         """Conjugacy class of (a, b, c, d) = [[a, b], [c, d]] over Z/q."""
         return self.classes[self.class_index(mat)]
 
-    def _index_of(self, label: str, params: tuple) -> int:
-        try:
-            return self._index[label, params]
-        except KeyError:  # pragma: no cover
-            raise ArgumentError(f"no class {label} {params}") from None
-
-    def psi(self, x: int) -> CycloElement:
-        """Additive character value zeta_q^x in the shared ring."""
-        return self.ring.zeta_pow(self.tower.mult_order * (x % self.q))
-
     def tau_exponent(self, k: int, a):
         """Exponent s with tau_k(a) = zeta_m^s, for a in F_q^x (int or array)."""
         q = self.q
@@ -182,11 +175,13 @@ class GL2Group:
         return np.array([c.size for c in self.classes], dtype=np.int64)
 
     @cached_property
-    def antidiag_classes(self) -> np.ndarray:
-        """(q-1, q) class indices of [[0,1],[a,0]] u_x: row a-1, column x."""
+    def borel_classes(self) -> np.ndarray:
+        """((q-1)^2, q) class indices of [[a,x],[0,b]]: row (a-1)*(q-1) + b-1,
+        column x."""
         q = self.q
         return np.array(
-            [[self.class_index((0, 1, a, a * x)) for x in range(q)] for a in range(1, q)],
+            [[self.class_index((a, x, 0, b)) for x in range(q)]
+             for a in range(1, q) for b in range(1, q)],
             dtype=np.intp,
         )
 
@@ -207,31 +202,6 @@ class GL2Group:
                 dlogs[i] = d, d * q % N
                 coefs[i] = -1, -1
         return dlogs, coefs
-
-    @cached_property
-    def borel_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exps, coefs) of the (q-1)^2 characters Ind from the Borel of the
-        torus character (c1, c2): character b = c1*(q-1) + c2 takes the value
-        sum_t coefs[c, t] * zeta_m^exps[b, c, t] on class c."""
-        q = self.q
-        C = len(self.classes)
-        # theta_{c1}(x) theta_{c2}(y) per term, as base-field dlogs of x, y
-        dx = np.zeros((C, 2), dtype=np.int64)
-        dy = np.zeros_like(dx)
-        coefs = np.zeros_like(dx)
-        dl = self._dlog_base
-        for i, c in enumerate(self.classes):
-            if c.label in ("central", "central-unipotent"):
-                z = dl[c.params[0]]
-                dx[i, 0] = dy[i, 0] = z
-                coefs[i, 0] = q + 1 if c.label == "central" else 1
-            elif c.label == "split":
-                a, b = dl[c.params[0]], dl[c.params[1]]
-                dx[i], dy[i] = (a, b), (b, a)
-                coefs[i] = 1, 1
-        c1, c2 = np.divmod(np.arange((q - 1) ** 2), q - 1)
-        exps = q * (q + 1) * (c1[:, None, None] * dx + c2[:, None, None] * dy) % self.ring.m
-        return exps, coefs
 
 
 _GROUP_CACHE: dict[int, GL2Group] = {}
@@ -287,9 +257,6 @@ class CuspidalCharacter:
         if validate:
             self._validate()
 
-    def value(self, cls: GL2Class) -> CycloElement:
-        return self.values[self.group._index_of(cls.label, cls.params)]
-
     def value_at(self, mat: tuple[int, int, int, int]) -> CycloElement:
         return self.values[self.group.class_index(mat)]
 
@@ -301,36 +268,41 @@ class CuspidalCharacter:
     # -- validation gates ---------------------------------------------------
 
     def _gate_products(self) -> np.ndarray:
-        """|G| <self, other> for other = self (row 0), the trivial character
-        (row 1) and the Borel-induced character (c1, c2) (row 2 + c1*(q-1) + c2),
-        as canonical rows.
+        """|G| <self, other> for other = self (row 0) and the trivial
+        character (row 1), as canonical rows.
 
-        Each product mine_c * conj(other_c) is a sum of shifted copies of the
-        canonical row mine_c, so one pass over the classes accumulates every
-        row in the group ring; the accumulator is reduced once.
+        One pass over the classes accumulates both rows in the group ring,
+        mine_c * conj(mine_c) as a convolution and mine_c * 1 as the row
+        itself; the accumulator is reduced once.
         """
         g = self.group
-        ring, q = g.ring, g.q
+        ring = g.ring
         m, phi = ring.m, ring.phi
-        exps, coefs = g.borel_terms
         V, vmax = self._rows()
-        # a class adds at most size * |mine|_1 * max|other| or size * max|mine| * |other|_1
-        dtype = _acc_dtype(g.order * vmax * max(phi * vmax, q + 1))
+        # a class adds at most size * |mine|_1 * max|mine| to row 0, and
+        # size * max|mine| to row 1
+        dtype = _acc_dtype(g.order * phi * vmax * vmax)
         V = V.astype(dtype)
         W = g.sizes.astype(dtype)[:, None] * V
-        acc = np.zeros((2 + len(exps), m), dtype=dtype)
+        acc = np.zeros((2, m), dtype=dtype)
         conj_pos = (np.arange(2 * phi - 1) - (phi - 1)) % m  # exponents of v * conj(v)
         for c in range(len(V)):
             acc[0, conj_pos] += np.convolve(W[c], V[c][::-1])
         acc[1, :phi] = W.sum(axis=0)
-        for c, t in np.argwhere(coefs).tolist():
-            _add_shifted(acc[2:], coefs[c, t] * W[c][None, :], -exps[:, c, t])
         return ring.reduce_matrix(acc)
 
+    def _jacquet_sums(self) -> np.ndarray:
+        """J(a, b) = sum_x chi([[a, x], [0, b]]) in row (a-1)*(q-1) + b-1, as
+        canonical rows: a sum of canonical rows needs no reduction."""
+        g = self.group
+        V, vmax = self._rows()
+        return V.astype(_acc_dtype(g.q * vmax))[g.borel_classes].sum(axis=1)
+
     def _validate(self) -> None:
-        """Every gate, on `values`.  The inner-product gates run before the
+        """Every gate, on `values`.  The inner-product gates and the
+        cuspidality gate (every Jacquet sum vanishes) run before the
         dimension gate, so the table of an irreducible non-cuspidal
-        character fails on the Borel character it meets."""
+        character fails on the first Jacquet sum J(a, b) it leaves nonzero."""
         g = self.group
         q = g.q
         products = self._gate_products()
@@ -338,64 +310,42 @@ class CuspidalCharacter:
             raise FormulaValidationError("self-inner-product gate failed")
         if np.any(products[1]):
             raise FormulaValidationError("orthogonality-to-trivial gate failed")
-        bad = np.flatnonzero(np.any(products[2:] != 0, axis=1))
+        bad = np.flatnonzero(np.any(self._jacquet_sums() != 0, axis=1))
         if len(bad):
-            c1, c2 = divmod(int(bad[0]), q - 1)
-            raise FormulaValidationError(
-                f"cuspidality gate failed against Borel character ({c1},{c2})"
-            )
-        dim = self.values[g._index_of("central", (1,))]
+            a, b = divmod(int(bad[0]), q - 1)
+            raise FormulaValidationError(f"cuspidality gate failed at diag({a + 1},{b + 1})")
+        dim = self.values[g.class_index((1, 0, 0, 1))]
         if not (dim.is_integer() and dim.int_value() == q - 1):
             raise FormulaValidationError("dimension gate failed")
 
-    @cached_property
-    def _antidiag_bessel(self) -> np.ndarray:
-        """(q-1, m) group-ring histograms of q * B([[0,1],[a,0]]), row a-1."""
+    def _bessel_hists(self, mats) -> np.ndarray:
+        """(len(mats), m) group-ring histograms of q * B(g), one row per
+        g = (a, b, c, d) in `mats`, unreduced."""
         g = self.group
         q, m = g.q, g.ring.m
         V, vmax = self._rows()
         # gamma_via_bessel adds q-1 rows of q terms each
         V = V.astype(_acc_dtype(q * (q - 1) * vmax))
-        cls = g.antidiag_classes.ravel()
-        shifts = np.tile(-g.tower.mult_order * np.arange(q), q - 1)  # psi(-x)
+        cls = [g.class_index((a, a * x + b, c, c * x + d)) for a, b, c, d in mats for x in range(q)]
+        shifts = np.tile(-g.tower.mult_order * np.arange(q), len(mats))  # psi(-x)
         hist = np.zeros((len(cls), m), dtype=V.dtype)
         _add_shifted(hist, V[cls], shifts)
-        return hist.reshape(q - 1, q, m).sum(axis=1)
+        return hist.reshape(len(mats), q, m).sum(axis=1)
+
+    @cached_property
+    def _antidiag_bessel(self) -> np.ndarray:
+        """Histograms of q * B([[0,1],[a,0]]), row a-1."""
+        return self._bessel_hists([(0, 1, a, 0) for a in range(1, self.group.q)])
 
 
 # ---------------------------------------------------------------------------
 # Bessel functions and gamma factors
 
 
-@dataclass(frozen=True)
-class BesselValue:
-    """Exact q * B(g): the Bessel average has denominator q."""
-
-    num: CycloElement
-
-    def __eq__(self, other):
-        if not isinstance(other, BesselValue):
-            return NotImplemented
-        return self.num == other.num
-
-    def __hash__(self):
-        return hash(self.num)
-
-
-def bessel(pi: CuspidalCharacter, mat: tuple[int, int, int, int]) -> BesselValue:
-    """B(g) = q^{-1} sum_x psi(-x) chi_pi(g * [[1, x], [0, 1]])."""
-    g = pi.group
-    q, ring = g.q, g.ring
-    a, b, c, d = mat
-    cls = [g.class_index((a, a * x + b, c, c * x + d)) for x in range(q)]
-    V, vmax = pi._rows()
-    hist = np.zeros((q, ring.m), dtype=_acc_dtype(q * vmax))
-    _add_shifted(hist, V[cls].astype(hist.dtype), -g.tower.mult_order * np.arange(q))
-    return BesselValue(CycloElement(ring, ring.reduce_vector(hist.sum(axis=0))))
-
-
-def bessel_at_identity(pi: CuspidalCharacter) -> BesselValue:
-    return bessel(pi, (1, 0, 0, 1))
+def bessel(pi: CuspidalCharacter, mat: tuple[int, int, int, int]) -> CycloElement:
+    """q * B(g), exact: B(g) = q^{-1} sum_x psi(-x) chi_pi(g * [[1, x], [0, 1]])."""
+    ring = pi.group.ring
+    return CycloElement(ring, ring.reduce_vector(pi._bessel_hists([mat])[0]))
 
 
 def gamma_via_bessel(pi: CuspidalCharacter, k: int) -> ScaledCyclo:

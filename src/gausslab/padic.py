@@ -320,11 +320,12 @@ class StickelbergerReport:
 
 def _embedded_gauss_sums(emb: PadicEmbedding, exponents) -> np.ndarray:
     """Embedded S(chi_e) for every exponent, (len, p-1, n): one product over
-    the rows of the whole-field Gauss table, one row per p-orbit."""
+    the needed rows of the whole-field Gauss table, one row per p-orbit,
+    and no other row computed."""
     table = gauss_table(emb.tower)
-    rows = table.row_of[np.asarray(exponents, dtype=np.int64) % table.mult_order]
-    needed, inverse = np.unique(rows, return_inverse=True)
-    return emb.embed_rows(table.S[needed])[inverse]
+    exps = np.asarray(exponents, dtype=np.int64) % table.mult_order
+    _, first, inverse = np.unique(table.row_of[exps], return_index=True, return_inverse=True)
+    return emb.embed_rows(table.rows(exps[first]))[inverse]
 
 
 def stickelberger_check(tower: FieldTower, exponents) -> list[StickelbergerReport]:

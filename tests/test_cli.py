@@ -201,6 +201,22 @@ def test_gauss_reads_one_row(capsys, monkeypatch):
     assert status == EXIT_OK and rows == [1]
 
 
+@pytest.mark.parametrize("command", ["stickelberger", "gross-koblitz"])
+def test_padic_sweeps_read_one_row(capsys, monkeypatch, command):
+    # a single-exponent p-adic sweep embeds its own orbit's row and computes
+    # no other: not the table's whole S
+    rows = []
+    gauss_counts = _accel.gauss_counts
+
+    def counting(*args, exps, **kwargs):
+        rows.append(len(exps))
+        return gauss_counts(*args, exps=exps, **kwargs)
+
+    monkeypatch.setattr(_accel, "gauss_counts", counting)
+    status, _, _ = run(capsys, command, "--p", "3", "--n", "4", "--e", "5")
+    assert status == EXIT_OK and rows == [1]
+
+
 def test_the_cli_does_not_load_openssl():
     # importing hashlib loads OpenSSL's _hashlib, about 3.6 MB of RSS in
     # every CLI process; Gauss tables digest rows with the built-in hash

@@ -8,7 +8,6 @@ from gausslab.gauss import gamma_n_by_1
 from gausslab.gl2 import (
     CuspidalCharacter,
     bessel,
-    bessel_at_identity,
     bessel_vector,
     gamma_via_bessel,
     gl2_group,
@@ -105,35 +104,35 @@ def test_dimension_and_central_values(G3):
 def test_bessel_identity_is_one(G3, G5):
     for G in (G3, G5):
         for c in regular_reps(G)[:3]:
-            b = bessel_at_identity(CuspidalCharacter(G, c))
-            assert b.num.int_value() == G.q  # q * B(I) = q
+            b = bessel(CuspidalCharacter(G, c), (1, 0, 0, 1))
+            assert b.int_value() == G.q  # q * B(I) = q
 
 
 def test_bessel_left_right_equivariance(G3):
     # B(u1 g u2) = psi(u1 u2) B(g) on random unipotent triples
     pi = CuspidalCharacter(G3, MultChar(G3.tower, 1))
-    q = G3.q
+    q, N = G3.q, G3.tower.mult_order
     base = (0, 1, 2, 0)
     for x1 in range(q):
         for x2 in range(q):
             a, b, c, d = base
             left = (a + x1 * c, b + x1 * d, c, d)
             both = (left[0], (left[0] * x2 + left[1]) % q, left[2], (left[2] * x2 + left[3]) % q)
-            lhs = bessel(pi, tuple(v % q for v in both)).num
-            rhs = G3.psi(x1 + x2) * bessel(pi, base).num
+            lhs = bessel(pi, tuple(v % q for v in both))
+            rhs = G3.ring.zeta_pow(N * (x1 + x2)) * bessel(pi, base)
             assert lhs == rhs
 
 
 def test_bessel_direct_average_oracle(G3):
     # recompute B on antidiag(1, a) by the literal 3-term average
     pi = CuspidalCharacter(G3, MultChar(G3.tower, 2))
-    q = G3.q
+    q, N = G3.q, G3.tower.mult_order
     for a in (1, 2):
         acc = G3.ring.zero()
         for x in range(q):
             gu = (0, 1, a, (a * x) % q)
-            acc = acc + G3.psi(-x) * pi.value_at(gu)
-        assert bessel(pi, (0, 1, a, 0)).num == acc
+            acc = acc + G3.ring.zeta_pow(-N * x) * pi.value_at(gu)
+        assert bessel(pi, (0, 1, a, 0)) == acc
 
 
 def test_gamma_cross_check_q3(G3):
@@ -164,7 +163,7 @@ def test_bessel_mirabolic_support(G3):
     pi = CuspidalCharacter(G3, MultChar(G3.tower, 1))
     for a in (2,):
         for b in range(3):
-            assert bessel(pi, (a, b, 0, 1)).num.is_zero()
+            assert bessel(pi, (a, b, 0, 1)).is_zero()
 
 
 def test_fourier_duality(G3):
@@ -181,7 +180,7 @@ def test_fourier_duality(G3):
             for _ in range(1 - g.power):
                 scaled = scaled.scale(q)
             acc = acc + scaled * G3.tau((q - 1 - k) % (q - 1), a)
-        expect = bessel(pi, (0, 1, a, 0)).num.scale(q - 1)
+        expect = bessel(pi, (0, 1, a, 0)).scale(q - 1)
         assert acc == expect
 
 
@@ -216,9 +215,7 @@ def reference_borel(G, c1, c2):
 
 
 def assert_products_match_reference(G, pi):
-    q = G.q
     others = [pi.values, [G.ring.one()] * len(G.classes)]
-    others += [reference_borel(G, c1, c2) for c1 in range(q - 1) for c2 in range(q - 1)]
     got = pi._gate_products()
     assert got.shape == (len(others), G.ring.phi)
     for row, other in zip(got, others):
@@ -239,6 +236,76 @@ def test_batched_gate_products_match_per_class_loop(q):
     assert np.all(np.any(got != 0, axis=1))
 
 
+def jacquet_tables(G, rng):
+    """(name, class-ordered table, whether every Jacquet sum vanishes)."""
+    ring = G.ring
+    labels = [c.label for c in G.classes]
+    tables = [(f"cuspidal {c.e}", CuspidalCharacter(G, c).values, True) for c in regular_reps(G)]
+    tables.append(("random", [ring.element(rng.integers(-3, 4, ring.m)) for _ in labels], False))
+    tables += [(f"principal series {c}", reference_borel(G, *c), False) for c in [(0, 1), (1, 1)]]
+    tampered = list(tables[0][1])
+    i = labels.index("central-unipotent")
+    tampered[i] = -tampered[i]
+    tables.append(("tampered central-unipotent", tampered, False))
+    # passes the Jacquet gate without being a character: J(a, a) =
+    # (q-1) z + (q-1) * (-z) = 0 and split values 0, whatever the elliptic values
+    z = [ring.element(rng.integers(-3, 4, ring.m)) for _ in range(G.q - 1)]
+    impostor = []
+    for c in G.classes:
+        if c.label == "central":
+            impostor.append(z[c.params[0] - 1].scale(G.q - 1))
+        elif c.label == "central-unipotent":
+            impostor.append(-z[c.params[0] - 1])
+        elif c.label == "split":
+            impostor.append(ring.zero())
+        else:
+            impostor.append(ring.element(rng.integers(-3, 4, ring.m)))
+    tables.append(("impostor", impostor, True))
+    return tables
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_jacquet_sums_are_borel_orthogonality(q):
+    # Frobenius reciprocity for any class function chi, value by value:
+    # |G| <chi, Ind(c1, c2)> = (q+1) sum_{a,b} J(a, b) conj(tau_c1(a) tau_c2(b))
+    G = gl2_group(q)
+    ring = G.ring
+    pi = CuspidalCharacter(G, regular_reps(G)[0], validate=False)
+    diag = [(a, b) for a in range(1, q) for b in range(1, q)]
+    for name, values, vanishes in jacquet_tables(G, np.random.default_rng(q)):
+        pi.values = values
+        J = pi._jacquet_sums()
+        assert J.shape == (len(diag), ring.phi), name
+        assert (not np.any(J)) == vanishes, name
+        for c1 in range(q - 1):
+            for c2 in range(q - 1):
+                acc = ring.zero()
+                for (a, b), row in zip(diag, J):
+                    acc = acc + ring.element(row) * (G.tau(c1, a) * G.tau(c2, b)).conj()
+                want = reference_inner(G, values, reference_borel(G, c1, c2))
+                assert acc.scale(q + 1) == want, (name, c1, c2)
+        if name == "impostor":
+            with pytest.raises(FormulaValidationError, match="self-inner-product"):
+                pi._validate()
+
+
+def test_bessel_takes_python_ints_above_the_int64_bound(G3):
+    # values scaled by 2^60 push every Bessel accumulator past 2^62
+    pi = CuspidalCharacter(G3, MultChar(G3.tower, 1))
+    s = 2**60
+    big = CuspidalCharacter(G3, pi.chi, validate=False)
+    big.values = [v.scale(s) for v in pi.values]
+    for mat in [(1, 0, 0, 1), (0, 1, 2, 0), (2, 1, 0, 1), (1, 2, 1, 0)]:
+        small, got = bessel(pi, mat), bessel(big, mat)
+        assert small.coeffs.dtype == np.int64 and got.coeffs.dtype == object
+        assert got.coeffs.tolist() == (small.coeffs.astype(object) * s).tolist()
+    for k in range(G3.q - 1):
+        small, got = gamma_via_bessel(pi, k), gamma_via_bessel(big, k)
+        assert small.num.coeffs.dtype == np.int64 and got.num.coeffs.dtype == object
+        assert got.power == small.power
+        assert got.num.coeffs.tolist() == (small.num.coeffs.astype(object) * s).tolist()
+
+
 def test_gate_products_take_python_ints_above_the_int64_bound(G3):
     pi = CuspidalCharacter(G3, MultChar(G3.tower, 1))
     small = pi._gate_products()
@@ -254,7 +321,8 @@ def test_gate_products_take_python_ints_above_the_int64_bound(G3):
 @pytest.mark.parametrize("q", [3, 5])
 def test_principal_series_table_trips_cuspidality_gate(q):
     # Ind(theta_0 x theta_1) is irreducible of dimension q + 1, has unit norm
-    # and is orthogonal to the trivial character: only the Borel gate sees it
+    # and is orthogonal to the trivial character: only the cuspidality gate
+    # sees it, at J(1, 1) = (q+1) + (q-1) * 1
     G = gl2_group(q)
     pi = CuspidalCharacter(G, regular_reps(G)[0], validate=False)
     pi.values = reference_borel(G, 0, 1)
@@ -262,7 +330,7 @@ def test_principal_series_table_trips_cuspidality_gate(q):
     got = pi._gate_products()
     assert got[0].tolist() == [G.order] + [0] * (G.ring.phi - 1)
     assert not np.any(got[1])
-    with pytest.raises(FormulaValidationError, match=r"cuspidality gate failed against Borel character \(0,1\)"):
+    with pytest.raises(FormulaValidationError, match=r"cuspidality gate failed at diag\(1,1\)"):
         pi._validate()
 
 

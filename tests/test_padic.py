@@ -5,7 +5,7 @@ from gausslab import build_tower, digits
 from gausslab.chars import MultChar, ring_for
 from gausslab.errors import ArgumentError
 from gausslab.ff import smallest_irreducible
-from gausslab.gauss import gauss_S
+from gausslab.gauss import gauss_S, gauss_table
 from gausslab.padic import (
     PadicEmbedding,
     RamifiedContext,
@@ -307,6 +307,29 @@ def test_batched_reports_match_the_per_element_route(p, n):
     mixed = [N - 1, 1, 1 + N, p, -1, 2]
     assert stickelberger_check(T, mixed) == [stickelberger_one(T, e) for e in mixed]
     assert gross_koblitz_check(T, mixed, 0) == [gross_koblitz_one(T, e, 0) for e in mixed]
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (2, 5)])
+def test_full_sweeps_embed_each_needed_row_once(monkeypatch, p, n):
+    # a sweep over every nontrivial exponent embeds each row of S that its
+    # exponents read, once, in row order
+    T = build_tower(p, 1, n)
+    table = gauss_table(T)
+    want = table.S[np.unique(table.row_of[1:])]
+    embedded = []
+    embed_rows = PadicEmbedding.embed_rows
+
+    def recording(self, C):
+        embedded.append(C.copy())
+        return embed_rows(self, C)
+
+    monkeypatch.setattr(PadicEmbedding, "embed_rows", recording)
+    exponents = range(1, T.mult_order)
+    stickelberger_check(T, exponents)
+    gross_koblitz_check(T, exponents, 0)
+    assert len(embedded) == 2
+    for got in embedded:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_quadratic_gauss_sum_is_minus_pi():

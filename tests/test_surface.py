@@ -24,7 +24,7 @@ ALLOWED = {
     "gl2.GL2Group.class_of": GL2_HELPER,
     "gl2.GL2Group.tau": GL2_HELPER,
     "gl2.CuspidalCharacter.value_at": GL2_HELPER,
-    "gl2.bessel_at_identity": GL2_HELPER,
+    "gl2.bessel": GL2_HELPER,
     "gl2.bessel_vector": GL2_HELPER,
     "digits.carry_graph": "acceptance criterion 5: the carry graph behind v_a",
     "digits.core_vertex_count": "acceptance criterion 5: v_a of the digit-sum drop identity",
