@@ -30,8 +30,8 @@ import numpy as np
 from . import digits, numth
 from .chars import MultChar, orbit_minima, orbit_reps, regular_exponents, regular_mask
 from .cyclo import value_ids
-from .errors import ArgumentError, ResourceCapError
-from .ff import DEFAULT_MAX_ELEMENTS, FieldTower, build_tower
+from .errors import ArgumentError
+from .ff import DEFAULT_MAX_ELEMENTS, FieldTower, build_tower, check_field
 from .gauss import GaussTable, etale_gauss, gauss_table
 from . import __version__
 
@@ -156,23 +156,18 @@ def scan_converse(tower: FieldTower, population: str = "regular") -> Report:
         # partition property: every orbit in exactly one class
         check("classes-partition-orbits", sum(len(v) for v in classes) == len(reps)),
     ]
-    # cross-module necessary conditions on any collision (prime base only)
-    if collisions and tower.f == 1 and tower.n >= 1:
-        consistent = True
-        for cls in collisions:
-            base = cls[0]
-            v0 = digits.expand(tower.p, tower.n, base)
-            for other in cls[1:]:
-                v1 = digits.expand(tower.p, tower.n, other)
-                if MultChar(tower, base).restrict_to_base() != MultChar(tower, other).restrict_to_base():
-                    consistent = False
-                if digits.digit_sum(v0) != digits.digit_sum(v1):
-                    consistent = False
-                if digits.digit_factorial_mod_p(v0) != digits.digit_factorial_mod_p(v1):
-                    consistent = False
-        assertions.append(
-            check("collisions-respect-central-character-and-digit-invariants", consistent)
-        )
+    # cross-module necessary conditions on any collision (prime base only):
+    # one (central character, digit sum, digit factorial) per class
+    if collisions and tower.f == 1:
+        def invariants(e: int) -> tuple[int, int, int]:
+            v = digits.expand(tower.p, tower.n, e)
+            return (MultChar(tower, e).restrict_to_base(), digits.digit_sum(v),
+                    digits.digit_factorial_mod_p(v))
+
+        assertions.append(check(
+            "collisions-respect-central-character-and-digit-invariants",
+            all(len({invariants(e) for e in cls}) == 1 for cls in collisions),
+        ))
     return Report(result, assertions)
 
 
@@ -223,6 +218,7 @@ def counterexample_search(
     if t < 1:
         raise ArgumentError("t must be >= 1")
     n = 2 * t
+    check_field(p, n, max_elements)  # before factoring p^t + 1
     d = p**t + 1
     phi_d = numth.euler_phi(d)
     feasible = phi_d >= 4 * t
@@ -281,10 +277,7 @@ def mersenne_check(n: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Repor
     """Spectrum injectivity across nontrivial orbits when 2^n - 1 is prime."""
     if n < 2:
         raise ArgumentError(f"mersenne needs n >= 2, got n={n}")
-    if 2**n > max_elements:
-        raise ResourceCapError(
-            f"field with {2**n} elements exceeds max_elements cap {max_elements}"
-        )
+    check_field(2, n, max_elements)
     N = 2**n - 1
     reps = _coset_reps_mod2(n)
     # s(c), the binary digit sum of every c in [0, N): a popcount, at most
@@ -323,25 +316,32 @@ def mersenne_check(n: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Repor
 # lemma suites over exhaustive scan data
 
 
-@dataclass
-class LemmaResult:
-    name: str
-    pairs_tested: int
-    cross_orbit_pairs: int
-    violations: list[dict]
-
-    @property
-    def status(self) -> str:
-        if self.violations:
-            return "fail"
-        return "pass" if self.pairs_tested else "inconclusive"
+def _pair_lemma(name: str, groups, orbit_min, compare) -> tuple[dict, Assertion]:
+    """One "equal sums => equal statistics" statement over every pair of
+    each group.  `compare(a, b)` is None when the pair lies outside the
+    statement's hypothesis, else the extras of its violations, one dict
+    each.  Pair counts are reported, so a vacuous run reads "inconclusive"
+    rather than passing."""
+    pairs = cross = 0
+    violations = []
+    for group in groups:
+        for a, b in itertools.combinations(group, 2):
+            found = compare(a, b)
+            if found is None:
+                continue
+            pairs += 1
+            cross += orbit_min[a] != orbit_min[b]
+            violations.extend({"pair": [a, b], **extra} for extra in found)
+    status = "fail" if violations else "pass" if pairs else "inconclusive"
+    tally = {"pairs_tested": pairs, "cross_orbit_pairs": cross}
+    return ({"name": name, **tally, "status": status},
+            Assertion(f"lemma-{name}", status, {**tally, "violations": violations[:5]}))
 
 
 def lemma_suite(tower: FieldTower) -> Report:
     """Assert the digit-statistic consequences of equal (twisted) Gauss sums
     on every pair of regular exponents in the field that satisfies each
-    statement's hypothesis.  Pair counts are reported so vacuous runs are
-    flagged rather than silently passing.
+    statement's hypothesis: one `_pair_lemma` row per statement.
     """
     if tower.f != 1:
         raise ArgumentError("lemma suite runs over prime-base fields (q = p)")
@@ -363,16 +363,13 @@ def lemma_suite(tower: FieldTower) -> Report:
 
     # per-exponent statistics, each computed once however many pairs read it
     @functools.cache
-    def sum_and_factorial(e: int) -> tuple[int, int]:
-        return digits.digit_sum(vecs[e]), digits.digit_factorial_mod_p(vecs[e])
+    def sums(e: int) -> tuple:
+        """Digit sum, digit factorial mod p and the key of S(omega^-e)."""
+        return digits.digit_sum(vecs[e]), digits.digit_factorial_mod_p(vecs[e]), tab.key((-e) % N)
 
     @functools.cache
-    def windows(e: int) -> tuple[int, ...]:
-        return tuple(digits.cyclic_window_product(vecs[e], w) for w in (0, 1, 2))
-
-    @functools.cache
-    def profile(e: int) -> tuple:
-        return digits.digit_profile(vecs[e])
+    def extremes(e: int) -> tuple[int, int]:
+        return max(vecs[e].digits), min(vecs[e].digits)
 
     @functools.cache
     def shifted_multisets(e: int) -> tuple:
@@ -382,46 +379,41 @@ def lemma_suite(tower: FieldTower) -> Report:
             for k in range(p - 1)
         )
 
-    r_sandt = LemmaResult("equal-sums-match-digit-sum-and-factorial", 0, 0, [])
-    r_windows = LemmaResult("equal-sums-match-windowed-products", 0, 0, [])
-    for group in by_S:
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                a, b = group[i], group[j]
-                cross = orbit_min[a] != orbit_min[b]
-                (sum_a, fac_a), (sum_b, fac_b) = sum_and_factorial(a), sum_and_factorial(b)
-                r_sandt.pairs_tested += 1
-                r_sandt.cross_orbit_pairs += cross
-                if sum_a != sum_b:
-                    r_sandt.violations.append({"pair": [a, b], "stat": "digit-sum"})
-                if fac_a != fac_b:
-                    r_sandt.violations.append({"pair": [a, b], "stat": "digit-factorial"})
-                if tab.key((-a) % N) != tab.key((-b) % N):
-                    r_sandt.violations.append({"pair": [a, b], "stat": "inverse-sums"})
-                r_windows.pairs_tested += 1
-                r_windows.cross_orbit_pairs += cross
-                for w, (xa, xb) in enumerate(zip(windows(a), windows(b))):
-                    if xa != xb:
-                        r_windows.violations.append({"pair": [a, b], "window": w})
+    @functools.cache
+    def windows(e: int) -> tuple[int, ...]:
+        return tuple(digits.cyclic_window_product(vecs[e], w) for w in (0, 1, 2))
 
-    r_extremes = LemmaResult("equal-signatures-match-extreme-digits", 0, 0, [])
-    r_multiset = LemmaResult("equal-signatures-match-digit-multisets", 0, 0, [])
-    for group in by_sig:
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                a, b = group[i], group[j]
-                cross = orbit_min[a] != orbit_min[b]
-                pa, pb = profile(a), profile(b)
-                r_extremes.pairs_tested += 1
-                r_extremes.cross_orbit_pairs += cross
-                if pa[0][0] != pb[0][0] or pa[0][-1] != pb[0][-1]:
-                    r_extremes.violations.append({"pair": [a, b]})
-                if n <= 5:
-                    r_multiset.pairs_tested += 1
-                    r_multiset.cross_orbit_pairs += cross
-                    for k, (da, db) in enumerate(zip(shifted_multisets(a), shifted_multisets(b))):
-                        if da != db:
-                            r_multiset.violations.append({"pair": [a, b], "k": k})
+    def placewise(key: str, stat, labels=None):
+        """compare() of a tuple statistic: one violation per differing place,
+        named by its label (by its index when there are no labels)."""
+        def compare(a, b):
+            names = labels or itertools.count()
+            return [{key: name} for name, x, y in zip(names, stat(a), stat(b)) if x != y]
+        return compare
+
+    def runs(a: int, b: int):
+        """A run of a's largest (smallest) digit must recur in b with the
+        same length and the same digit after it."""
+        va, vb = vecs[a], vecs[b]
+        (hi, lo), (hi_b, lo_b) = extremes(a), extremes(b)
+        if hi - lo <= 1 or shifted_multisets(a) != shifted_multisets(b):
+            return None
+        found, tested = [], False
+        for side, value_a, value_b in (("max", hi, hi_b), ("min", lo, lo_b)):
+            run_a = digits.cyclic_run(va, value_a)
+            if run_a is None:
+                continue
+            tested = True
+            run_b = digits.cyclic_run(vb, value_b)
+            if run_b is None:
+                found.append({"side": side})
+                continue
+            (sa, la), (sb, lb) = run_a, run_b
+            if la != lb:
+                found.append({"side": side + "-mult"})
+            elif va.digits[(sa + la) % n] != vb.digits[(sb + lb) % n]:
+                found.append({"side": side + "-next"})
+        return found if tested else None
 
     # The consecutive-run transfer is asserted on signature-equal pairs with
     # the same scope n <= 5 as the multiset statement it rests on.  Both
@@ -429,47 +421,21 @@ def lemma_suite(tower: FieldTower) -> Report:
     # counterexamples already at n = 4 ((1,0,2,2) vs (0,2,1,2) base 3), and
     # at n = 6 even signature equality plus equal multisets do not force the
     # transfer ((1,2,2,1,0,0) vs (2,1,2,0,1,0) base 3, exponents 52 vs 104).
-    r_consec = LemmaResult("equal-signatures-match-consecutive-runs", 0, 0, [])
-    # (side, run test, index of the side's digit in the sorted profile)
-    sides = (("max", digits.max_digits_consecutive, 0), ("min", digits.min_digits_consecutive, -1))
-    for group in by_sig if n <= 5 else []:
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                a, b = group[i], group[j]
-                va, vb = vecs[a], vecs[b]
-                pa, pb = profile(a), profile(b)
-                if pa[0][0] - pa[0][-1] <= 1:
-                    continue
-                if shifted_multisets(a) != shifted_multisets(b):
-                    continue
-                cross = orbit_min[a] != orbit_min[b]
-                tested = False
-                for side, consecutive, k in sides:
-                    if not consecutive(va):
-                        continue
-                    tested = True
-                    if not consecutive(vb):
-                        r_consec.violations.append({"pair": [a, b], "side": side})
-                        continue
-                    sa, la = digits.run_start_and_length(va, pa[0][k])
-                    sb, lb = digits.run_start_and_length(vb, pb[0][k])
-                    if la != lb:
-                        r_consec.violations.append({"pair": [a, b], "side": side + "-mult"})
-                    elif va.digits[(sa + la) % n] != vb.digits[(sb + lb) % n]:
-                        r_consec.violations.append({"pair": [a, b], "side": side + "-next"})
-                if tested:
-                    r_consec.pairs_tested += 1
-                    r_consec.cross_orbit_pairs += cross
-
-    result = {"p": p, "n": n, "stamp": convention_stamp(tower), "lemmas": []}
-    assertions = []
-    for r in (r_sandt, r_extremes, r_multiset, r_consec, r_windows):
-        tally = {"pairs_tested": r.pairs_tested, "cross_orbit_pairs": r.cross_orbit_pairs}
-        result["lemmas"].append({"name": r.name, **tally, "status": r.status})
-        assertions.append(
-            Assertion(f"lemma-{r.name}", r.status, {**tally, "violations": r.violations[:5]})
-        )
-    return Report(result, assertions)
+    by_sig_in_scope = by_sig if n <= 5 else []
+    rows = [
+        _pair_lemma("equal-sums-match-digit-sum-and-factorial", by_S, orbit_min,
+                    placewise("stat", sums, ("digit-sum", "digit-factorial", "inverse-sums"))),
+        _pair_lemma("equal-signatures-match-extreme-digits", by_sig, orbit_min,
+                    lambda a, b: [] if extremes(a) == extremes(b) else [{}]),
+        _pair_lemma("equal-signatures-match-digit-multisets", by_sig_in_scope, orbit_min,
+                    placewise("k", shifted_multisets)),
+        _pair_lemma("equal-signatures-match-consecutive-runs", by_sig_in_scope, orbit_min, runs),
+        _pair_lemma("equal-sums-match-windowed-products", by_S, orbit_min,
+                    placewise("window", windows)),
+    ]
+    result = {"p": p, "n": n, "stamp": convention_stamp(tower),
+              "lemmas": [row for row, _ in rows]}
+    return Report(result, [assertion for _, assertion in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +477,7 @@ def etale_signature_scan(
         raise ArgumentError(f"degree n must be positive, got n={n}")
     q = p**f
     L = lcm(*range(1, n + 1))
+    check_field(p, f * L, max_elements)  # before the master tower's p^(f*L)
     master = build_tower(p, f, L, max_elements=max_elements)
     NL = master.mult_order
     bound = n < (q - 1) / (2 * math.sqrt(q)) + 1

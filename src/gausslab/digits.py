@@ -9,9 +9,10 @@ all-(p-1) representative instead, so the digit-sum drop identity is checked
 through `digit_sum_shifted`, which uses zero_rep="full" on the shifted class.
 
 Statistics: digit_sum (s), digit_factorial_mod_p (t mod p), the p-free
-factorial N!', the cyclic windowed-factorial product mod p^(m+1) (V_m), and
+factorial N!', the cyclic windowed-factorial product mod p^(m+1) (V_m),
 truncated p-adic gamma values by the digit-window formula as well as by the
-direct product definition at integer arguments.
+direct product definition at integer arguments, and cyclic runs: the start
+and length of the one cyclic run that the places of a digit value may form.
 """
 
 from __future__ import annotations
@@ -37,12 +38,6 @@ class DigitVector:
     def digit(self, j: int) -> int:
         """Cyclic access, 1-based like the positional expansion."""
         return self.digits[(j - 1) % self.n]
-
-    def value(self) -> int:
-        out = 0
-        for d in reversed(self.digits):
-            out = out * self.p + d
-        return out
 
 
 def expand(p: int, n: int, e: int, zero_rep: str = "zero") -> DigitVector:
@@ -219,49 +214,15 @@ def core_vertex_count(v: DigitVector, a: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# value profile and cyclic-run predicates
+# cyclic runs
 
 
-def digit_profile(v: DigitVector) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(distinct values descending, their multiplicities, count r)."""
-    values = sorted(set(v.digits), reverse=True)
-    mult = tuple(sum(1 for d in v.digits if d == val) for val in values)
-    return tuple(values), mult, len(values)
-
-
-def _is_cyclic_run(positions: set[int], n: int) -> bool:
-    k = len(positions)
-    if k == 0:
-        return False
-    if k == n:
-        return True
-    return any(
-        all((start + t) % n in positions for t in range(k))
-        for start in range(n)
-        if start in positions
-    )
-
-
-def max_digits_consecutive(v: DigitVector) -> bool:
-    top = max(v.digits)
-    return _is_cyclic_run({i for i, d in enumerate(v.digits) if d == top}, v.n)
-
-
-def min_digits_consecutive(v: DigitVector) -> bool:
-    bot = min(v.digits)
-    return _is_cyclic_run({i for i, d in enumerate(v.digits) if d == bot}, v.n)
-
-
-def run_start_and_length(v: DigitVector, value: int) -> tuple[int, int]:
-    """0-based start and length of the cyclic run of `value` positions.
-
-    Caller must know the positions form a single cyclic run.
-    """
-    positions = {i for i, d in enumerate(v.digits) if d == value}
-    k = len(positions)
-    if k == v.n:
-        return 0, k
-    for start in sorted(positions):
-        if (start - 1) % v.n not in positions:
-            return start, k
-    raise ArgumentError("positions do not form a cyclic run")
+def cyclic_run(v: DigitVector, value: int) -> tuple[int, int] | None:
+    """(0-based start, length) when the places holding `value` form one
+    cyclic run, (0, n) when every digit is `value`, None otherwise."""
+    places = [i for i, d in enumerate(v.digits) if d == value]
+    if len(places) == v.n:
+        return 0, v.n
+    # a run starts where the digit before it differs; d[-1] precedes d[0]
+    starts = [i for i in places if v.digits[i - 1] != value]
+    return (starts[0], len(places)) if len(starts) == 1 else None

@@ -289,6 +289,22 @@ def _mul_by_matrix(p: int, modulus: np.ndarray, g_enc: int) -> np.ndarray:
     return mat
 
 
+def check_field(p: int, d: int, max_elements: int) -> None:
+    """Refuse F_{p^d} unless p^d <= max_elements and p is prime.
+
+    p^d is never formed, since it may have millions of digits: every power
+    p^k, p >= 2, with k >= max_elements.bit_length() exceeds the cap, so the
+    exponent is clipped there before the comparison.  The size is checked
+    first, so trial division never runs on a p above the cap.
+    """
+    if p ** min(d, max_elements.bit_length()) > max_elements:
+        raise ResourceCapError(
+            f"field with {p}^{d} elements exceeds max_elements cap {max_elements}"
+        )
+    if not numth.is_prime(p):
+        raise PrimalityError(f"p = {p} is not prime")
+
+
 def build_tower(
     p: int,
     f: int,
@@ -300,16 +316,11 @@ def build_tower(
 
     Deterministic: the modulus and generator depend only on (p, f, n).
     """
-    if not numth.is_prime(p):
-        raise PrimalityError(f"p = {p} is not prime")
     if f < 1 or n < 1:
         raise ArgumentError(f"degrees must be positive, got f={f}, n={n}")
     d = f * n
+    check_field(p, d, max_elements)
     order = p**d
-    if order > max_elements:
-        raise ResourceCapError(
-            f"field with {order} elements exceeds max_elements cap {max_elements}"
-        )
     modulus = smallest_irreducible(p, d)
     N = order - 1
 

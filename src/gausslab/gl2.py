@@ -44,7 +44,7 @@ import numpy as np
 from .chars import MultChar, ring_for
 from .cyclo import _I64_SAFE, CycloElement, canonical_key
 from .errors import ArgumentError, FormulaValidationError, ResourceCapError
-from .ff import DEFAULT_MAX_ELEMENTS, build_tower
+from .ff import DEFAULT_MAX_ELEMENTS, build_tower, check_field
 from .gauss import ScaledCyclo
 from .numth import is_prime
 
@@ -218,10 +218,7 @@ def gl2_group(
         raise ArgumentError(f"GL2 oracle needs an odd prime q, got {q}")
     if q > max_q:
         raise ResourceCapError(f"q = {q} exceeds the GL2 cap max_q = {max_q}")
-    if q * q > max_elements:
-        raise ResourceCapError(
-            f"field with {q * q} elements exceeds max_elements cap {max_elements}"
-        )
+    check_field(q, 2, max_elements)
     g = _GROUP_CACHE.get(q)
     if g is None:
         g = GL2Group(q)

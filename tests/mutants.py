@@ -5,9 +5,10 @@ A mutant is (name, file, old text, new text, test ids).  For every mutant,
 temporary directory, replaces the one occurrence of the old text in that
 copy's file, and runs the named tests there with pytest.  The mutant is
 killed when every named test fails; a test id without parameters fails when
-any of its cases does.  The exit status is 0 when every mutant is killed and
-1 otherwise.  Standard library only; `tests/test_mutants.py` checks in the
-test suite that every old text still occurs exactly once.
+any of its cases does, and one with parameters (`test_x[a b]`) names one
+case.  The exit status is 0 when every mutant is killed and 1 otherwise.
+Standard library only; `tests/test_mutants.py` checks in the test suite that
+every old text still occurs exactly once.
 """
 
 from __future__ import annotations
@@ -62,9 +63,175 @@ MUTANTS = [
         ("tests/test_padic.py::test_image_matrix_is_the_sequential_powers",
          "tests/test_padic.py::test_kronecker_matrices_match_the_schoolbook_product"),
     ),
+    Mutant(
+        "reduce-fold-sign-always-plus",
+        "src/gausslab/cyclo.py",
+        "(np.add if self._sign ** j > 0 else np.subtract)(mat, wide[:, j], out=mat)",
+        "np.add(mat, wide[:, j], out=mat)",
+        ("tests/test_cyclo.py::test_reduce_examples",
+         "tests/test_cyclo.py::test_reduce_matrix_matches_dense_table_reference[120]"),
+    ),
+    Mutant(
+        "reduce-kernel-not-deinterleaved",
+        "src/gausslab/cyclo.py",
+        'kernel = tail.transpose(0, 2, 1).astype(carrier, order="C").reshape(b * s, n)',
+        'kernel = tail.astype(carrier, order="C").reshape(b * s, n)',
+        ("tests/test_cyclo.py::test_reduce_matrix_matches_dense_table_reference[120]",),
+    ),
+    Mutant(
+        "tensor-last-block-not-subtracted",
+        "src/gausslab/cyclo.py",
+        "out = (head - last).reshape(",
+        "out = (head + 0 * last).reshape(",
+        ("tests/test_cyclo.py::test_powerful_basis_round_trip[105]",),
+    ),
+    Mutant(
+        "tensor-last-axis-skipped",
+        "src/gausslab/cyclo.py",
+        "for axis, (l, mi) in enumerate(self._axes, start=1):",
+        "for axis, (l, mi) in enumerate(self._axes[:-1], start=1):",
+        ("tests/test_cyclo.py::test_powerful_basis_round_trip[105]",),
+    ),
+    Mutant(
+        "tensor-positions-not-crt",
+        "src/gausslab/cyclo.py",
+        "position = position * mi + e % mi",
+        "position = e.copy()",
+        ("tests/test_cyclo.py::test_powerful_basis_round_trip[105]",
+         "tests/test_gauss.py::test_table_matches_naive_oracle"),
+    ),
+    Mutant(
+        "etale-epsilon-dropped",
+        "src/gausslab/gauss.py",
+        "return -prod if (sum(parts) - len(parts)) % 2 else prod",
+        "return prod",
+        ("tests/test_gauss.py::test_etale_signs",
+         "tests/test_gauss.py::test_etale_sign_and_direct_summation"),
+    ),
+    Mutant(
+        "tensor-rhs-parities-swapped",
+        "src/gausslab/gauss.py",
+        "(chi_e * (m - 1) + eta_e * (n - 1)) % 2",
+        "(chi_e * (n - 1) + eta_e * (m - 1)) % 2",
+        ("tests/test_gauss.py::test_tensor_rhs_m1_consistency",
+         "tests/test_cli.py::test_tensor_rhs_m1_equals_the_literal_sum[5-1-2]"),
+    ),
+    Mutant(
+        "tensor-rhs-eta-inverted",
+        "src/gausslab/gauss.py",
+        "E = chi_e * (NN // (q**n - 1)) + eta_e * (NN // (q**m - 1))",
+        "E = chi_e * (NN // (q**n - 1)) - eta_e * (NN // (q**m - 1))",
+        ("tests/test_gauss.py::test_tensor_rhs_m1_consistency",
+         "tests/test_cli.py::test_tensor_rhs_m1_equals_the_literal_sum[2-2-2]"),
+    ),
+    Mutant(
+        "table-last-block-skipped",
+        "src/gausslab/gauss.py",
+        "return (slice(lo, lo + step) for lo in range(0, n, step))",
+        "return (slice(lo, lo + step) for lo in range(0, n - step, step))",
+        ("tests/test_gauss.py::test_row_blocks_match_one_block",
+         "tests/test_gauss.py::test_table_matches_naive_oracle"),
+    ),
+    Mutant(
+        "table-object-promotion-dropped",
+        "src/gausslab/gauss.py",
+        "    if part.dtype == object and out.dtype != object:",
+        "    if False:",
+        ("tests/test_gauss.py::test_row_blocks_match_one_block",),
+    ),
+    Mutant(
+        "value-ids-are-row-numbers",
+        "src/gausslab/gauss.py",
+        "return np.unique(same, return_inverse=True)[1].astype(np.int64)",
+        "return np.arange(R, dtype=np.int64)",
+        ("tests/test_gauss.py::test_value_ids_are_exact",),
+    ),
+    Mutant(
+        "stickelberger-residue-shift-s-plus-1",
+        "src/gausslab/padic.py",
+        "head = emb.ctx.shift_down(X[at_s], [s[i] for i in at_s])[:, 0, :]",
+        "head = emb.ctx.shift_down(X[at_s], [s[i] + 1 for i in at_s])[:, 0, :]",
+        ("tests/test_padic.py::test_stickelberger_examples[3-2]",),
+    ),
+    Mutant(
+        "int64-product-mod-dropped",
+        "src/gausslab/padic.py",
+        "            return A @ B % modulus",
+        "            return A @ B",
+        ("tests/test_padic.py::test_embed_matches_per_term_sum[3-2]",
+         "tests/test_padic.py::test_image_matrix_is_the_sequential_powers[3-2]"),
+    ),
+    Mutant(
+        "pi-shift-sign-plus-p",
+        "src/gausslab/padic.py",
+        "return src // ((-self.p) ** (t // self.e).astype(object))[:, :, None] % self.pK",
+        "return src // (self.p ** (t // self.e).astype(object))[:, :, None] % self.pK",
+        ("tests/test_padic.py::test_division",
+         "tests/test_padic.py::test_pi_shift_gives_the_residue_over_zeta_p_minus_one[3-3]"),
+    ),
+    Mutant(
+        "image-rows-one-power-high",
+        "src/gausslab/padic.py",
+        "rows[filled:filled + take] = _matmul_mod(rows[:take], power, ctx.pK)",
+        "rows[filled:filled + take] = _matmul_mod(rows[1:take + 1], power, ctx.pK)",
+        ("tests/test_padic.py::test_image_matrix_is_the_sequential_powers[3-2]",),
+    ),
+    Mutant(
+        "image-doubling-mod-dropped",
+        "src/gausslab/padic.py",
+        "power = _matmul_mod(power, power, ctx.pK)",
+        "power = power @ power",
+        ("tests/test_padic.py::test_image_matrix_is_the_sequential_powers[3-2]",),
+    ),
+    Mutant(
+        "pi-power-is-plus-p",
+        "src/gausslab/padic.py",
+        "self.pi = _companion((p,) + (0,) * (p - 2), self.pK)",
+        "self.pi = _companion((-p,) + (0,) * (p - 2), self.pK)",
+        ("tests/test_padic.py::test_zeta_p_lift",
+         "tests/test_padic.py::test_zeta_p_lift_is_the_dwork_root[3-1]"),
+    ),
+    Mutant(
+        "teichmueller-after-one-step",
+        "src/gausslab/padic.py",
+        "        if (T2 == T).all():\n            return T\n        T = T2",
+        "        return T2",
+        ("tests/test_padic.py::test_teichmuller_basics",
+         "tests/test_padic.py::test_embed_is_morphism",
+         "tests/test_padic.py::test_quadratic_gauss_sum_is_minus_pi"),
+    ),
+    Mutant(
+        "newton-stop-tested-at-padded-precision",
+        "src/gausslab/padic.py",
+        "if not (g % ctx.pK).any():",
+        "if not g.any():",
+        ("tests/test_padic.py::test_zeta_p_lift_is_the_dwork_root[3-1]",),
+    ),
+    Mutant(
+        "lemma-violations-dropped",
+        "src/gausslab/converse.py",
+        'violations.extend({"pair": [a, b], **extra} for extra in found)',
+        "violations.extend([])",
+        ("tests/test_converse.py::test_lemma_suite_reports_violations",),
+    ),
+    Mutant(
+        "lemma-cross-orbit-counts-same-orbit-pairs",
+        "src/gausslab/converse.py",
+        "cross += orbit_min[a] != orbit_min[b]",
+        "cross += orbit_min[a] == orbit_min[b]",
+        ("tests/test_cli.py::test_report_bytes_pinned[lemmas --p 3 --n 4]",),
+    ),
+    Mutant(
+        "cyclic-run-without-wrap-around",
+        "src/gausslab/digits.py",
+        "starts = [i for i in places if v.digits[i - 1] != value]",
+        "starts = [i for i in places if i == 0 or v.digits[i - 1] != value]",
+        ("tests/test_digits.py::test_cyclic_runs",),
+    ),
 ]
 
-_FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+# a summary line is "FAILED <id> - <message>"; a parametrised id may hold spaces
+_FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
 
 
 def _failed(test_id: str, failed: set[str]) -> bool:

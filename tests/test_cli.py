@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 
@@ -288,6 +289,23 @@ def test_etale_scan_ok_agrees_with_exit_code(capsys, argv, library, exit_code):
 def test_max_elements_reaches_library_towers(capsys, argv):
     status, _, err = run(capsys, *argv.split())
     assert status == EXIT_RESOURCE and "max_elements cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "scan --p 2 --n 20000",  # p^d has more digits than an int may be printed with (4,300)
+    "mersenne --n 20000",
+    "gauss --p 2 --n 100000000 --e 1",
+    "etale-scan --p 2 --n 12",  # master degree lcm(1..12) = 27,720
+    "etale-scan --p 2 --n 30",  # p^lcm(1..30) does not fit in memory
+    "counterexample --t 100",  # refused before factoring 3^100 + 1
+    "field-info --p 1000000000000000003 --n 1",  # refused before trial division of p
+])
+def test_huge_fields_are_refused_by_the_element_cap(capsys, argv):
+    start = time.perf_counter()
+    status, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (status, out) == (EXIT_RESOURCE, "")
+    assert "max_elements cap" in err and "^" in err
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 
 from gausslab import build_tower
 from gausslab.chars import MultChar, orbit_reps, regular_exponents
+from gausslab.cli import EXIT_VIOLATION, main
 from gausslab.converse import (
     convention_stamp,
     counterexample_search,
@@ -210,6 +211,39 @@ def test_lemma_suite_on_counterexample_field(f729):
     by_name = {r["name"]: r for r in rep.result["lemmas"]}
     assert by_name["equal-signatures-match-digit-multisets"]["status"] == "inconclusive"
     assert rep.ok
+
+
+def test_lemma_suite_reports_violations(capsys, monkeypatch):
+    # a wrong expansion on every exponent e = 3 mod 7: digits 0 and 2 swapped
+    # and digit 1 raised by one (kept below p); every statement must see it
+    expand = D.expand
+
+    def corrupted(p, n, e, zero_rep="zero"):
+        v = expand(p, n, e, zero_rep)
+        if e % 7 != 3:
+            return v
+        d = list(v.digits)
+        d[0], d[2] = d[2], d[0]
+        d[1] = min(d[1] + 1, p - 1)
+        return D.DigitVector(p, n, tuple(d))
+
+    monkeypatch.setattr(D, "expand", corrupted)
+    rep = lemma_suite(build_tower(3, 1, 4))
+    shapes = {
+        "equal-sums-match-digit-sum-and-factorial": {"pair", "stat"},
+        "equal-signatures-match-extreme-digits": {"pair"},
+        "equal-signatures-match-digit-multisets": {"pair", "k"},
+        "equal-signatures-match-consecutive-runs": {"pair", "side"},
+        "equal-sums-match-windowed-products": {"pair", "window"},
+    }
+    assert [r["status"] for r in rep.result["lemmas"]] == ["fail"] * 5
+    assert [a.name for a in rep.assertions] == [f"lemma-{name}" for name in shapes]
+    for assertion, shape in zip(rep.assertions, shapes.values()):
+        violations = assertion.witness["violations"]
+        assert assertion.status == "fail" and 0 < len(violations) <= 5
+        assert all(set(v) == shape for v in violations), assertion.name
+    assert main(["lemmas", "--p", "3", "--n", "4"]) == EXIT_VIOLATION
+    assert json.loads(capsys.readouterr().out)["result"]["lemmas"] == rep.result["lemmas"]
 
 
 def test_etale_scan_q13():

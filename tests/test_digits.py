@@ -27,9 +27,9 @@ def test_nonzero_class_unique_representative():
     for p, n in [(3, 3), (5, 2)]:
         N = p**n - 1
         for e in range(1, N):
-            v = D.expand(p, n, e)
-            assert 1 <= v.value() <= N - 1
-            assert v.value() % N == e
+            value = sum(d * p**i for i, d in enumerate(D.expand(p, n, e).digits))
+            assert 1 <= value <= N - 1
+            assert value % N == e
 
 
 @settings(max_examples=60, deadline=None)
@@ -45,8 +45,11 @@ def test_shift_invariance_of_statistics(pn, e, j):
         assert D.cyclic_window_product(v, m) == D.cyclic_window_product(w, m)
     for a in range(1, p):
         assert D.core_vertex_count(v, a) == D.core_vertex_count(w, a)
-    assert D.max_digits_consecutive(v) == D.max_digits_consecutive(w)
-    assert D.min_digits_consecutive(v) == D.min_digits_consecutive(w)
+    # w's digits are v's rotated by j places: runs keep their length
+    for pick in (max, min):
+        run_v, run_w = D.cyclic_run(v, pick(v.digits)), D.cyclic_run(w, pick(w.digits))
+        assert (run_v is None) == (run_w is None)
+        assert run_v is None or run_v[1] == run_w[1]
 
 
 def test_negation_duality():
@@ -56,8 +59,7 @@ def test_negation_duality():
             v = D.expand(p, n, e)
             w = D.expand(p, n, N - e)
             assert w.digits == tuple(p - 1 - d for d in v.digits)
-            pv, pw = D.digit_profile(v), D.digit_profile(w)
-            assert pw.__getitem__(0)[0] == p - 1 - pv[0][-1]
+            assert max(w.digits) == p - 1 - min(v.digits)
 
 
 def test_prime_free_factorial():
@@ -156,12 +158,12 @@ def test_digit_sum_drop_identity_exhaustive(p, nmax):
                 assert lhs == rhs, (p, n, e, a)
 
 
-def test_profiles_and_runs():
+def test_cyclic_runs():
     v = D.DigitVector(3, 4, (2, 2, 1, 0))
-    values, mult, r = D.digit_profile(v)
-    assert values == (2, 1, 0) and mult == (2, 1, 1) and r == 3
-    assert D.max_digits_consecutive(v)
-    assert not D.max_digits_consecutive(D.DigitVector(3, 4, (2, 1, 2, 0)))
-    assert D.max_digits_consecutive(D.DigitVector(2, 4, (1, 0, 0, 1)))  # wraps
-    start, length = D.run_start_and_length(D.DigitVector(2, 4, (1, 0, 0, 1)), 1)
-    assert (start, length) == (3, 2)
+    assert [D.cyclic_run(v, value) for value in (2, 1, 0)] == [(0, 2), (2, 1), (3, 1)]
+    assert D.cyclic_run(D.DigitVector(3, 4, (2, 1, 2, 0)), 2) is None  # two runs
+    assert D.cyclic_run(D.DigitVector(3, 4, (2, 1, 2, 0)), 1) == (1, 1)
+    assert D.cyclic_run(v, 3) is None  # no place holds it
+    assert D.cyclic_run(D.DigitVector(2, 4, (1, 0, 0, 1)), 1) == (3, 2)  # wraps
+    assert D.cyclic_run(D.DigitVector(3, 5, (2, 1, 0, 2, 2)), 2) == (3, 3)  # wraps
+    assert D.cyclic_run(D.DigitVector(3, 3, (1, 1, 1)), 1) == (0, 3)  # every digit

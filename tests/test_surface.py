@@ -6,7 +6,8 @@ outside its own definition.  A function or class counts as named by a bare
 name, an attribute or an import; a method only by an attribute (`x.meth`),
 so that a local variable or a builtin of the same name does not count.  A
 string that is a dotted identifier path (perfbench's traced names, such as
-"CycloRing.reduce_matrix") names each of its parts.
+"CycloRing.reduce_matrix") names each of its parts; a string without a dot,
+such as a dict key, names nothing.
 """
 
 import ast
@@ -15,7 +16,7 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gausslab"
-DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 GL2_HELPER = "gl2's class, character and Bessel helpers stay until the GL_n oracle replaces gl2"
 
