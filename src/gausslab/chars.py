@@ -93,6 +93,15 @@ def orbit_minima(N: int, mult: int, period: int) -> np.ndarray:
     return out
 
 
+def orbit_count(q: int, n: int, regular_only: bool = True) -> int:
+    """len(orbit_reps) of a degree-n tower over F_q, without an array: x q^d
+    fixes q^d - 1 exponents, so the exponents of orbit length exactly n
+    number sum_{d|n} mu(n/d) (q^d - 1) (Moebius), and the orbits of all
+    exponents (1/n) sum_{d|n} phi(n/d) (q^d - 1) (Burnside)."""
+    weight = numth.moebius if regular_only else numth.euler_phi
+    return sum(weight(n // d) * (q**d - 1) for d in numth.divisors(n)) // n
+
+
 def orbit_reps(tower: FieldTower, regular_only: bool = True) -> list[int]:
     """Smallest member of each Frobenius orbit, optionally regular ones only."""
     N = tower.mult_order

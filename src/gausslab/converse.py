@@ -4,14 +4,17 @@ Twist signatures: the tuple over all base-field twists k of the exact Gauss
 sum S(chi_{e + k*(q^n-1)/(q-1)}).  Two characters index isomorphic cuspidal
 data iff they share a Frobenius orbit, and the converse statements under
 test say the signature separates orbits (within their stated populations).
-Each exact sum is hashed once: a Gauss table numbers the distinct values of
-its rows (`GaussTable.value_id`, equal ids exactly when the coefficients
-are equal), and every scan keys a character by the bytes of the ids of its
-twists' sums.  The scans of one field group through `signature_classes`;
-the etale scan numbers its product values through one dict shared by all
-algebras.  Equal keys mean equal ids, hence equal coefficients, and a dict
-compares keys in full, so no hash re-verification step is needed: the
-grouping key is the exact value.
+The scans of one field (`scan_converse`, `primitive_scan`, the family of
+`counterexample_search` and the groupings of `lemma_suite`) decide the
+equality of sums from integers alone, through `digits.twist_classes`: the
+Stickelberger valuations at every prime above p and the Gross-Koblitz unit
+residue.  They build no field table, no Z[zeta_m] ring and no Gauss table
+to group, so the conductor cap does not bind on them; one up-front cap on
+the (orbit or exponent) x twist pairs they key does, before any length-N
+array exists.  `counterexample_search` still reads its family's sums from
+the Gauss table for their pure value.  The etale scan multiplies sums in
+Z[zeta_m] and numbers its product values through one dict shared by all
+algebras, so it compares exact coefficients.
 
 Scans never compare floating point and never sample: populations are
 exhaustive over the stated character sets.
@@ -28,9 +31,10 @@ from math import lcm
 import numpy as np
 
 from . import digits, numth
-from .chars import MultChar, orbit_minima, orbit_reps, regular_exponents, regular_mask
+from .chars import (MultChar, orbit_count, orbit_minima, orbit_reps, regular_exponents,
+                    regular_mask)
 from .cyclo import value_ids
-from .errors import ArgumentError
+from .errors import ArgumentError, ResourceCapError
 from .ff import DEFAULT_MAX_ELEMENTS, FieldTower, build_tower, check_field
 from .gauss import GaussTable, etale_gauss, gauss_table
 from . import __version__
@@ -54,18 +58,24 @@ def convention_stamp(tower: FieldTower) -> dict:
 # signatures
 
 
+# The most (orbit or exponent) x twist pairs one grouping keys.  Each pair
+# costs a unit residue (D products) and a refinement row, so this bounds a
+# scan's time and its work arrays where the field-size cap does not: at
+# n = 2 the pairs grow as q^3 / 2.
+MAX_TWIST_PAIRS = 1 << 24
+
+
+def _check_pairs(count: int, what: str) -> None:
+    """Refuse a grouping of more than MAX_TWIST_PAIRS pairs, before its work."""
+    if count > MAX_TWIST_PAIRS:
+        raise ResourceCapError(
+            f"{count} {what} x twist pairs exceed the twist-pair cap {MAX_TWIST_PAIRS}")
+
+
 def _signature_key(tab: GaussTable, e: int, stride: int, n_twists: int) -> bytes:
-    """The value ids of S(chi_{e + k*stride}), k < n_twists, as bytes."""
+    """The value ids of S(chi_{e + k*stride}), k < n_twists, as bytes: the
+    Z[zeta_m] form of a signature key, which `tests/reference.py` groups by."""
     return tab.value_id[tab.row_of[(e + stride * np.arange(n_twists)) % tab.mult_order]].tobytes()
-
-
-def signature_classes(tab: GaussTable, exps, stride: int, n_twists: int) -> list[list[int]]:
-    """Partition `exps` by the exact sums of their twists e + k*stride,
-    k < n_twists: classes in first-seen order, members in input order."""
-    classes: dict = {}
-    for e in exps:
-        classes.setdefault(_signature_key(tab, e, stride, n_twists), []).append(e)
-    return list(classes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +152,12 @@ def scan_converse(tower: FieldTower, population: str = "regular") -> Report:
     """
     if population not in ("regular", "all"):
         raise ArgumentError(f"unknown population {population!r}")
-    tab = gauss_table(tower)
     N, q = tower.mult_order, tower.q
+    regular = population == "regular"
+    _check_pairs(orbit_count(q, tower.n, regular) * (q - 1), "orbit")
     stride = N // (q - 1)
-    reps = orbit_reps(tower, regular_only=(population == "regular"))
-    classes = signature_classes(tab, reps, stride, q - 1)
+    reps = orbit_reps(tower, regular_only=regular)
+    classes = digits.twist_classes(tower.p, tower.degree, reps, stride, q - 1)
     result = _scan_result("converse-scan", convention_stamp(tower), population,
                           f"frobenius-orbit (x{q})", reps, classes)
     collisions = result["collision_classes"]
@@ -186,12 +197,13 @@ def primitive_scan(
     N = tower.mult_order
     q = p**f
     Q = tower.q
-    tab = gauss_table(tower)
+    # the n * orbit_count(q, n) exponents of full degree n fall into orbits of r under x Q
+    _check_pairs(n * orbit_count(q, n) // r * (Q - 1), "orbit")
     stride = N // (Q - 1)
 
     # full degree n over F_q: regular as characters of F_{q^n}^x
     reps = _orbits_under(np.flatnonzero(regular_mask(N, q, n)), Q, N, r)
-    classes = signature_classes(tab, reps, stride, Q - 1)
+    classes = digits.twist_classes(p, f * n, reps, stride, Q - 1)
     stamp = convention_stamp(tower)
     stamp["original_base"] = {"p": p, "f": f, "q": q, "n": n, "r": r}
     result = _scan_result("primitive-scan", stamp, f"regular over F_{q} (full degree {n})",
@@ -236,9 +248,9 @@ def counterexample_search(
             values.append(int(row[0]))
     expected = (-p) ** t
     all_match = all_int and all(v == expected for v in values)
-    # group the family orbits by full twist signature
-    stride = N // (p - 1)
-    classes = signature_classes(tab, reps, stride, p - 1)
+    # group the family orbits by full twist signature; the field-size cap
+    # bounds these pairs, fewer than phi(p^t + 1) * (p - 1) < p^(2t)
+    classes = digits.twist_classes(p, n, reps, N // (p - 1), p - 1)
     colliding = sorted(v for v in classes if len(v) > 1)
     result = {
         "p": p,
@@ -280,10 +292,9 @@ def mersenne_check(n: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Repor
     check_field(2, n, max_elements)
     N = 2**n - 1
     reps = _coset_reps_mod2(n)
-    # s(c), the binary digit sum of every c in [0, N): a popcount, at most
-    # n, so a spectrum key takes one byte per representative
-    c = np.arange(N, dtype=np.int64)
-    s = sum((c >> i) & 1 for i in range(n)).astype(np.uint8)
+    # s(c), the binary digit sum of every c in [0, N): at most n, so a
+    # spectrum key takes one byte per representative
+    s = digits.digit_sum_table(2, n)
     # the spectrum of the orbit of a is (s(a*j mod N)) over the representatives j
     r = np.array(reps, dtype=np.int64)
     spectra = {}
@@ -346,26 +357,29 @@ def lemma_suite(tower: FieldTower) -> Report:
     if tower.f != 1:
         raise ArgumentError("lemma suite runs over prime-base fields (q = p)")
     p, n, N = tower.p, tower.n, tower.mult_order
-    tab = gauss_table(tower)
+    # p - 1 twists per signature, and one each for the sums and their inverses
+    _check_pairs(n * orbit_count(p, n) * (p + 1), "exponent")
     stride = N // (p - 1)
     regular = regular_exponents(tower)
+    negated = [(-e) % N for e in regular]
     vecs = {e: digits.expand(p, n, e) for e in regular}
     orbit_min = orbit_minima(N, p, n).tolist()
 
     # groups by equal single sums S(omega^alpha)
-    by_S = signature_classes(tab, regular, stride, 1)
+    by_S = digits.twist_classes(p, n, regular, stride, 1)
     # groups by equal full twist signatures of omega^{-alpha}: the twists of
     # -e with stride -stride are the exponents -(e + k*stride)
-    by_sig = [
-        [(-x) % N for x in cls]
-        for cls in signature_classes(tab, [(-e) % N for e in regular], -stride % N, p - 1)
-    ]
+    by_sig = [[(-x) % N for x in cls]
+              for cls in digits.twist_classes(p, n, negated, -stride % N, p - 1)]
+    # the class of S(omega^-e), numbered in first-seen order
+    inverse_id = {(-x) % N: i for i, cls in enumerate(digits.twist_classes(p, n, negated, 0, 1))
+                  for x in cls}
 
     # per-exponent statistics, each computed once however many pairs read it
     @functools.cache
     def sums(e: int) -> tuple:
-        """Digit sum, digit factorial mod p and the key of S(omega^-e)."""
-        return digits.digit_sum(vecs[e]), digits.digit_factorial_mod_p(vecs[e]), tab.key((-e) % N)
+        """Digit sum, digit factorial mod p and the class of S(omega^-e)."""
+        return digits.digit_sum(vecs[e]), digits.digit_factorial_mod_p(vecs[e]), inverse_id[e]
 
     @functools.cache
     def extremes(e: int) -> tuple[int, int]:

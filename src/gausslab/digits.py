@@ -13,14 +13,21 @@ factorial N!', the cyclic windowed-factorial product mod p^(m+1) (V_m),
 truncated p-adic gamma values by the digit-window formula as well as by the
 direct product definition at integer arguments, and cyclic runs: the start
 and length of the one cyclic run that the places of a digit value may form.
+
+Twist signatures: `twist_classes` partitions characters by the exact Gauss
+sums of their twists from integers alone, the Stickelberger valuations at
+every prime above p and the Gross-Koblitz unit residue (`unit_residues`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ArgumentError
-from .numth import is_prime, k_hat
+from .numth import is_prime, k_hat, prime_divisors
 
 
 @dataclass(frozen=True)
@@ -226,3 +233,106 @@ def cyclic_run(v: DigitVector, value: int) -> tuple[int, int] | None:
     # a run starts where the digit before it differs; d[-1] precedes d[0]
     starts = [i for i in places if v.digits[i - 1] != value]
     return (starts[0], len(places)) if len(starts) == 1 else None
+
+
+# ---------------------------------------------------------------------------
+# twist signatures from Stickelberger valuations and the Gross-Koblitz unit
+
+# Key columns compared per refinement step: a step holds (rows, _COLUMNS)
+# arrays, never one column per coset and twist for every row.
+_COLUMNS = 64
+
+
+def unit_residues(p: int, d: int, a) -> np.ndarray:
+    """U(a) = prod_{i<d} Gamma_p(<p^i a / N>), N = p^d - 1, mod p (mod 4 at
+    p = 2), for every exponent of the integer array `a`.
+
+    The fraction c/N, c = p^i a mod N, is read as the integer c * N^-1 mod
+    p^k: k = 1 for odd p, where Gamma_p mod p depends on its argument mod p,
+    and k = 3 at p = 2, where Gamma_2 mod 4 needs its argument mod 8.
+    """
+    N = p**d - 1
+    read, mod = (8, 4) if p == 2 else (p, p)
+    gamma = np.array([padic_gamma_int(x, p, mod) for x in range(read)], dtype=np.int64)
+    scale = pow(N, -1, read)
+    c = np.asarray(a, dtype=np.int64) % N
+    out = np.ones_like(c)
+    for _ in range(d):
+        out = out * gamma[c % read * scale % read] % mod
+        c = c * p % N
+    return out
+
+
+def digit_sum_table(p: int, d: int) -> np.ndarray:
+    """s(c), the base-p digit sum over d digits, for every c in [0, p^d - 1)."""
+    s = np.zeros(1, dtype=np.uint8 if d * (p - 1) < 256 else np.uint16)
+    for _ in range(d):
+        s = (s[:, None] + np.arange(p, dtype=s.dtype)).ravel()  # c = p * (c // p) + c % p
+    return s[:-1]
+
+
+def _coset_reps(p: int, d: int) -> np.ndarray:
+    """The smallest member of each coset of <p> in (Z/N)^x, N = p^d - 1,
+    ascending, so u = 1 comes first: one per prime above p."""
+    N = p**d - 1
+    unit = np.ones(N, dtype=bool)
+    for ell in prime_divisors(N):
+        unit[::ell] = False
+    u = np.flatnonzero(unit)
+    lowest, x = u.copy(), u
+    for _ in range(d - 1):
+        x = x * p % N
+        np.minimum(lowest, x, out=lowest)
+    return u[lowest == u]
+
+
+def twist_classes(p: int, d: int, exps, stride: int, n_twists: int) -> list[list[int]]:
+    """Partition `exps` by the exact Gauss sums over F_{p^d} of their twists
+    x + k*stride, k < n_twists: classes in first-seen order, members in
+    input order.
+
+    With a = -x mod N, N = p^d - 1, Gross-Koblitz gives S(chi_x) =
+    -pi^s(a) U(a) in the p-adic embedding (see `padic`).  Two sums are
+    equal exactly when their valuations s(u*a mod N) agree at every prime
+    above p, one per coset representative u of <p> in (Z/N)^x, and their
+    unit residues agree: the quotient of two such sums is then a unit at
+    every prime, of absolute value 1 at every complex place, hence a root
+    of unity, and one in Z_p (mu_{p-1}, or +-1 at p = 2), where those
+    roots are told apart by U mod p (mod 4).
+
+    Rows are grouped by the unit residues of all twists first, then split
+    by blocks of valuation columns, only inside classes that still have
+    more than one member, so no step holds more than (rows, _COLUMNS)
+    entries of the key.
+    """
+    N = p**d - 1
+    exps = np.asarray(exps, dtype=np.int64)
+    shifts = stride * np.arange(n_twists, dtype=np.int64) % N
+    sums = digit_sum_table(p, d)
+    cosets = _coset_reps(p, d)
+    # (twists, cosets) per step; no cosets means the twists' unit residues
+    steps = itertools.chain(
+        ((shifts[lo:lo + _COLUMNS], None) for lo in range(0, n_twists, _COLUMNS)),
+        ((shifts[k:k + 1], cosets[lo:lo + _COLUMNS])
+         for lo in range(0, len(cosets), _COLUMNS) for k in range(n_twists)),
+    )
+    labels = np.zeros(len(exps), dtype=np.int64)
+    alive, local, top = np.arange(len(exps)), labels.copy(), 0
+    for twists, u in steps:
+        if len(alive) < 2:
+            break
+        a = -(exps[alive, None] + twists) % N
+        block = (unit_residues(p, d, a) if u is None else sums[a * u % N]).astype(sums.dtype)
+        # one byte string per row: its class so far, then its block
+        key = np.concatenate([local.view(np.uint8).reshape(len(alive), -1),
+                              block.view(np.uint8).reshape(len(alive), -1)], axis=1)
+        _, local, counts = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
+                                     return_inverse=True, return_counts=True)
+        labels[alive] = top + local
+        top += len(counts)
+        multi = counts[local] > 1
+        alive, local = alive[multi], local[multi]
+    classes: dict[int, list[int]] = {}
+    for e, label in zip(exps.tolist(), labels.tolist()):
+        classes.setdefault(label, []).append(e)
+    return list(classes.values())

@@ -21,12 +21,17 @@ Representation conventions (shared by every module downstream):
   indexing (the Teichmueller convention) depends on this choice, which is why
   it is deterministic.
 
-Towers are immutable after construction; all methods are pure.
+Towers are immutable after construction; all methods are pure.  Building a
+tower finds only its modulus and generator.  The power and log tables
+(`exp_vec`, `exp_enc`, `log_table`) are built together, and checked to be a
+bijection, on the first read of any of them, so a caller that needs only the
+convention stamp, such as a signature scan, never builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -129,16 +134,45 @@ def smallest_irreducible(p: int, degree: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FieldTower:
-    """Immutable tower F_p < F_{p^f} < F_{p^(f*n)} with power/log tables."""
+    """Immutable tower F_p < F_{p^f} < F_{p^(f*n)}; its power and log tables
+    are built together on the first read of any of them."""
 
     p: int
     f: int
     n: int
     modulus: tuple[int, ...]  # ascending coefficients, monic, degree f*n
     g: int  # encoding of the generator
-    exp_vec: np.ndarray  # (N, D) int16, row j = coefficients of g^j
-    exp_enc: np.ndarray  # (N,) int64, encodings of g^j
-    log_table: np.ndarray  # (p^D,) int32, dlog by encoding; -1 for 0
+
+    def _power_tables(self) -> dict[str, np.ndarray]:
+        """Build, check and cache all three tables: a later read of any of
+        them finds it in the instance."""
+        p, d, N = self.p, self.degree, self.mult_order
+        exp_vec = _accel.power_table(_mul_by_matrix(p, np.array(self.modulus), self.g), p, N)
+        exp_enc = exp_vec.astype(np.int64) @ p ** np.arange(d, dtype=np.int64)
+        log_table = np.full(self.order, -1, dtype=np.int32)
+        log_table[exp_enc] = np.arange(N, dtype=np.int32)
+        if int((log_table >= 0).sum()) != N:
+            raise RuntimeError("generator power table is not a bijection")
+        tables = {"exp_vec": exp_vec, "exp_enc": exp_enc, "log_table": log_table}
+        for table in tables.values():
+            table.setflags(write=False)
+        vars(self).update(tables)
+        return tables
+
+    @cached_property
+    def exp_vec(self) -> np.ndarray:
+        """(N, D) int16, row j = coefficients of g^j."""
+        return self._power_tables()["exp_vec"]
+
+    @cached_property
+    def exp_enc(self) -> np.ndarray:
+        """(N,) int64, encodings of g^j."""
+        return self._power_tables()["exp_enc"]
+
+    @cached_property
+    def log_table(self) -> np.ndarray:
+        """(p^D,) int32, dlog by encoding; -1 for 0."""
+        return self._power_tables()["log_table"]
 
     @property
     def degree(self) -> int:
@@ -314,37 +348,14 @@ def build_tower(
 ) -> FieldTower:
     """Construct the tower F_p < F_{p^f} < F_{p^(f*n)}.
 
-    Deterministic: the modulus and generator depend only on (p, f, n).
+    Deterministic: the modulus and generator depend only on (p, f, n).  Only
+    those two are found here; the power and log tables, O(p^D) each, are
+    built when first read.
     """
     if f < 1 or n < 1:
         raise ArgumentError(f"degrees must be positive, got f={f}, n={n}")
     d = f * n
     check_field(p, d, max_elements)
-    order = p**d
     modulus = smallest_irreducible(p, d)
-    N = order - 1
-
-    g = _find_generator(p, modulus, N)
-    mat = _mul_by_matrix(p, modulus, g)
-    exp_vec = _accel.power_table(mat, p, N)
-
-    p_pows = p ** np.arange(d, dtype=np.int64)
-    exp_enc = exp_vec.astype(np.int64) @ p_pows
-    log_table = np.full(order, -1, dtype=np.int32)
-    log_table[exp_enc] = np.arange(N, dtype=np.int32)
-    if int((log_table >= 0).sum()) != N:
-        raise RuntimeError("generator power table is not a bijection")
-
-    exp_vec.setflags(write=False)
-    exp_enc.setflags(write=False)
-    log_table.setflags(write=False)
-    return FieldTower(
-        p=p,
-        f=f,
-        n=n,
-        modulus=tuple(int(c) for c in modulus),
-        g=int(exp_enc[1]) if N > 1 else 1,
-        exp_vec=exp_vec,
-        exp_enc=exp_enc,
-        log_table=log_table,
-    )
+    return FieldTower(p=p, f=f, n=n, modulus=tuple(int(c) for c in modulus),
+                      g=_find_generator(p, modulus, p**d - 1))

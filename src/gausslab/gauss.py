@@ -13,12 +13,15 @@ Every Gauss sum is a row of a GaussTable, computed from the histograms
 (_accel.gauss_counts) of the p-orbit minima of the exponents, since
 S(chi_{pe}) = S(chi_e).  A table keeps only the recipe of its rows and
 computes them when read, in row blocks of about 1 MiB of histogram, so a
-scan never holds an (R, m) or (R, phi) matrix of all its rows.  The
-histograms reduce to exact tensor-basis coordinates by subtractions alone;
-signature scans read only integer ids of the rows' values, numbered from
-digests of those coordinates with an exact recheck wherever digests meet.
-The power-basis coefficients are computed, by matrix reduction, only when a
-sum is read: all of them for `S`, a few for `rows`.  The whole-field table
+reader never holds an (R, m) or (R, phi) matrix of all its rows.  The
+histograms reduce to exact tensor-basis coordinates by subtractions alone.
+Integer ids of the rows' values (`value_id`, `key`) are numbered from
+digests of those coordinates with an exact recheck wherever digests meet;
+signature scans do not read them, since they decide equal sums from
+integers alone (`digits.twist_classes`), and the ids remain the Z[zeta_m]
+grouping that the tests hold those scans to.  The power-basis coefficients
+are computed, by matrix reduction, only when a sum is read: all of them
+for `S`, a few for `rows`.  The whole-field table
 is cached per tower in `_TABLE_CACHE` and serves gauss_S; a CLI call
 empties that cache when it ends, so a table lives as long as the call that
 built its tower.  A table over a subfield F_{q^d} is owned by its caller
@@ -95,7 +98,7 @@ class GaussTable:
 
     * `value_id[r]` numbers the exact value of row r in first-seen order, so
       two rows have equal ids exactly when their sums are equal; `key(c)` is
-      the id of S(chi_c).  Signature scans compare these small integers.
+      the id of S(chi_c).
       Each coordinate row is kept only as a digest of its canonical key;
       rows whose digests meet are recomputed and their keys compared in full
       before they share an id.
@@ -105,8 +108,8 @@ class GaussTable:
       int64 unless some block needs Python ints, and then all of it is
       object.
 
-    Neither `value_id` nor `S` builds the other, so scans never touch the
-    power basis and readers of sums never number them.
+    Neither `value_id` nor `S` builds the other: readers of sums never
+    number them.
     """
 
     def __init__(self, tower: FieldTower, d: int | None = None):

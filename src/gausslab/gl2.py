@@ -46,7 +46,6 @@ from .cyclo import _I64_SAFE, CycloElement, canonical_key
 from .errors import ArgumentError, FormulaValidationError, ResourceCapError
 from .ff import DEFAULT_MAX_ELEMENTS, build_tower, check_field
 from .gauss import ScaledCyclo
-from .numth import is_prime
 
 DEFAULT_MAX_Q = 7
 
@@ -213,12 +212,13 @@ def gl2_group(
     """The group GL2(F_q), built once per q and cached until the CLI call
     that built it ends (a library caller keeps it for the life of the
     process)."""
-    # the caps bind on cache hits too, so they never depend on earlier calls
-    if not is_prime(q) or q == 2:
-        raise ArgumentError(f"GL2 oracle needs an odd prime q, got {q}")
+    # the caps bind on cache hits too, so they never depend on earlier calls,
+    # and before primality, so no q above them is trial-divided
     if q > max_q:
         raise ResourceCapError(f"q = {q} exceeds the GL2 cap max_q = {max_q}")
     check_field(q, 2, max_elements)
+    if q == 2:
+        raise ArgumentError(f"GL2 oracle needs an odd prime q, got {q}")
     g = _GROUP_CACHE.get(q)
     if g is None:
         g = GL2Group(q)

@@ -222,6 +222,31 @@ MUTANTS = [
         ("tests/test_cli.py::test_report_bytes_pinned[lemmas --p 3 --n 4]",),
     ),
     Mutant(
+        "twist-keys-without-unit-residues",
+        "src/gausslab/digits.py",
+        "unit_residues(p, d, a) if u is None",
+        "0 * a if u is None",
+        ("tests/test_converse.py::test_integer_classes_match_the_ring_route[3-1-4]",
+         "tests/test_converse.py::test_integer_classes_match_the_ring_route[2-1-8]"),
+    ),
+    Mutant(
+        "unit-residue-mod-2-at-p-2",
+        "src/gausslab/digits.py",
+        "read, mod = (8, 4) if p == 2 else (p, p)",
+        "read, mod = (8, 2) if p == 2 else (p, p)",
+        ("tests/test_converse.py::test_integer_classes_match_the_ring_route[2-1-4]",
+         "tests/test_padic.py::test_unit_residues_are_the_gross_koblitz_unit[2-10]"),
+    ),
+    Mutant(
+        "valuations-at-one-prime-only",
+        "src/gausslab/digits.py",
+        "return u[lowest == u]",
+        "return u[lowest == u][:1]",
+        ("tests/test_converse.py::test_integer_classes_match_the_ring_route[3-1-5]",
+         "tests/test_converse.py::test_collision_classes_past_the_conductor_cap[2-13-sizes4]",
+         "tests/test_digits.py::test_twist_key_tables[3-5]"),
+    ),
+    Mutant(
         "cyclic-run-without-wrap-around",
         "src/gausslab/digits.py",
         "starts = [i for i in places if v.digits[i - 1] != value]",

@@ -1,14 +1,17 @@
 """Independent references the tests compare the library against.
 
-Each helper computes by a route the library does not take: a character
-value from its defining formula, absolute traces from Newton's identities
-on the modulus, Phi_m by stretching the squarefree-radical polynomial,
-Frobenius orbits by walking them, p-free factorials by a loop, and the
-p-adic side by a schoolbook product of (p-1, n) coordinate arrays, which
-reduces x^n by the modulus and pi^(p-1) by -p where the library multiplies
-by Kronecker products of matrices.  On it the p-adic verifiers run one
-exponent at a time on sequential image powers, with valuations read off
-coordinates and pi-divisions one step at a time.
+Each helper computes by a route the library does not take: signature
+classes from the value ids of Gauss-table rows in Z[zeta_m], where the
+library decides equal sums from Stickelberger valuations and Gross-Koblitz
+unit residues; a character value from its defining formula; absolute
+traces from Newton's identities on the modulus; Phi_m by stretching the
+squarefree-radical polynomial; Frobenius orbits by walking them; p-free
+factorials by a loop; and the p-adic side by a schoolbook product of
+(p-1, n) coordinate arrays, which reduces x^n by the modulus and pi^(p-1)
+by -p where the library multiplies by Kronecker products of matrices.  On
+it the p-adic verifiers run one exponent at a time on sequential image
+powers, with valuations read off coordinates and pi-divisions one step at
+a time.
 """
 
 import functools
@@ -18,10 +21,21 @@ import numpy as np
 
 from gausslab import digits
 from gausslab.chars import MultChar, ring_for
+from gausslab.converse import _signature_key
 from gausslab.cyclo import _cyclotomic_radical
 from gausslab.gauss import gauss_S
 from gausslab.numth import radical
 from gausslab.padic import GrossKoblitzReport, StickelbergerReport, embedding_for
+
+
+def signature_classes(tab, exps, stride, n_twists):
+    """Partition `exps` by the exact sums of their twists e + k*stride,
+    k < n_twists, read as value ids of the Gauss table `tab`: classes in
+    first-seen order, members in input order."""
+    classes = {}
+    for e in exps:
+        classes.setdefault(_signature_key(tab, e, stride, n_twists), []).append(e)
+    return list(classes.values())
 
 
 def value_at(tower, e, x):

@@ -1,7 +1,8 @@
 import pytest
 
 from gausslab import build_tower
-from gausslab.chars import MultChar, ring_for, orbit_minima, orbit_reps, regular_exponents, regular_mask, twist_offset
+from gausslab.chars import (MultChar, ring_for, orbit_count, orbit_minima, orbit_reps, regular_exponents,
+                            regular_mask, twist_offset)
 from gausslab.numth import moebius, divisors
 from reference import frobenius_orbit, value_at
 
@@ -41,6 +42,13 @@ def test_moebius_count(f9, f81, f32):
         q, n = T.q, T.n
         expect = sum(moebius(n // d) * (q**d - 1) for d in divisors(n))
         assert len(regular_exponents(T)) == expect
+
+
+@pytest.mark.parametrize("p,f,n", [(2, 1, 1), (3, 1, 1), (3, 1, 6), (2, 1, 12), (2, 2, 3), (5, 2, 2)])
+def test_orbit_count_is_the_number_of_orbit_reps(p, f, n):
+    T = build_tower(p, f, n)
+    for regular in (True, False):
+        assert orbit_count(p**f, n, regular) == len(orbit_reps(T, regular))
 
 
 def test_twist(f9):

@@ -11,7 +11,7 @@ import weakref
 import pytest
 
 import gausslab
-from gausslab import _accel, cli, cyclo, digits, gauss, gl2, padic
+from gausslab import _accel, cli, cyclo, digits, gauss, gl2, numth, padic
 from gausslab.chars import MultChar
 from gausslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, _literal_tensor_rhs_m1, main
 from gausslab.converse import (
@@ -161,30 +161,20 @@ def test_tensor_rhs_m1_assertion_holds(capsys, argv):
 
 
 def test_scan_reads_keys_only(capsys, monkeypatch):
-    # a scan compares Gauss sums by value ids: it never reduces to the power
-    # basis, so its ring never builds the reduction table
-    monkeypatch.setattr(cyclo, "_RING_CACHE", {})  # every ring the scan gets is built by it
-    rings = {}
+    # a scan decides equal sums from integer keys: it gets no ring, and its
+    # tower never builds its power and log tables
+    rings, towers = [], []
     get_ring = cyclo.get_ring
+    monkeypatch.setattr(cyclo, "get_ring", lambda m: rings.append(m) or get_ring(m))
 
-    def recording(m):
-        rings[m] = get_ring(m)
-        return rings[m]
+    def recording(*args, **kwargs):
+        towers.append(build_tower(*args, **kwargs))
+        return towers[-1]
 
-    monkeypatch.setattr(cyclo, "get_ring", recording)
-    calls = []
-    reduce_matrix = cyclo.CycloRing.reduce_matrix
-
-    def counting(self, mat):
-        calls.append(self.m)
-        return reduce_matrix(self, mat)
-
-    monkeypatch.setattr(cyclo.CycloRing, "reduce_matrix", counting)
+    monkeypatch.setattr(cli, "build_tower", recording)
     status, _, _ = run(capsys, "scan", "--p", "3", "--n", "7")
-    assert status == EXIT_OK and calls == []
-    assert list(rings) == [6558]
-    assert "table" not in vars(rings[6558])
-    assert cyclo._RING_CACHE == {}  # released when main returned
+    assert status == EXIT_OK and rings == []
+    assert len(towers) == 1 and "exp_vec" not in vars(towers[0])
 
 
 def test_gauss_reads_one_row(capsys, monkeypatch):
@@ -306,6 +296,32 @@ def test_huge_fields_are_refused_by_the_element_cap(capsys, argv):
     assert time.perf_counter() - start < 1
     assert (status, out) == (EXIT_RESOURCE, "")
     assert "max_elements cap" in err and "^" in err
+
+
+@pytest.mark.parametrize("argv,pairs", [
+    ("scan --p 1021 --n 2", "531124200 orbit"),  # 520,710 orbits x 1020 twists
+    ("primitive-scan --p 1021 --n 2 --r 2", "531124200 orbit"),
+    ("lemmas --p 1021 --n 2", "1064331240 exponent"),
+])
+def test_groupings_past_the_twist_pair_cap_are_refused_at_once(capsys, argv, pairs):
+    # F_{1021^2} is under the field-size cap; the pairs to key are not
+    start = time.perf_counter()
+    status, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (status, out) == (EXIT_RESOURCE, "")
+    assert f"{pairs} x twist pairs exceed the twist-pair cap" in err
+
+
+def test_gl2_caps_bind_before_primality(capsys, monkeypatch):
+    # a q above --max-q is refused before any trial division of q
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(numth, "is_prime", refuse)
+    start = time.perf_counter()
+    status, out, err = run(capsys, "gl2-check", "--q", "1000000000000000003", "--max-q", "7")
+    assert time.perf_counter() - start < 1
+    assert (status, out) == (EXIT_RESOURCE, "") and "max_q = 7" in err
 
 
 @pytest.mark.parametrize(
@@ -512,7 +528,7 @@ def test_main_leaves_few_reference_cycles(capsys):
     ("gl2-check --q 3", EXIT_OK),  # the GL2 group
     ("scan --p 3 --n 6", EXIT_VIOLATION),  # collisions not expected
     ("tensor-rhs --p 3 --n 2 --m 1 --chi-e 0 --eta-e 1", EXIT_CONFIG),  # refused after its table
-    ("scan --p 3 --n 8", EXIT_RESOURCE),  # the conductor cap, after the tower
+    ("gauss --p 3 --n 8 --e 1", EXIT_RESOURCE),  # the conductor cap, after the tower
 ])
 def test_every_exit_path_releases_the_caches(capsys, monkeypatch, argv, exit_code):
     towers = []

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from gausslab import build_tower
-from gausslab.chars import MultChar, orbit_reps, regular_exponents
+from gausslab import build_tower, cyclo, gauss
+from gausslab.chars import MultChar, orbit_count, orbit_reps, regular_exponents, regular_mask
 from gausslab.cli import EXIT_VIOLATION, main
 from gausslab.converse import (
     convention_stamp,
@@ -15,13 +15,14 @@ from gausslab.converse import (
     mersenne_check,
     primitive_scan,
     scan_converse,
-    signature_classes,
+    _orbits_under,
     _signature_key,
 )
 from gausslab.cyclo import canonical_key
 from gausslab.errors import ArgumentError, ResourceCapError
 from gausslab.gauss import gauss_table
 from gausslab import digits as D
+from reference import signature_classes
 
 
 def _twist_entries(T, e):
@@ -323,3 +324,77 @@ def test_signature_classes_match_tuple_grouping_on_lemmas():
 def test_mersenne_check_n13():
     rep = mersenne_check(13)
     assert rep.ok and rep.n_orbits == (2**13 - 2) // 13
+
+
+# ROADMAP item 3's fields: every prime-base field under the conductor cap
+# from (3,2) to (2,12), and (q, n) = (4, 2..4), (9, 2..3), (8, 2..3)
+INTEGER_KEY_FIELDS = ([(3, 1, n) for n in range(2, 8)] + [(2, 1, n) for n in (4, 5, 6, 8, 9, 10, 11, 12)]
+                      + [(5, 1, 2), (5, 1, 3), (5, 1, 4), (7, 1, 2), (7, 1, 3), (11, 1, 2), (13, 1, 2)]
+                      + [(2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 2, 2), (3, 2, 3), (2, 3, 2), (2, 3, 3)])
+
+
+def _ring_route_scan(T, population):
+    """scan_converse's classes, grouped by the Z[zeta_m] value ids of the oracle."""
+    stride = T.mult_order // (T.q - 1)
+    reps = orbit_reps(T, regular_only=population == "regular")
+    return signature_classes(gauss_table(T), reps, stride, T.q - 1)
+
+
+@pytest.mark.parametrize("p,f,n", INTEGER_KEY_FIELDS)
+def test_integer_classes_match_the_ring_route(p, f, n):
+    T = build_tower(p, f, n)
+    for population in ("regular", "all"):
+        ref = _ring_route_scan(T, population)
+        reps = orbit_reps(T, regular_only=population == "regular")
+        assert D.twist_classes(p, f * n, reps, T.mult_order // (T.q - 1), T.q - 1) == ref
+        rep = scan_converse(T, population)
+        assert rep.n_classes == len(ref), population
+        assert rep.collision_classes == sorted(c for c in ref if len(c) > 1), population
+
+
+def test_integer_classes_match_the_ring_route_on_primitive_scan():
+    rep = primitive_scan(3, 1, 6, 2)
+    T = build_tower(3, 3, 2)  # its tower: degree 2 over F_27
+    N, Q = T.mult_order, T.q
+    reps = _orbits_under(np.flatnonzero(regular_mask(N, 3, 6)), Q, N, 2)
+    ref = signature_classes(gauss_table(T), reps, N // (Q - 1), Q - 1)
+    assert D.twist_classes(3, 6, reps, N // (Q - 1), Q - 1) == ref
+    assert (rep.n_orbits, rep.n_classes) == (len(reps), len(ref))
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (5, 3)])
+def test_integer_classes_match_the_ring_route_on_lemmas(p, n):
+    T = build_tower(p, 1, n)
+    tab, N = gauss_table(T), T.mult_order
+    stride = N // (p - 1)
+    regular = regular_exponents(T)
+    negated = [-e % N for e in regular]
+    for exps, args in [(regular, (stride, 1)), (negated, (-stride % N, p - 1)), (negated, (0, 1))]:
+        assert D.twist_classes(p, n, exps, *args) == signature_classes(tab, exps, *args)
+
+
+@pytest.mark.parametrize("p,n,classes", [
+    (3, 8, [[80, 400, 560, 880, 1040], [160, 320, 640, 1120, 1280]]),
+    (2, 14, [[127, 381, 635, 889, 1143, 1397, 1651, 2413, 2667]]),
+])
+def test_ring_route_past_the_conductor_cap_agrees(monkeypatch, p, n, classes):
+    T = build_tower(p, 1, n)
+    rep = scan_converse(T)
+    with pytest.raises(ResourceCapError, match="conductor"):
+        gauss_table(T)
+    monkeypatch.setattr(cyclo, "MAX_CONDUCTOR", p * T.mult_order)
+    for module, cache in ((cyclo, "_RING_CACHE"), (gauss, "_TABLE_CACHE")):
+        monkeypatch.setattr(module, cache, {})  # the raised cap's ring and table go with it
+    ref = _ring_route_scan(T, "regular")
+    assert rep.n_classes == len(ref)
+    assert rep.collision_classes == sorted(c for c in ref if len(c) > 1) == classes
+
+
+@pytest.mark.parametrize("p,n,sizes", [
+    (3, 8, [5, 5]), (2, 14, [9]), (2, 16, [16]), (3, 10, [12, 12, 2, 2]),
+    (2, 13, []), (3, 9, []), (5, 5, []), (7, 4, []),
+])
+def test_collision_classes_past_the_conductor_cap(p, n, sizes):
+    rep = scan_converse(build_tower(p, 1, n))
+    assert sorted(map(len, rep.collision_classes), reverse=True) == sizes
+    assert rep.n_orbits == orbit_count(p, n)

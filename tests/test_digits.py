@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -167,3 +168,14 @@ def test_cyclic_runs():
     assert D.cyclic_run(D.DigitVector(2, 4, (1, 0, 0, 1)), 1) == (3, 2)  # wraps
     assert D.cyclic_run(D.DigitVector(3, 5, (2, 1, 0, 2, 2)), 2) == (3, 3)  # wraps
     assert D.cyclic_run(D.DigitVector(3, 3, (1, 1, 1)), 1) == (0, 3)  # every digit
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 7), (3, 5), (5, 2), (7, 3)])
+def test_twist_key_tables(p, d):
+    N = p**d - 1
+    sums = D.digit_sum_table(p, d)
+    assert sums.tolist() == [D.digit_sum(D.expand(p, d, c)) for c in range(N)]
+    # one representative per coset of <p> in the units, the smallest, u = 1 first
+    units = [u for u in range(N) if math.gcd(u, N) == 1]
+    cosets = {frozenset(u * p**i % N for i in range(d)) for u in units}
+    assert D._coset_reps(p, d).tolist() == sorted(min(c) for c in cosets)

@@ -55,7 +55,7 @@ def test_q_constraints():
     with pytest.raises(ArgumentError):
         gl2_group(2)
     with pytest.raises(ArgumentError):
-        gl2_group(9)
+        gl2_group(9, max_q=9)  # under its cap: 9 is not prime
     with pytest.raises(ResourceCapError):
         gl2_group(11)
     gl2_group(11, max_q=11)

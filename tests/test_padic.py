@@ -9,6 +9,7 @@ from gausslab.gauss import gauss_S, gauss_table
 from gausslab.padic import (
     PadicEmbedding,
     RamifiedContext,
+    _embedded_gauss_sums,
     _matpow_mod,
     embedding_for,
     gross_koblitz_check,
@@ -212,6 +213,22 @@ def test_pi_shift_gives_the_residue_over_zeta_p_minus_one(p, n):
         r = from_w(ctx, ctx.shift_down(_rows(x), [s])[0, 0] % p)
         rest = (x - mul(ctx, r, power(ctx, pi_unit, s))) % ctx.pK
         assert not rest.any() or valuation(ctx, rest) > s
+
+
+@pytest.mark.parametrize("p,n", [(3, 6), (5, 3), (2, 10)])
+def test_unit_residues_are_the_gross_koblitz_unit(p, n):
+    # S(chi_{-a}) = -pi^s(a) U(a) in the embedding, so the embedded sum
+    # shifted down by s(a) reads -U(a) mod pi, and mod pi^2 = 4 at p = 2,
+    # where the twist keys read U mod 4
+    T = build_tower(p, 1, n)
+    emb = embedding_for(T)
+    a = np.arange(T.mult_order)
+    s = [digits.digit_sum(digits.expand(p, n, int(x))) for x in a]
+    head = emb.ctx.shift_down(_embedded_gauss_sums(emb, -a), s)[:, 0, :]
+    mod = 4 if p == 2 else p
+    want = np.zeros((len(a), n), dtype=np.int64)
+    want[:, 0] = -digits.unit_residues(p, n, a) % mod
+    assert (head % mod == want).all()
 
 
 def test_embed_examples(f9, emb9):
