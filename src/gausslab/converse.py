@@ -4,17 +4,18 @@ Twist signatures: the tuple over all base-field twists k of the exact Gauss
 sum S(chi_{e + k*(q^n-1)/(q-1)}).  Two characters index isomorphic cuspidal
 data iff they share a Frobenius orbit, and the converse statements under
 test say the signature separates orbits (within their stated populations).
-The scans of one field (`scan_converse`, `primitive_scan`, the family of
-`counterexample_search` and the groupings of `lemma_suite`) decide the
-equality of sums from integers alone, through `digits.twist_classes`: the
+The scans (`scan_converse`, `primitive_scan`, the family of
+`counterexample_search`, the groupings of `lemma_suite` and
+`etale_signature_scan`) decide the equality of sums from integers alone,
+through `digits.twist_classes` and `digits.product_labels`: the
 Stickelberger valuations at every prime above p and the Gross-Koblitz unit
 residue.  They build no field table, no Z[zeta_m] ring and no Gauss table
 to group, so the conductor cap does not bind on them; one up-front cap on
-the (orbit or exponent) x twist pairs they key does, before any length-N
-array exists.  `counterexample_search` still reads its family's sums from
-the Gauss table for their pure value.  The etale scan multiplies sums in
-Z[zeta_m] and numbers its product values through one dict shared by all
-algebras, so it compares exact coefficients.
+the (orbit, exponent or character) x twist pairs they key does, before
+any length-N array exists.  `counterexample_search` still reads its
+family's sums from the Gauss table for their pure value.  The etale scan
+numbers the signed products of all its algebras in one numbering, so a
+signature key depends on the values alone.
 
 Scans never compare floating point and never sample: populations are
 exhaustive over the stated character sets.
@@ -22,7 +23,6 @@ exhaustive over the stated character sets.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -33,10 +33,9 @@ import numpy as np
 from . import digits, numth
 from .chars import (MultChar, orbit_count, orbit_minima, orbit_reps, regular_exponents,
                     regular_mask)
-from .cyclo import value_ids
 from .errors import ArgumentError, ResourceCapError
 from .ff import DEFAULT_MAX_ELEMENTS, FieldTower, build_tower, check_field
-from .gauss import GaussTable, etale_gauss, gauss_table
+from .gauss import GaussTable, gauss_table
 from . import __version__
 
 
@@ -293,19 +292,23 @@ def mersenne_check(n: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Repor
     N = 2**n - 1
     reps = _coset_reps_mod2(n)
     # s(c), the binary digit sum of every c in [0, N): at most n, so a
-    # spectrum key takes one byte per representative
+    # spectrum entry takes one byte
     s = digits.digit_sum_table(2, n)
-    # the spectrum of the orbit of a is (s(a*j mod N)) over the representatives j
+    # the spectrum of the orbit of a is (s(a*j mod N)) over the representatives
+    # j, grouped by blocks of j: no step holds more than (orbits, KEY_COLUMNS)
     r = np.array(reps, dtype=np.int64)
-    spectra = {}
+    labels = digits.refine(len(r), ((lambda alive, j=r[lo:lo + digits.KEY_COLUMNS]: s[r[alive, None] * j % N])
+                                    for lo in range(0, len(r), digits.KEY_COLUMNS)))
+    # the first clash, as a scan in order meets it: the class whose second
+    # member comes first
+    order = np.argsort(labels, kind="stable")
+    counts = np.bincount(labels)
+    heads = (np.cumsum(counts) - counts)[counts > 1]
     clash = None
-    for a in reps:
-        spectrum = s[a * r % N]
-        key = spectrum.tobytes()
-        if key in spectra:
-            clash = {"orbits": [spectra[key], a], "spectrum": spectrum.tolist()}
-            break
-        spectra[key] = a
+    if len(heads):
+        head = heads[np.argmin(order[heads + 1])]
+        first, second = reps[order[head]], reps[order[head + 1]]
+        clash = {"orbits": [first, second], "spectrum": s[second * r % N].tolist()}
     # s(c) = 1 iff c is a power of 2 mod N
     powers = np.zeros(N, dtype=bool)
     powers[[pow(2, i, N) for i in range(n)]] = True
@@ -327,32 +330,68 @@ def mersenne_check(n: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Repor
 # lemma suites over exhaustive scan data
 
 
-def _pair_lemma(name: str, groups, orbit_min, compare) -> tuple[dict, Assertion]:
-    """One "equal sums => equal statistics" statement over every pair of
-    each group.  `compare(a, b)` is None when the pair lies outside the
-    statement's hypothesis, else the extras of its violations, one dict
-    each.  Pair counts are reported, so a vacuous run reads "inconclusive"
-    rather than passing."""
-    pairs = cross = 0
+def _later(keys: list[np.ndarray], mask: np.ndarray) -> int:
+    """The pairs (a, b), a before b and a in `mask`, on which every
+    label array of `keys` agrees, counted from each row's rank within its
+    bucket."""
+    order = np.lexsort(keys[::-1])  # stable: a bucket keeps its rows in order
+    ordered = np.stack(keys)[:, order]
+    new = np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)]
+    bucket = np.cumsum(new) - 1
+    start = np.flatnonzero(new)
+    size = np.diff(np.r_[start, len(order)])
+    later = size[bucket] - 1 - (np.arange(len(order)) - start[bucket])
+    return int(later[mask[order]].sum())
+
+
+def _pair_lemma(name: str, exps: np.ndarray, classes, orbit: np.ndarray, stat: np.ndarray,
+                compare, scope: np.ndarray | None = None,
+                tested: np.ndarray | None = None) -> tuple[dict, Assertion]:
+    """One "equal sums => equal statistics" statement over the pairs (a, b),
+    a before b, of each class of `classes` (a first-seen label per exponent)
+    whose `scope` labels agree and whose a is `tested`.  Pairs are counted
+    from bucket ranks; only classes on which the per-exponent statistic
+    `stat` is not constant can hold a violation, and only their pairs are
+    visited, in class order, for the first five.  `compare(i, j)` lists the
+    extras of the violations of one pair, one dict each.  Pair counts are
+    reported, so a vacuous run reads "inconclusive" rather than passing."""
+    R = len(exps)
+    scope = np.zeros(R, dtype=np.int64) if scope is None else scope
+    tested = np.ones(R, dtype=bool) if tested is None else tested
+    pairs = _later([classes, scope], tested)
+    cross = pairs - _later([classes, scope, orbit], tested)
+    # the classes on which the statistic differs from their first member's
+    # (labels number the classes 0, 1, ... in first-seen order)
+    flat = stat.reshape(R, -1)
+    first = np.unique(classes, return_index=True)[1][classes]
+    mixed = np.unique(classes[(flat != flat[first]).any(axis=1)])
     violations = []
-    for group in groups:
-        for a, b in itertools.combinations(group, 2):
-            found = compare(a, b)
-            if found is None:
-                continue
-            pairs += 1
-            cross += orbit_min[a] != orbit_min[b]
-            violations.extend({"pair": [a, b], **extra} for extra in found)
+    for label in mixed.tolist():
+        for i, j in itertools.combinations(np.flatnonzero(classes == label).tolist(), 2):
+            if tested[i] and scope[i] == scope[j]:
+                violations.extend({"pair": [int(exps[i]), int(exps[j])], **extra} for extra in compare(i, j))
+        if len(violations) >= 5:
+            break
     status = "fail" if violations else "pass" if pairs else "inconclusive"
     tally = {"pairs_tested": pairs, "cross_orbit_pairs": cross}
     return ({"name": name, **tally, "status": status},
             Assertion(f"lemma-{name}", status, {**tally, "violations": violations[:5]}))
 
 
+def _placewise(key: str, stat: np.ndarray, labels=None):
+    """compare() of a tuple statistic: one violation per differing place,
+    named by its label (by its index when there are no labels)."""
+    def compare(i: int, j: int) -> list[dict]:
+        names = labels or itertools.count()
+        return [{key: name} for name, x, y in zip(names, stat[i], stat[j]) if np.any(x != y)]
+    return compare
+
+
 def lemma_suite(tower: FieldTower) -> Report:
     """Assert the digit-statistic consequences of equal (twisted) Gauss sums
     on every pair of regular exponents in the field that satisfies each
-    statement's hypothesis: one `_pair_lemma` row per statement.
+    statement's hypothesis: one `_pair_lemma` row per statement.  Every
+    per-exponent statistic is one array over one digit table.
     """
     if tower.f != 1:
         raise ArgumentError("lemma suite runs over prime-base fields (q = p)")
@@ -360,92 +399,78 @@ def lemma_suite(tower: FieldTower) -> Report:
     # p - 1 twists per signature, and one each for the sums and their inverses
     _check_pairs(n * orbit_count(p, n) * (p + 1), "exponent")
     stride = N // (p - 1)
-    regular = regular_exponents(tower)
-    negated = [(-e) % N for e in regular]
-    vecs = {e: digits.expand(p, n, e) for e in regular}
-    orbit_min = orbit_minima(N, p, n).tolist()
+    regular = np.array(regular_exponents(tower), dtype=np.int64)
+    orbit = orbit_minima(N, p, n)[regular]
+    # S(chi_{pe}) = S(chi_e), and x p maps the twists of e to those of pe, so
+    # every label is keyed once per orbit, at its minimum, and spread over it
+    reps, where = np.unique(orbit, return_inverse=True)
+    where = where.ravel()
 
-    # groups by equal single sums S(omega^alpha)
-    by_S = digits.twist_classes(p, n, regular, stride, 1)
-    # groups by equal full twist signatures of omega^{-alpha}: the twists of
+    def labels(exps, shift: int, n_twists: int) -> np.ndarray:
+        per_rep = digits.twist_labels(p, n, exps, shift, n_twists)
+        return digits.refine(len(where), [lambda alive: per_rep[where[alive], None]])
+
+    # classes of equal single sums S(omega^alpha)
+    by_S = labels(reps, stride, 1)
+    # classes of equal full twist signatures of omega^{-alpha}: the twists of
     # -e with stride -stride are the exponents -(e + k*stride)
-    by_sig = [[(-x) % N for x in cls]
-              for cls in digits.twist_classes(p, n, negated, -stride % N, p - 1)]
-    # the class of S(omega^-e), numbered in first-seen order
-    inverse_id = {(-x) % N: i for i, cls in enumerate(digits.twist_classes(p, n, negated, 0, 1))
-                  for x in cls}
+    by_sig = labels(-reps % N, -stride % N, p - 1)
+    # the class of S(omega^-e); at p = 2 the one twist is the signature itself
+    inverse = by_sig if p == 2 else labels(-reps % N, 0, 1)
 
-    # per-exponent statistics, each computed once however many pairs read it
-    @functools.cache
-    def sums(e: int) -> tuple:
-        """Digit sum, digit factorial mod p and the class of S(omega^-e)."""
-        return digits.digit_sum(vecs[e]), digits.digit_factorial_mod_p(vecs[e]), inverse_id[e]
+    table = digits.digit_table(p, n, regular)
+    sums = np.column_stack([table.sum(axis=1), digits.factorial_residues(p, table), inverse])
+    extremes = np.column_stack([table.max(axis=1), table.min(axis=1)])
+    # the sorted digits of each twist e + k*stride, k < p - 1
+    multisets = np.stack([np.sort(digits.digit_table(p, n, (regular + k * stride) % N), axis=1)
+                          for k in range(p - 1)], axis=1)
+    windows = np.column_stack([digits.window_products(p, table, w) for w in (0, 1, 2)])
 
-    @functools.cache
-    def extremes(e: int) -> tuple[int, int]:
-        return max(vecs[e].digits), min(vecs[e].digits)
+    # the run of each exponent's largest (smallest) digit and the digit after it
+    runs = {}
+    for side, value in (("max", extremes[:, 0]), ("min", extremes[:, 1])):
+        start, length = digits.cyclic_runs(table, value)
+        after = table[np.arange(len(table)), (start + length) % n]
+        runs[side] = (length, np.where(length > 0, after, -1))
 
-    @functools.cache
-    def shifted_multisets(e: int) -> tuple:
-        """The sorted digits of each twist e + k*stride, k < p - 1."""
-        return tuple(
-            tuple(sorted(digits.expand(p, n, (e + k * stride) % N).digits))
-            for k in range(p - 1)
-        )
-
-    @functools.cache
-    def windows(e: int) -> tuple[int, ...]:
-        return tuple(digits.cyclic_window_product(vecs[e], w) for w in (0, 1, 2))
-
-    def placewise(key: str, stat, labels=None):
-        """compare() of a tuple statistic: one violation per differing place,
-        named by its label (by its index when there are no labels)."""
-        def compare(a, b):
-            names = labels or itertools.count()
-            return [{key: name} for name, x, y in zip(names, stat(a), stat(b)) if x != y]
-        return compare
-
-    def runs(a: int, b: int):
+    def run_transfer(i: int, j: int) -> list[dict]:
         """A run of a's largest (smallest) digit must recur in b with the
         same length and the same digit after it."""
-        va, vb = vecs[a], vecs[b]
-        (hi, lo), (hi_b, lo_b) = extremes(a), extremes(b)
-        if hi - lo <= 1 or shifted_multisets(a) != shifted_multisets(b):
-            return None
-        found, tested = [], False
-        for side, value_a, value_b in (("max", hi, hi_b), ("min", lo, lo_b)):
-            run_a = digits.cyclic_run(va, value_a)
-            if run_a is None:
+        found = []
+        for side, (length, after) in runs.items():
+            if not length[i]:
                 continue
-            tested = True
-            run_b = digits.cyclic_run(vb, value_b)
-            if run_b is None:
+            if not length[j]:
                 found.append({"side": side})
-                continue
-            (sa, la), (sb, lb) = run_a, run_b
-            if la != lb:
+            elif length[i] != length[j]:
                 found.append({"side": side + "-mult"})
-            elif va.digits[(sa + la) % n] != vb.digits[(sb + lb) % n]:
+            elif after[i] != after[j]:
                 found.append({"side": side + "-next"})
-        return found if tested else None
+        return found
 
     # The consecutive-run transfer is asserted on signature-equal pairs with
-    # the same scope n <= 5 as the multiset statement it rests on.  Both
-    # restrictions are essential: the multiset-only hypothesis admits
-    # counterexamples already at n = 4 ((1,0,2,2) vs (0,2,1,2) base 3), and
-    # at n = 6 even signature equality plus equal multisets do not force the
-    # transfer ((1,2,2,1,0,0) vs (2,1,2,0,1,0) base 3, exponents 52 vs 104).
-    by_sig_in_scope = by_sig if n <= 5 else []
+    # equal digit multisets, whose a has a run of an extreme digit that is
+    # not within 1 of the other extreme, and with the same scope n <= 5 as
+    # the multiset statement it rests on.  Both restrictions are essential:
+    # the multiset-only hypothesis admits counterexamples already at n = 4
+    # ((1,0,2,2) vs (0,2,1,2) base 3), and at n = 6 even signature equality
+    # plus equal multisets do not force the transfer ((1,2,2,1,0,0) vs
+    # (2,1,2,0,1,0) base 3, exponents 52 vs 104).
+    by_sig_in_scope = by_sig if n <= 5 else np.arange(len(regular))  # single classes: no pairs
+    same_multisets = digits.refine(len(regular), [lambda alive: multisets[alive].reshape(len(alive), -1)])
+    has_run = (extremes[:, 0] - extremes[:, 1] > 1) & ((runs["max"][0] > 0) | (runs["min"][0] > 0))
+    run_stat = np.column_stack([column for pair in runs.values() for column in pair])
     rows = [
-        _pair_lemma("equal-sums-match-digit-sum-and-factorial", by_S, orbit_min,
-                    placewise("stat", sums, ("digit-sum", "digit-factorial", "inverse-sums"))),
-        _pair_lemma("equal-signatures-match-extreme-digits", by_sig, orbit_min,
-                    lambda a, b: [] if extremes(a) == extremes(b) else [{}]),
-        _pair_lemma("equal-signatures-match-digit-multisets", by_sig_in_scope, orbit_min,
-                    placewise("k", shifted_multisets)),
-        _pair_lemma("equal-signatures-match-consecutive-runs", by_sig_in_scope, orbit_min, runs),
-        _pair_lemma("equal-sums-match-windowed-products", by_S, orbit_min,
-                    placewise("window", windows)),
+        _pair_lemma("equal-sums-match-digit-sum-and-factorial", regular, by_S, orbit, sums,
+                    _placewise("stat", sums, ("digit-sum", "digit-factorial", "inverse-sums"))),
+        _pair_lemma("equal-signatures-match-extreme-digits", regular, by_sig, orbit, extremes,
+                    lambda i, j: [] if np.array_equal(extremes[i], extremes[j]) else [{}]),
+        _pair_lemma("equal-signatures-match-digit-multisets", regular, by_sig_in_scope, orbit,
+                    multisets, _placewise("k", multisets)),
+        _pair_lemma("equal-signatures-match-consecutive-runs", regular, by_sig_in_scope, orbit,
+                    run_stat, run_transfer, scope=same_multisets, tested=has_run),
+        _pair_lemma("equal-sums-match-windowed-products", regular, by_S, orbit, windows,
+                    _placewise("window", windows)),
     ]
     result = {"p": p, "n": n, "stamp": convention_stamp(tower),
               "lemmas": [row for row, _ in rows]}
@@ -479,71 +504,84 @@ def etale_signature_scan(
     (epsilon_A * G_A(chi * eta_k))_k, and compare the classes against
     divisor equality on the character lattice.
 
-    All factor sums are computed inside one master tower of degree
-    lcm(1..n), with each subfield generator pinned to the norm of the master
-    generator; inflation along norms is then exponent scaling, so divisor
-    bookkeeping and Gauss sums share one indexing.  Each signed product is
-    one `gauss.etale_gauss` call on the master tower's subfield tables, and
-    gets the id of its value from one numbering shared by every algebra, so
-    a signature key depends on the values alone, not on the algebra.
+    A character of A = prod_i F_{q^(d_i)} is a tuple (c_i), each c_i indexed
+    against the norm of one master generator of F_{q^lcm(1..n)}, so that
+    inflation along norms is exponent scaling and divisors and Gauss sums
+    share one indexing.  Each signed product is numbered by its exact value
+    from integers alone (`digits.product_labels`), with one numbering shared
+    by every algebra, so a signature key depends on the values alone, not
+    on the algebra.  The master tower is built for the report's stamp (its
+    modulus and generator) and nothing else.
     """
     if n < 1:
         raise ArgumentError(f"degree n must be positive, got n={n}")
     q = p**f
     L = lcm(*range(1, n + 1))
     check_field(p, f * L, max_elements)  # before the master tower's p^(f*L)
+    algebras = [(parts, [q**d - 1 for d in parts]) for parts in _partitions(n)]
+    sizes = [math.prod(orders) for _, orders in algebras]
+    _check_pairs(sum(sizes) * (q - 1), "character")
     master = build_tower(p, f, L, max_elements=max_elements)
-    NL = master.mult_order
     bound = n < (q - 1) / (2 * math.sqrt(q)) + 1
-    tables: dict[int, GaussTable] = {}  # one subfield table per part degree, shared
+    M = lcm(*(q**d - 1 for d in range(1, n + 1)))
 
-    def divisor(parts: tuple[int, ...], exps: tuple[int, ...]) -> tuple[int, ...]:
-        points = []
-        for d, c in zip(parts, exps):
-            Nd = q**d - 1
-            inflate = NL // Nd
-            points.extend((c * pow(q, j, Nd) % Nd) * inflate % NL for j in range(d))
-        return tuple(sorted(points))
+    # every character of every algebra, in mixed radix (the last exponent
+    # fastest), one row each; signed products epsilon_A * G_A(chi) by value
+    chars = [np.stack(np.unravel_index(np.arange(size), orders), axis=1)
+             for (_, orders), size in zip(algebras, sizes)]
+    value = digits.product_labels(p, f, [((-1) ** (sum(parts) - len(parts)), parts, exps)
+                                         for (parts, _), exps in zip(algebras, chars)])
+    starts = np.cumsum([0] + sizes)
 
-    classes: dict[bytes, set] = {}
-    divisors_of: dict[tuple, set] = {}
-    ids: dict = {}  # canonical key -> value id, for the products of all algebras
-    n_chars = 0
-    for parts in _partitions(n):
-        chars = list(itertools.product(*(range(q**d - 1) for d in parts)))
-        # signed product epsilon_A * G_A(chi) once per character, as a value id
-        value_id = value_ids((etale_gauss(master, tables, parts, exps).coeffs for exps in chars), ids)
-        # twisting by eta_k sends (c_i) to (c_i + k*(q^d_i - 1)/(q - 1)), another
-        # character of the same algebra: read its id at its mixed-radix index
-        orders = np.array([q**d - 1 for d in parts], dtype=np.int64)
-        place = np.array([math.prod(orders[i + 1:]) for i in range(len(parts))], dtype=np.int64)
-        twists = np.arange(q - 1)[:, None] * (orders // (q - 1))
-        exps_of = np.array(chars, dtype=np.int64).reshape(len(chars), len(parts))
-        twist_rows = (exps_of[:, None, :] + twists) % orders @ place
-        for exps, idx in zip(chars, twist_rows):
-            n_chars += 1
-            key = value_id[idx].tobytes()
-            div = divisor(parts, exps)
-            classes.setdefault(key, set()).add(div)
-            divisors_of.setdefault(div, set()).add(key)
+    # per algebra: the factor orders, their mixed-radix place values and the
+    # exponent step of a twist by eta_1, (q^d_i - 1)/(q - 1)
+    radix = [(np.array(orders), np.array([math.prod(orders[i + 1:]) for i in range(len(orders))]),
+              np.array(orders) // (q - 1)) for _, orders in algebras]
 
-    shared = [list(d) for d, v in divisors_of.items() if len(v) > 1]
+    def twisted(ks):
+        """The value labels of the twists by eta_k, k in ks: twisting sends
+        (c_i) to (c_i + k*(q^d_i - 1)/(q - 1)), another character of the same
+        algebra, read at its mixed-radix index."""
+        def block(alive):
+            cut = np.searchsorted(alive, starts)
+            return np.concatenate([
+                value[(exps[alive[lo:hi] - start, None, :] + ks[:, None] * step) % orders @ place + start]
+                for (orders, place, step), exps, lo, hi, start
+                in zip(radix, chars, cut[:-1], cut[1:], starts)])
+        return block
+
+    ks = np.arange(q - 1, dtype=np.int64)
+    signature = digits.refine(len(value), (twisted(ks[lo:lo + digits.KEY_COLUMNS])
+                                           for lo in range(0, q - 1, digits.KEY_COLUMNS)))
+    # a divisor: the sorted Frobenius orbits of the factors, inflated to Z/M
+    points = np.concatenate([
+        np.sort(np.concatenate([exps[:, [i]] * np.array([pow(q, j, N) for j in range(d)]) % N * (M // N)
+                                for i, (d, N) in enumerate(zip(parts, orders))], axis=1), axis=1)
+        for (parts, orders), exps in zip(algebras, chars)])
+    divisor = digits.refine(len(points), [lambda alive: points[alive]])
+
+    n_classes, n_divisors = int(signature.max()) + 1, int(divisor.max()) + 1
+    pairs = np.unique(signature * n_divisors + divisor)
+    shared = np.flatnonzero(np.bincount(pairs % n_divisors, minlength=n_divisors) > 1)
     result = {
         "p": p,
         "f": f,
         "n": n,
         "master_degree": L,
         "bound_satisfied": bound,
-        "n_characters": n_chars,
-        "n_signature_classes": len(classes),
-        "n_divisors": len(divisors_of),
+        "n_characters": len(value),
+        "n_signature_classes": n_classes,
+        "n_divisors": n_divisors,
         "stamp": convention_stamp(master),
     }
+    witness = None
+    if len(shared):  # the first divisor seen with two signatures, as points mod q^L - 1
+        inflate = master.mult_order // M
+        witness = {"divisor": [int(x) * inflate for x in points[np.argmax(divisor == shared[0])]]}
     single = "signature-classes-are-single-divisors"
     return Report(result, [
-        check("equal-divisors-share-signed-signatures", not shared,
-              {"divisor": shared[0]} if shared else None),
-        check(single, all(len(v) == 1 for v in classes.values())) if bound else
+        check("equal-divisors-share-signed-signatures", not len(shared), witness),
+        check(single, len(pairs) == n_classes) if bound else
         Assertion(single, "inconclusive",
                   {"reason": "bound n < (q-1)/(2 sqrt q) + 1 not satisfied"}),
     ])

@@ -116,20 +116,6 @@ def canonical_key(coeffs: np.ndarray) -> bytes | tuple[int, ...]:
     return tuple(flat)
 
 
-def value_ids(rows, ids: dict | None = None) -> np.ndarray:
-    """An int64 id per row, equal for two rows exactly when their
-    coefficients are equal: the ids number the `canonical_key`s of the rows
-    in first-seen order.  `ids` (key -> id) is extended in place, so callers
-    that pass one dict get one numbering across all their rows.
-
-    The dict holds the full key of every distinct value it has seen, so its
-    size grows with the values numbered.  The etale scan is its one caller,
-    numbering products across algebras; Gauss tables number their rows from
-    digests with an exact recheck instead (`GaussTable.value_id`)."""
-    ids = {} if ids is None else ids
-    return np.array([ids.setdefault(canonical_key(row), len(ids)) for row in rows], dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra: float64 when a bound certifies it, Python ints otherwise
 

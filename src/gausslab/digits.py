@@ -8,20 +8,25 @@ carry arithmetic of adding a positive multiple of (p^n-1)/(p-1) lands on the
 all-(p-1) representative instead, so the digit-sum drop identity is checked
 through `digit_sum_shifted`, which uses zero_rep="full" on the shifted class.
 
-Statistics: digit_sum (s), digit_factorial_mod_p (t mod p), the p-free
-factorial N!', the cyclic windowed-factorial product mod p^(m+1) (V_m),
-truncated p-adic gamma values by the digit-window formula as well as by the
-direct product definition at integer arguments, and cyclic runs: the start
-and length of the one cyclic run that the places of a digit value may form.
+Statistics of one digit vector: digit_sum (s), digit_factorial_mod_p
+(t mod p), the p-free factorial N!', and truncated p-adic gamma values by
+the digit-window formula as well as by the direct product definition at
+integer arguments.  Statistics of a digit table (`digit_table`, one row per
+exponent), each one array: t mod p, the cyclic windowed-factorial product
+mod p^(m+1) (V_m), and cyclic runs: the start and length of the one cyclic
+run that the places of a digit value may form.
 
 Twist signatures: `twist_classes` partitions characters by the exact Gauss
 sums of their twists from integers alone, the Stickelberger valuations at
-every prime above p and the Gross-Koblitz unit residue (`unit_residues`).
+every prime above p and the Gross-Koblitz unit residue (`unit_residues`);
+`product_labels` numbers products of subfield sums the same way, and
+`refine` is the block-by-block grouping both rest on.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,17 +119,6 @@ def window_value(v: DigitVector, i: int, m: int) -> int:
     out = 0
     for j in range(m, -1, -1):
         out = out * v.p + v.digit(i + j)
-    return out
-
-
-def cyclic_window_product(v: DigitVector, m: int) -> int:
-    """V_m: prod over i of (window at i)!', mod p^(m+1)."""
-    if m < 0:
-        raise ArgumentError("window width must be >= 0")
-    modulus = v.p ** (m + 1)
-    out = 1
-    for i in range(1, v.n + 1):
-        out = out * prime_free_factorial(window_value(v, i, m), v.p, modulus) % modulus
     return out
 
 
@@ -221,26 +215,94 @@ def core_vertex_count(v: DigitVector, a: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cyclic runs
+# digit tables: the statistics above, one row per exponent
 
 
-def cyclic_run(v: DigitVector, value: int) -> tuple[int, int] | None:
-    """(0-based start, length) when the places holding `value` form one
-    cyclic run, (0, n) when every digit is `value`, None otherwise."""
-    places = [i for i, d in enumerate(v.digits) if d == value]
-    if len(places) == v.n:
-        return 0, v.n
+def digit_table(p: int, n: int, exps) -> np.ndarray:
+    """The digits of every exponent of `exps` mod p^n - 1, one row each: row
+    i is `expand(p, n, exps[i]).digits` (the zero class reads all zeros)."""
+    e = np.asarray(exps, dtype=np.int64) % (p**n - 1)
+    return e[:, None] // p ** np.arange(n, dtype=np.int64) % p
+
+
+def factorial_residues(p: int, table: np.ndarray) -> np.ndarray:
+    """t = prod d_i! mod p (`digit_factorial_mod_p`) of every row of a digit
+    table."""
+    fact = np.array([math.factorial(d) % p for d in range(p)], dtype=np.int64)
+    out = np.ones(len(table), dtype=np.int64)
+    for column in table.T:
+        out = out * fact[column] % p
+    return out
+
+
+def window_products(p: int, table: np.ndarray, m: int) -> np.ndarray:
+    """V_m = prod over places i of (window at i)!', mod p^(m+1), the cyclic
+    windowed-factorial product of every row of a digit table."""
+    if m < 0:
+        raise ArgumentError("window width must be >= 0")
+    modulus = p ** (m + 1)
+    # the window at place i reads d_i + d_{i+1} p + ... + d_{i+m} p^m, cyclically
+    windows = sum(np.roll(table, -j, axis=1) * p**j for j in range(m + 1))
+    factorials = np.array([prime_free_factorial(w, p, modulus)
+                           for w in range(int(windows.max(initial=0)) + 1)], dtype=np.int64)
+    out = np.ones(len(table), dtype=np.int64)
+    for column in windows.T:
+        out = out * factorials[column] % modulus
+    return out
+
+
+def cyclic_runs(table: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclic run of each row's own value: (0-based start, length) where
+    the places of a row holding its value form one cyclic run, (0, n) where
+    every digit is that value, length 0 otherwise."""
+    n = table.shape[1]
+    places = table == np.asarray(values)[:, None]
+    count = places.sum(axis=1)
     # a run starts where the digit before it differs; d[-1] precedes d[0]
-    starts = [i for i in places if v.digits[i - 1] != value]
-    return (starts[0], len(places)) if len(starts) == 1 else None
+    starts = places & ~np.roll(places, 1, axis=1)
+    one = starts.sum(axis=1) == 1
+    start = np.where(one, starts.argmax(axis=1), 0)
+    return start, np.where(one | (count == n), count, 0)
 
 
 # ---------------------------------------------------------------------------
 # twist signatures from Stickelberger valuations and the Gross-Koblitz unit
 
-# Key columns compared per refinement step: a step holds (rows, _COLUMNS)
+# Key columns compared per refinement step: a step holds (rows, KEY_COLUMNS)
 # arrays, never one column per coset and twist for every row.
-_COLUMNS = 64
+KEY_COLUMNS = 64
+
+
+def refine(rows: int, blocks) -> np.ndarray:
+    """Class labels of `rows` rows, equal for two rows exactly when they
+    agree on every key block, numbered in first-seen order.
+
+    `blocks` yields functions; each maps the ascending indices of the rows
+    that still share their class with another row to those rows' next key
+    columns, a (len(alive), k) integer array.  Rows are split block by
+    block, only inside classes that still have more than one member, and no
+    block is asked for once every class is a single row.
+    """
+    labels = np.zeros(rows, dtype=np.int64)
+    alive, local, top = np.arange(rows), labels.copy(), 0
+    for block in blocks:
+        if len(alive) < 2:
+            break
+        columns = np.ascontiguousarray(block(alive))
+        # one byte string per row: its class so far, then its block
+        key = np.concatenate([local.view(np.uint8).reshape(len(alive), -1),
+                              columns.view(np.uint8).reshape(len(alive), -1)], axis=1)
+        _, local, counts = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
+                                     return_inverse=True, return_counts=True)
+        local = local.astype(np.int64).ravel()
+        labels[alive] = top + local
+        top += len(counts)
+        multi = counts[local] > 1
+        alive, local = alive[multi], local[multi]
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.ravel()]
 
 
 def unit_residues(p: int, d: int, a) -> np.ndarray:
@@ -271,10 +333,11 @@ def digit_sum_table(p: int, d: int) -> np.ndarray:
     return s[:-1]
 
 
-def _coset_reps(p: int, d: int) -> np.ndarray:
-    """The smallest member of each coset of <p> in (Z/N)^x, N = p^d - 1,
-    ascending, so u = 1 comes first: one per prime above p."""
-    N = p**d - 1
+def _coset_reps(p: int, d: int, N: int | None = None) -> np.ndarray:
+    """The smallest member of each coset of <p> in (Z/N)^x, N = p^d - 1 by
+    default (else p^d = 1 mod N), ascending, so u = 1 comes first: one per
+    prime above p of Q(zeta_N)."""
+    N = p**d - 1 if N is None else N
     unit = np.ones(N, dtype=bool)
     for ell in prime_divisors(N):
         unit[::ell] = False
@@ -286,10 +349,10 @@ def _coset_reps(p: int, d: int) -> np.ndarray:
     return u[lowest == u]
 
 
-def twist_classes(p: int, d: int, exps, stride: int, n_twists: int) -> list[list[int]]:
-    """Partition `exps` by the exact Gauss sums over F_{p^d} of their twists
-    x + k*stride, k < n_twists: classes in first-seen order, members in
-    input order.
+def twist_labels(p: int, d: int, exps, stride: int, n_twists: int) -> np.ndarray:
+    """Labels of `exps` by the exact Gauss sums over F_{p^d} of their twists
+    x + k*stride, k < n_twists: equal labels exactly for equal sums at every
+    twist, numbered in first-seen order.
 
     With a = -x mod N, N = p^d - 1, Gross-Koblitz gives S(chi_x) =
     -pi^s(a) U(a) in the p-adic embedding (see `padic`).  Two sums are
@@ -301,38 +364,98 @@ def twist_classes(p: int, d: int, exps, stride: int, n_twists: int) -> list[list
     roots are told apart by U mod p (mod 4).
 
     Rows are grouped by the unit residues of all twists first, then split
-    by blocks of valuation columns, only inside classes that still have
-    more than one member, so no step holds more than (rows, _COLUMNS)
-    entries of the key.
+    by blocks of valuation columns (`refine`).
     """
     N = p**d - 1
     exps = np.asarray(exps, dtype=np.int64)
     shifts = stride * np.arange(n_twists, dtype=np.int64) % N
     sums = digit_sum_table(p, d)
     cosets = _coset_reps(p, d)
-    # (twists, cosets) per step; no cosets means the twists' unit residues
-    steps = itertools.chain(
-        ((shifts[lo:lo + _COLUMNS], None) for lo in range(0, n_twists, _COLUMNS)),
-        ((shifts[k:k + 1], cosets[lo:lo + _COLUMNS])
-         for lo in range(0, len(cosets), _COLUMNS) for k in range(n_twists)),
-    )
-    labels = np.zeros(len(exps), dtype=np.int64)
-    alive, local, top = np.arange(len(exps)), labels.copy(), 0
-    for twists, u in steps:
-        if len(alive) < 2:
-            break
-        a = -(exps[alive, None] + twists) % N
-        block = (unit_residues(p, d, a) if u is None else sums[a * u % N]).astype(sums.dtype)
-        # one byte string per row: its class so far, then its block
-        key = np.concatenate([local.view(np.uint8).reshape(len(alive), -1),
-                              block.view(np.uint8).reshape(len(alive), -1)], axis=1)
-        _, local, counts = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
-                                     return_inverse=True, return_counts=True)
-        labels[alive] = top + local
-        top += len(counts)
-        multi = counts[local] > 1
-        alive, local = alive[multi], local[multi]
-    classes: dict[int, list[int]] = {}
-    for e, label in zip(exps.tolist(), labels.tolist()):
-        classes.setdefault(label, []).append(e)
-    return list(classes.values())
+
+    def units(twists):
+        return lambda alive: unit_residues(p, d, -(exps[alive, None] + twists) % N).astype(sums.dtype)
+
+    def valuations(twist, u):
+        return lambda alive: sums[-(exps[alive, None] + twist) % N * u % N]
+
+    return refine(len(exps), itertools.chain(
+        (units(shifts[lo:lo + KEY_COLUMNS]) for lo in range(0, n_twists, KEY_COLUMNS)),
+        (valuations(shift, cosets[lo:lo + KEY_COLUMNS])
+         for lo in range(0, len(cosets), KEY_COLUMNS) for shift in shifts),
+    ))
+
+
+def _classes_of(items, labels: np.ndarray) -> list[list]:
+    """`items` grouped by their first-seen labels: classes in label order,
+    members in input order."""
+    classes: list[list] = [[] for _ in range(int(labels.max(initial=-1)) + 1)]
+    for item, label in zip(items, labels.tolist()):
+        classes[label].append(item)
+    return classes
+
+
+def twist_classes(p: int, d: int, exps, stride: int, n_twists: int) -> list[list[int]]:
+    """`exps` partitioned by `twist_labels`: classes in first-seen order,
+    members in input order."""
+    exps = np.asarray(exps, dtype=np.int64)
+    return _classes_of(exps.tolist(), twist_labels(p, d, exps, stride, n_twists))
+
+
+def product_labels(p: int, f: int, products) -> np.ndarray:
+    """Labels of signed products sign * prod_i S_i(chi_{c_i}) of Gauss sums
+    over subfields F_{q^(d_i)}, q = p^f, by their exact values: equal labels
+    exactly for equal products, numbered in first-seen order.
+
+    `products` lists (sign, parts, exps) triples: one shape of product, the
+    degrees d_i, and an (rows, len(parts)) array of its exponents c_i, each
+    indexed against the norm of one common generator, so every factor is
+    omega_d^-a, a = -c, for the Teichmueller character of one p-adic
+    embedding.  Rows number the products of all triples in order.
+
+    The key of `twist_labels` multiplies: with M = lcm(q^d_i - 1), a product
+    has valuation sum_i s_{f d_i}(u * a_i mod (q^d_i - 1)) at the prime of
+    each coset representative u of <p> in (Z/M)^x, and its unit is sign *
+    prod_i (-U(a_i)), mod p (mod 4 at p = 2).  Two products of equal
+    valuations differ by a unit of absolute value 1 everywhere, a root of
+    unity in Z_p, which that residue tells apart.
+    """
+    q = p**f
+    degrees = sorted({d for _, parts, _ in products for d in parts})
+    M = math.lcm(*(q**d - 1 for d in degrees))
+    cosets = _coset_reps(p, f * math.lcm(*degrees), M)
+    # valuations stay below f * (p - 1) * (the largest sum of degrees)
+    top = f * (p - 1) * max(sum(parts) for _, parts, _ in products)
+    vtype = np.min_scalar_type(top)
+    sums = {d: digit_sum_table(p, f * d).astype(vtype) for d in degrees}
+    u_of = {d: cosets % (q**d - 1) for d in degrees}
+    mod = 4 if p == 2 else p
+    groups = [(sign, parts, -np.asarray(exps, dtype=np.int64).reshape(-1, len(parts))
+               % [q**d - 1 for d in parts]) for sign, parts, exps in products]
+    starts = np.cumsum([0] + [len(a) for _, _, a in groups])
+
+    def per_group(key):
+        def block(alive):
+            cut = np.searchsorted(alive, starts)
+            return np.concatenate([key(sign, parts, a[alive[lo:hi] - start])
+                                   for (sign, parts, a), lo, hi, start
+                                   in zip(groups, cut[:-1], cut[1:], starts)])
+        return block
+
+    def unit(sign, parts, a):
+        out = np.full(len(a), sign, dtype=np.int64)
+        for d, column in zip(parts, a.T):
+            out = out * -unit_residues(p, f * d, column) % mod
+        return out[:, None]
+
+    def valuations(u):
+        def key(sign, parts, a):
+            out = np.zeros((len(a), len(cosets[u])), dtype=vtype)
+            for d, column in zip(parts, a.T):
+                out += sums[d][column[:, None] * u_of[d][u] % (q**d - 1)]
+            return out
+        return key
+
+    return refine(int(starts[-1]), itertools.chain(
+        [per_group(unit)],
+        (per_group(valuations(slice(lo, lo + KEY_COLUMNS))) for lo in range(0, len(cosets), KEY_COLUMNS)),
+    ))

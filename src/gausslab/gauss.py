@@ -1,5 +1,5 @@
-"""Exact Gauss sums, twisted gamma factors, etale-algebra sums and the
-Hasse-Davenport lifting check.
+"""Exact Gauss sums, twisted gamma factors and the Hasse-Davenport lifting
+check.
 
 Conventions, fixed once for the whole artifact:
 
@@ -25,8 +25,7 @@ for `S`, a few for `rows`.  The whole-field table
 is cached per tower in `_TABLE_CACHE` and serves gauss_S; a CLI call
 empties that cache when it ends, so a table lives as long as the call that
 built its tower.  A table over a subfield F_{q^d} is owned by its caller
-and serves the subfield sums of Hasse-Davenport, the etale products and the
-tensor RHS.
+and serves the subfield sums of Hasse-Davenport and the tensor RHS.
 
 Every character of a subfield F_{q^d} is an exponent on the one ambient
 tower, indexed against h = Nr_{n:d}(g), the norm of the tower generator, so
@@ -40,7 +39,6 @@ therefore stays inside one tower.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -312,38 +310,6 @@ def hasse_davenport_check(tower: FieldTower, exponents) -> list[int]:
     lift = tower.mult_order // (tower.q - 1)
     return [c for c in exponents
             if -gauss_S(MultChar(tower, c * lift)) != (-base.element(c)) ** tower.n]
-
-
-# ---------------------------------------------------------------------------
-# etale-algebra sums inside one tower
-
-
-def etale_gauss(tower: FieldTower, tables: dict[int, GaussTable],
-                parts: Sequence[int], exps: Sequence[int]) -> cyclo.CycloElement:
-    """epsilon_A * G_A(chi) for the etale algebra A = prod_i F_{q^(d_i)},
-    d_i = parts[i], and its character chi = (chi_{c_i}), c_i = exps[i].
-
-    Every factor is the subfield F_{q^(d_i)} of the tower, so d_i must divide
-    n, and c_i is indexed against Nr_{n:d_i}(g) as in GaussTable.  G_A(chi)
-    is the product of the factor sums S(chi_{c_i}), the rows of those tables,
-    and epsilon_A = (-1)^(sum d_i - r).  `tables` maps d to
-    GaussTable(tower, d); a missing degree is built into it, so callers that
-    share one dict build each table once.  The product starts from its first
-    factor; the empty product (n = 0) is 1.
-    """
-    if len(parts) != len(exps):
-        raise ArgumentError(
-            f"need one exponent per factor: got {len(exps)} for {len(parts)} factors"
-        )
-    factors = []
-    for d, c in zip(parts, exps):
-        if d not in tables:
-            tables[d] = GaussTable(tower, d)
-        factors.append(tables[d].element(c))
-    prod = factors[0] if factors else ring_for(tower).one()
-    for x in factors[1:]:
-        prod = prod * x
-    return -prod if (sum(parts) - len(parts)) % 2 else prod
 
 
 # ---------------------------------------------------------------------------

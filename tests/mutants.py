@@ -102,7 +102,7 @@ MUTANTS = [
     ),
     Mutant(
         "etale-epsilon-dropped",
-        "src/gausslab/gauss.py",
+        "tests/reference.py",
         "return -prod if (sum(parts) - len(parts)) % 2 else prod",
         "return prod",
         ("tests/test_gauss.py::test_etale_signs",
@@ -210,22 +210,45 @@ MUTANTS = [
     Mutant(
         "lemma-violations-dropped",
         "src/gausslab/converse.py",
-        'violations.extend({"pair": [a, b], **extra} for extra in found)',
+        'violations.extend({"pair": [int(exps[i]), int(exps[j])], **extra} for extra in compare(i, j))',
         "violations.extend([])",
         ("tests/test_converse.py::test_lemma_suite_reports_violations",),
     ),
     Mutant(
         "lemma-cross-orbit-counts-same-orbit-pairs",
         "src/gausslab/converse.py",
-        "cross += orbit_min[a] != orbit_min[b]",
-        "cross += orbit_min[a] == orbit_min[b]",
+        "cross = pairs - _later([classes, scope, orbit], tested)",
+        "cross = _later([classes, scope, orbit], tested)",
         ("tests/test_cli.py::test_report_bytes_pinned[lemmas --p 3 --n 4]",),
+    ),
+    Mutant(
+        "lemma-run-pairs-ignore-the-multiset-hypothesis",
+        "src/gausslab/converse.py",
+        "run_stat, run_transfer, scope=same_multisets, tested=has_run)",
+        "run_stat, run_transfer, tested=has_run)",
+        ("tests/test_converse.py::test_lemma_suite_matches_the_pairwise_oracle_on_wrong_digits[3-4]",),
+    ),
+    Mutant(
+        "etale-key-without-epsilon",
+        "src/gausslab/converse.py",
+        "[((-1) ** (sum(parts) - len(parts)), parts, exps)",
+        "[(1, parts, exps)",
+        ("tests/test_converse.py::test_etale_scan_matches_the_ring_route[13-1-2]",
+         "tests/test_cli.py::test_report_bytes_pinned[etale-scan --p 5 --n 2]"),
+    ),
+    Mutant(
+        "etale-coset-reduced-mod-q-minus-1",
+        "src/gausslab/digits.py",
+        "u_of = {d: cosets % (q**d - 1) for d in degrees}",
+        "u_of = {d: cosets % (q - 1) for d in degrees}",
+        ("tests/test_converse.py::test_product_labels_match_the_ring_route[13-1-2]",
+         "tests/test_converse.py::test_etale_scan_matches_the_ring_route[2-2-3]"),
     ),
     Mutant(
         "twist-keys-without-unit-residues",
         "src/gausslab/digits.py",
-        "unit_residues(p, d, a) if u is None",
-        "0 * a if u is None",
+        "return lambda alive: unit_residues(",
+        "return lambda alive: 0 * unit_residues(",
         ("tests/test_converse.py::test_integer_classes_match_the_ring_route[3-1-4]",
          "tests/test_converse.py::test_integer_classes_match_the_ring_route[2-1-8]"),
     ),
@@ -249,8 +272,8 @@ MUTANTS = [
     Mutant(
         "cyclic-run-without-wrap-around",
         "src/gausslab/digits.py",
-        "starts = [i for i in places if v.digits[i - 1] != value]",
-        "starts = [i for i in places if i == 0 or v.digits[i - 1] != value]",
+        "starts = places & ~np.roll(places, 1, axis=1)",
+        "starts = places & ~np.pad(places[:, :-1], ((0, 0), (1, 0)))",
         ("tests/test_digits.py::test_cyclic_runs",),
     ),
 ]

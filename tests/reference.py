@@ -3,7 +3,10 @@
 Each helper computes by a route the library does not take: signature
 classes from the value ids of Gauss-table rows in Z[zeta_m], where the
 library decides equal sums from Stickelberger valuations and Gross-Koblitz
-unit residues; a character value from its defining formula; absolute
+unit residues; the etale scan from products multiplied in Z[zeta_m] inside
+the master tower, where the library keys them by integers; the lemma suite
+one pair at a time, on digit vectors, where the library compares arrays
+over one digit table; a character value from its defining formula; absolute
 traces from Newton's identities on the modulus; Phi_m by stretching the
 squarefree-radical polynomial; Frobenius orbits by walking them; p-free
 factorials by a loop; and the p-adic side by a schoolbook product of
@@ -16,14 +19,18 @@ a time.
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
 from gausslab import digits
-from gausslab.chars import MultChar, ring_for
-from gausslab.converse import _signature_key
-from gausslab.cyclo import _cyclotomic_radical
-from gausslab.gauss import gauss_S
+from gausslab.chars import MultChar, orbit_count, orbit_minima, regular_exponents, ring_for
+from gausslab.converse import (Assertion, Report, _check_pairs, _partitions, _signature_key, check,
+                               convention_stamp)
+from gausslab.cyclo import _cyclotomic_radical, canonical_key
+from gausslab.errors import ArgumentError
+from gausslab.ff import DEFAULT_MAX_ELEMENTS, build_tower, check_field
+from gausslab.gauss import GaussTable, gauss_S
 from gausslab.numth import radical
 from gausslab.padic import GrossKoblitzReport, StickelbergerReport, embedding_for
 
@@ -36,6 +43,223 @@ def signature_classes(tab, exps, stride, n_twists):
     for e in exps:
         classes.setdefault(_signature_key(tab, e, stride, n_twists), []).append(e)
     return list(classes.values())
+
+
+def value_ids(rows, ids=None):
+    """An int64 id per row, equal for two rows exactly when their
+    coefficients are equal: the ids number the `canonical_key`s of the rows
+    in first-seen order.  `ids` (key -> id) is extended in place, so callers
+    that pass one dict get one numbering across all their rows."""
+    ids = {} if ids is None else ids
+    return np.array([ids.setdefault(canonical_key(row), len(ids)) for row in rows], dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# the etale scan and the lemma suite by their Z[zeta_m] and pairwise routes
+
+
+def cyclic_window_product(v, m):
+    """V_m of one digit vector: prod over i of (window at i)!', mod p^(m+1)."""
+    modulus = v.p ** (m + 1)
+    out = 1
+    for i in range(1, v.n + 1):
+        out = out * digits.prime_free_factorial(digits.window_value(v, i, m), v.p, modulus) % modulus
+    return out
+
+
+def cyclic_run(v, value):
+    """(0-based start, length) when the places of one digit vector holding
+    `value` form one cyclic run, (0, n) when every digit is `value`, None
+    otherwise."""
+    places = [i for i, d in enumerate(v.digits) if d == value]
+    if len(places) == v.n:
+        return 0, v.n
+    # a run starts where the digit before it differs; d[-1] precedes d[0]
+    starts = [i for i in places if v.digits[i - 1] != value]
+    return (starts[0], len(places)) if len(starts) == 1 else None
+
+
+def etale_gauss(tower, tables, parts, exps):
+    """epsilon_A * G_A(chi) in Z[zeta_m] for the etale algebra A = prod_i
+    F_{q^(d_i)}, d_i = parts[i], and its character chi = (chi_{c_i}),
+    c_i = exps[i].
+
+    Every factor is the subfield F_{q^(d_i)} of the tower, so d_i must divide
+    n, and c_i is indexed against Nr_{n:d_i}(g) as in GaussTable.  G_A(chi)
+    is the product of the factor sums S(chi_{c_i}), the rows of those tables,
+    and epsilon_A = (-1)^(sum d_i - r).  `tables` maps d to
+    GaussTable(tower, d); a missing degree is built into it, so callers that
+    share one dict build each table once.  The empty product (n = 0) is 1.
+    """
+    if len(parts) != len(exps):
+        raise ArgumentError(
+            f"need one exponent per factor: got {len(exps)} for {len(parts)} factors"
+        )
+    factors = []
+    for d, c in zip(parts, exps):
+        if d not in tables:
+            tables[d] = GaussTable(tower, d)
+        factors.append(tables[d].element(c))
+    prod = factors[0] if factors else ring_for(tower).one()
+    for x in factors[1:]:
+        prod = prod * x
+    return -prod if (sum(parts) - len(parts)) % 2 else prod
+
+
+def etale_scan_by_products(p, f, n, *, max_elements=DEFAULT_MAX_ELEMENTS):
+    """`converse.etale_signature_scan` with every signed product multiplied
+    out in Z[zeta_m] of the master tower of degree lcm(1..n), one
+    `gauss.etale_gauss` call per character, and numbered by `value_ids`
+    through one dict shared by every algebra."""
+    if n < 1:
+        raise ArgumentError(f"degree n must be positive, got n={n}")
+    q = p**f
+    L = math.lcm(*range(1, n + 1))
+    check_field(p, f * L, max_elements)
+    master = build_tower(p, f, L, max_elements=max_elements)
+    NL = master.mult_order
+    bound = n < (q - 1) / (2 * math.sqrt(q)) + 1
+    tables = {}  # one subfield table per part degree, shared
+
+    def divisor(parts, exps):
+        points = []
+        for d, c in zip(parts, exps):
+            Nd = q**d - 1
+            points.extend((c * pow(q, j, Nd) % Nd) * (NL // Nd) % NL for j in range(d))
+        return tuple(sorted(points))
+
+    classes, divisors_of, ids = {}, {}, {}
+    n_chars = 0
+    for parts in _partitions(n):
+        chars = list(itertools.product(*(range(q**d - 1) for d in parts)))
+        value_id = value_ids((etale_gauss(master, tables, parts, exps).coeffs for exps in chars), ids)
+        # twisting by eta_k sends (c_i) to (c_i + k*(q^d_i - 1)/(q - 1)): read
+        # its id at its mixed-radix index
+        orders = np.array([q**d - 1 for d in parts], dtype=np.int64)
+        place = np.array([math.prod(orders[i + 1:]) for i in range(len(parts))], dtype=np.int64)
+        twists = np.arange(q - 1)[:, None] * (orders // (q - 1))
+        exps_of = np.array(chars, dtype=np.int64).reshape(len(chars), len(parts))
+        twist_rows = (exps_of[:, None, :] + twists) % orders @ place
+        for exps, idx in zip(chars, twist_rows):
+            n_chars += 1
+            key = value_id[idx].tobytes()
+            div = divisor(parts, exps)
+            classes.setdefault(key, set()).add(div)
+            divisors_of.setdefault(div, set()).add(key)
+
+    shared = [list(d) for d, v in divisors_of.items() if len(v) > 1]
+    result = {
+        "p": p, "f": f, "n": n, "master_degree": L, "bound_satisfied": bound,
+        "n_characters": n_chars, "n_signature_classes": len(classes),
+        "n_divisors": len(divisors_of), "stamp": convention_stamp(master),
+    }
+    single = "signature-classes-are-single-divisors"
+    return Report(result, [
+        check("equal-divisors-share-signed-signatures", not shared,
+              {"divisor": shared[0]} if shared else None),
+        check(single, all(len(v) == 1 for v in classes.values())) if bound else
+        Assertion(single, "inconclusive",
+                  {"reason": "bound n < (q-1)/(2 sqrt q) + 1 not satisfied"}),
+    ])
+
+
+def _pair_lemma(name, groups, orbit_min, compare):
+    """One "equal sums => equal statistics" statement over every pair of
+    each group; `compare(a, b)` is None when the pair lies outside the
+    statement's hypothesis, else the extras of its violations."""
+    pairs = cross = 0
+    violations = []
+    for group in groups:
+        for a, b in itertools.combinations(group, 2):
+            found = compare(a, b)
+            if found is None:
+                continue
+            pairs += 1
+            cross += orbit_min[a] != orbit_min[b]
+            violations.extend({"pair": [a, b], **extra} for extra in found)
+    status = "fail" if violations else "pass" if pairs else "inconclusive"
+    tally = {"pairs_tested": pairs, "cross_orbit_pairs": cross}
+    return ({"name": name, **tally, "status": status},
+            Assertion(f"lemma-{name}", status, {**tally, "violations": violations[:5]}))
+
+
+def lemma_suite_pairwise(tower):
+    """`converse.lemma_suite` one pair at a time: every statistic read from
+    `digits.expand` and the scalar digit functions when a pair asks."""
+    if tower.f != 1:
+        raise ArgumentError("lemma suite runs over prime-base fields (q = p)")
+    p, n, N = tower.p, tower.n, tower.mult_order
+    _check_pairs(n * orbit_count(p, n) * (p + 1), "exponent")
+    stride = N // (p - 1)
+    regular = regular_exponents(tower)
+    negated = [(-e) % N for e in regular]
+    vecs = {e: digits.expand(p, n, e) for e in regular}
+    orbit_min = orbit_minima(N, p, n).tolist()
+    by_S = digits.twist_classes(p, n, regular, stride, 1)
+    by_sig = [[(-x) % N for x in cls]
+              for cls in digits.twist_classes(p, n, negated, -stride % N, p - 1)]
+    inverse_id = {(-x) % N: i for i, cls in enumerate(digits.twist_classes(p, n, negated, 0, 1))
+                  for x in cls}
+
+    @functools.cache
+    def sums(e):
+        return digits.digit_sum(vecs[e]), digits.digit_factorial_mod_p(vecs[e]), inverse_id[e]
+
+    @functools.cache
+    def extremes(e):
+        return max(vecs[e].digits), min(vecs[e].digits)
+
+    @functools.cache
+    def shifted_multisets(e):
+        return tuple(tuple(sorted(digits.expand(p, n, (e + k * stride) % N).digits))
+                     for k in range(p - 1))
+
+    @functools.cache
+    def windows(e):
+        return tuple(cyclic_window_product(vecs[e], w) for w in (0, 1, 2))
+
+    def placewise(key, stat, labels=None):
+        def compare(a, b):
+            names = labels or itertools.count()
+            return [{key: name} for name, x, y in zip(names, stat(a), stat(b)) if x != y]
+        return compare
+
+    def runs(a, b):
+        va, vb = vecs[a], vecs[b]
+        (hi, lo), (hi_b, lo_b) = extremes(a), extremes(b)
+        if hi - lo <= 1 or shifted_multisets(a) != shifted_multisets(b):
+            return None
+        found, tested = [], False
+        for side, value_a, value_b in (("max", hi, hi_b), ("min", lo, lo_b)):
+            run_a = cyclic_run(va, value_a)
+            if run_a is None:
+                continue
+            tested = True
+            run_b = cyclic_run(vb, value_b)
+            if run_b is None:
+                found.append({"side": side})
+                continue
+            (sa, la), (sb, lb) = run_a, run_b
+            if la != lb:
+                found.append({"side": side + "-mult"})
+            elif va.digits[(sa + la) % n] != vb.digits[(sb + lb) % n]:
+                found.append({"side": side + "-next"})
+        return found if tested else None
+
+    by_sig_in_scope = by_sig if n <= 5 else []
+    rows = [
+        _pair_lemma("equal-sums-match-digit-sum-and-factorial", by_S, orbit_min,
+                    placewise("stat", sums, ("digit-sum", "digit-factorial", "inverse-sums"))),
+        _pair_lemma("equal-signatures-match-extreme-digits", by_sig, orbit_min,
+                    lambda a, b: [] if extremes(a) == extremes(b) else [{}]),
+        _pair_lemma("equal-signatures-match-digit-multisets", by_sig_in_scope, orbit_min,
+                    placewise("k", shifted_multisets)),
+        _pair_lemma("equal-signatures-match-consecutive-runs", by_sig_in_scope, orbit_min, runs),
+        _pair_lemma("equal-sums-match-windowed-products", by_S, orbit_min,
+                    placewise("window", windows)),
+    ]
+    result = {"p": p, "n": n, "stamp": convention_stamp(tower), "lemmas": [row for row, _ in rows]}
+    return Report(result, [assertion for _, assertion in rows])
 
 
 def value_at(tower, e, x):

@@ -11,7 +11,7 @@ import weakref
 import pytest
 
 import gausslab
-from gausslab import _accel, cli, cyclo, digits, gauss, gl2, numth, padic
+from gausslab import _accel, cli, converse, cyclo, digits, gauss, gl2, numth, padic
 from gausslab.chars import MultChar
 from gausslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, _literal_tensor_rhs_m1, main
 from gausslab.converse import (
@@ -177,6 +177,35 @@ def test_scan_reads_keys_only(capsys, monkeypatch):
     assert len(towers) == 1 and "exp_vec" not in vars(towers[0])
 
 
+def test_etale_scan_reads_keys_only(capsys, monkeypatch):
+    # the etale scan keys its products by integers: it gets no ring, and its
+    # master tower, built for the stamp, never builds its power and log tables
+    rings, towers = [], []
+    get_ring = cyclo.get_ring
+    monkeypatch.setattr(cyclo, "get_ring", lambda m: rings.append(m) or get_ring(m))
+
+    def recording(*args, **kwargs):
+        towers.append(build_tower(*args, **kwargs))
+        return towers[-1]
+
+    monkeypatch.setattr(converse, "build_tower", recording)
+    status, _, _ = run(capsys, "etale-scan", "--p", "13", "--n", "2")
+    assert status == EXIT_OK and rings == []
+    assert len(towers) == 1 and "exp_vec" not in vars(towers[0])
+
+
+@pytest.mark.parametrize("argv,classes", [
+    ("etale-scan --p 5 --n 3", 100),  # master fields past the conductor cap
+    ("etale-scan --p 7 --n 3", 294),
+    ("etale-scan --p 3 --f 2 --n 3", 648),
+])
+def test_etale_scan_n3_under_the_default_caps(capsys, argv, classes):
+    status, out, _ = run(capsys, *argv.split())
+    result = json.loads(out)["result"]
+    assert status == EXIT_OK
+    assert (result["n_signature_classes"], result["n_divisors"]) == (classes, classes)
+
+
 def test_gauss_reads_one_row(capsys, monkeypatch):
     # `gauss --e` computes the histogram of its own orbit alone: neither the
     # table's ids nor its whole S, which would compute every row
@@ -302,6 +331,8 @@ def test_huge_fields_are_refused_by_the_element_cap(capsys, argv):
     ("scan --p 1021 --n 2", "531124200 orbit"),  # 520,710 orbits x 1020 twists
     ("primitive-scan --p 1021 --n 2 --r 2", "531124200 orbit"),
     ("lemmas --p 1021 --n 2", "1064331240 exponent"),
+    # F_{61^6} is under the raised field-size cap: 666,180 characters x 60 twists
+    ("etale-scan --p 61 --n 3 --max-elements 100000000000", "39970800 character"),
 ])
 def test_groupings_past_the_twist_pair_cap_are_refused_at_once(capsys, argv, pairs):
     # F_{1021^2} is under the field-size cap; the pairs to key are not

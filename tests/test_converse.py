@@ -1,5 +1,7 @@
 import gc
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,13 +18,16 @@ from gausslab.converse import (
     primitive_scan,
     scan_converse,
     _orbits_under,
+    _partitions,
     _signature_key,
 )
 from gausslab.cyclo import canonical_key
 from gausslab.errors import ArgumentError, ResourceCapError
 from gausslab.gauss import gauss_table
 from gausslab import digits as D
-from reference import signature_classes
+import reference
+from reference import (etale_gauss, etale_scan_by_products, lemma_suite_pairwise,
+                       signature_classes, value_ids)
 
 
 def _twist_entries(T, e):
@@ -143,6 +148,28 @@ def test_mersenne():
         mersenne_check(7, max_elements=100)
 
 
+@pytest.mark.parametrize("n", [5, 7, 13])
+def test_mersenne_clash_is_the_first_repeat_in_order(monkeypatch, n):
+    # a wrong digit-sum table, 1 at c = 3 and 0 elsewhere: the orbits a with
+    # 3/a not a representative share the zero spectrum.  The witness is the
+    # first orbit whose spectrum an earlier orbit already had, with that
+    # earlier orbit, as a scan in order finds them
+    N = 2**n - 1
+    s = (np.arange(N) == 3).astype(np.uint8)
+    monkeypatch.setattr(D, "digit_sum_table", lambda p, d: s)
+    reps = _orbits_under(range(1, N), 2, N, n)
+    seen, want = {}, None
+    for a in reps:
+        spectrum = [int(s[a * j % N]) for j in reps]
+        if tuple(spectrum) in seen:
+            want = {"orbits": [seen[tuple(spectrum)], a], "spectrum": spectrum}
+            break
+        seen[tuple(spectrum)] = a
+    rep = mersenne_check(n)
+    assert want["orbits"] != reps[:2] and not rep.spectra_injective
+    assert rep.assertions[0].witness == want
+
+
 def test_report_result_keys_read_as_attributes():
     rep = mersenne_check(5)
     assert rep.n_orbits == rep.result["n_orbits"] == 6
@@ -214,21 +241,35 @@ def test_lemma_suite_on_counterexample_field(f729):
     assert rep.ok
 
 
-def test_lemma_suite_reports_violations(capsys, monkeypatch):
-    # a wrong expansion on every exponent e = 3 mod 7: digits 0 and 2 swapped
-    # and digit 1 raised by one (kept below p); every statement must see it
-    expand = D.expand
+def _corrupt_digit_tables(monkeypatch):
+    """A wrong digit expansion on every exponent e = 3 mod 7, in the digit
+    table and in `expand` alike: digits 0 and 2 swapped and digit 1 raised
+    by one (kept below p)."""
+    digit_table, expand = D.digit_table, D.expand
 
-    def corrupted(p, n, e, zero_rep="zero"):
-        v = expand(p, n, e, zero_rep)
-        if e % 7 != 3:
-            return v
-        d = list(v.digits)
+    def wrong(digits, p):
+        d = list(digits)
         d[0], d[2] = d[2], d[0]
         d[1] = min(d[1] + 1, p - 1)
-        return D.DigitVector(p, n, tuple(d))
+        return d
 
-    monkeypatch.setattr(D, "expand", corrupted)
+    def corrupted_table(p, n, exps):
+        table = digit_table(p, n, exps)
+        for i in np.flatnonzero(np.asarray(exps) % 7 == 3):
+            table[i] = wrong(table[i], p)
+        return table
+
+    def corrupted_expand(p, n, e, zero_rep="zero"):
+        v = expand(p, n, e, zero_rep)
+        return v if e % 7 != 3 else D.DigitVector(p, n, tuple(wrong(v.digits, p)))
+
+    monkeypatch.setattr(D, "digit_table", corrupted_table)
+    monkeypatch.setattr(D, "expand", corrupted_expand)
+
+
+def test_lemma_suite_reports_violations(capsys, monkeypatch):
+    # every statement must see a wrong digit table
+    _corrupt_digit_tables(monkeypatch)
     rep = lemma_suite(build_tower(3, 1, 4))
     shapes = {
         "equal-sums-match-digit-sum-and-factorial": {"pair", "stat"},
@@ -247,6 +288,74 @@ def test_lemma_suite_reports_violations(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["result"]["lemmas"] == rep.result["lemmas"]
 
 
+def _report_body(rep):
+    return rep.result, [(a.name, a.status, a.witness) for a in rep.assertions]
+
+
+# (3,6) is the f729 field of the counterexample family
+@pytest.mark.parametrize("p,n", [(3, 4), (5, 3), (5, 4), (3, 5), (3, 6), (7, 3), (2, 10)])
+def test_lemma_suite_matches_the_pairwise_oracle(p, n):
+    T = build_tower(p, 1, n)
+    assert _report_body(lemma_suite(T)) == _report_body(lemma_suite_pairwise(T))
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (5, 3), (3, 5)])
+def test_lemma_suite_matches_the_pairwise_oracle_on_wrong_digits(monkeypatch, p, n):
+    # violations, their order and the pairs each hypothesis admits
+    _corrupt_digit_tables(monkeypatch)
+    T = build_tower(p, 1, n)
+    rep = lemma_suite(T)
+    assert not rep.ok
+    assert _report_body(rep) == _report_body(lemma_suite_pairwise(T))
+
+
+# every pinned etale-scan line, (13,1,2) and (2,2,3)
+ETALE_FIELDS = [(3, 1, 2), (5, 1, 2), (3, 1, 3), (2, 1, 4), (7, 1, 2), (3, 2, 2), (2, 2, 2),
+                (13, 1, 2), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("p,f,n", ETALE_FIELDS)
+def test_etale_scan_matches_the_ring_route(p, f, n):
+    assert _report_body(etale_signature_scan(p, f, n)) == _report_body(etale_scan_by_products(p, f, n))
+
+
+@pytest.mark.parametrize("p,f,n", [(5, 1, 2), (3, 1, 3), (2, 2, 2)])
+def test_etale_scan_matches_the_ring_route_without_epsilon(monkeypatch, p, f, n):
+    # both routes with epsilon_A dropped: equal divisors of the field and the
+    # split algebras now get different signatures, and both name the same
+    # first one
+    labels, signed = D.product_labels, reference.etale_gauss
+    monkeypatch.setattr(D, "product_labels",
+                        lambda p, f, products: labels(p, f, [(1, parts, exps) for _, parts, exps in products]))
+    monkeypatch.setattr(reference, "etale_gauss", lambda tower, tables, parts, exps:
+                        signed(tower, tables, parts, exps) * (-1) ** (sum(parts) - len(parts)))
+    rep = etale_signature_scan(p, f, n)
+    assert rep.assertions[0].status == "fail" and rep.assertions[0].witness["divisor"]
+    assert _report_body(rep) == _report_body(etale_scan_by_products(p, f, n))
+
+
+@pytest.mark.parametrize("p,f,n", ETALE_FIELDS)
+def test_product_labels_match_the_ring_route(p, f, n):
+    # one value label per signed product of every algebra: equal labels
+    # exactly for equal products in Z[zeta_m], both numbered first-seen
+    q, L = p**f, math.lcm(*range(1, n + 1))
+    master, tables, ids = build_tower(p, f, L), {}, {}
+    products, ring = [], []
+    for parts in _partitions(n):
+        exps = list(itertools.product(*(range(q**d - 1) for d in parts)))
+        products.append(((-1) ** (sum(parts) - len(parts)), parts, np.array(exps)))
+        ring.append(value_ids((etale_gauss(master, tables, parts, c).coeffs for c in exps), ids))
+    assert D.product_labels(p, f, products).tolist() == np.concatenate(ring).tolist()
+
+
+@pytest.mark.parametrize("p,f,n,classes", [(5, 1, 3, 100), (7, 1, 3, 294), (3, 2, 3, 648)])
+def test_etale_scan_past_the_conductor_cap(p, f, n, classes):
+    # master fields F_{5^6}, F_{7^6}, F_{9^6}: conductors 78,120 to 1,594,320
+    rep = etale_signature_scan(p, f, n)
+    assert (rep.n_signature_classes, rep.n_divisors) == (classes, classes)
+    assert [a.status for a in rep.assertions] == ["pass", "inconclusive"]
+
+
 def test_etale_scan_q13():
     rep = etale_signature_scan(13, 1, 2)
     assert rep.bound_satisfied
@@ -256,7 +365,7 @@ def test_etale_scan_q13():
 
 
 def test_etale_scan_leaves_no_reference_cycles():
-    etale_signature_scan(13, 1, 2)  # towers, rings and tables are cached here
+    etale_signature_scan(13, 1, 2)  # the first call warms lazy imports
     gc.collect()
     gc.disable()
     try:

@@ -1,13 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausslab import digits as D
 from gausslab.errors import ArgumentError
-from reference import prime_free_factorial
+from reference import cyclic_run, cyclic_window_product, prime_free_factorial
 
 
 def test_expansion_examples():
@@ -43,12 +44,12 @@ def test_shift_invariance_of_statistics(pn, e, j):
     assert D.digit_sum(v) == D.digit_sum(w)
     assert D.digit_factorial_mod_p(v) == D.digit_factorial_mod_p(w)
     for m in (0, 1):
-        assert D.cyclic_window_product(v, m) == D.cyclic_window_product(w, m)
+        assert cyclic_window_product(v, m) == cyclic_window_product(w, m)
     for a in range(1, p):
         assert D.core_vertex_count(v, a) == D.core_vertex_count(w, a)
     # w's digits are v's rotated by j places: runs keep their length
     for pick in (max, min):
-        run_v, run_w = D.cyclic_run(v, pick(v.digits)), D.cyclic_run(w, pick(w.digits))
+        run_v, run_w = cyclic_run(v, pick(v.digits)), cyclic_run(w, pick(w.digits))
         assert (run_v is None) == (run_w is None)
         assert run_v is None or run_v[1] == run_w[1]
 
@@ -80,13 +81,13 @@ def test_prime_free_table_equals_the_loop(p):
 
 def test_window_products():
     v4 = D.expand(3, 4, 4)  # (1,1,0,0)
-    assert D.cyclic_window_product(v4, 1) == 7  # 4!'*1!'*0!'*3!' = 16 mod 9
+    assert cyclic_window_product(v4, 1) == 7  # 4!'*1!'*0!'*3!' = 16 mod 9
     v10 = D.expand(3, 4, 10)  # (1,0,1,0)
-    assert D.cyclic_window_product(v10, 1) == 4
+    assert cyclic_window_product(v10, 1) == 4
     for p, n in [(3, 4), (5, 2)]:
         for e in range(p**n - 1):
             v = D.expand(p, n, e)
-            assert D.cyclic_window_product(v, 0) == D.digit_factorial_mod_p(v) % p
+            assert cyclic_window_product(v, 0) == D.digit_factorial_mod_p(v) % p
 
 
 def test_gamma_window_formula_against_product_definition():
@@ -127,7 +128,7 @@ def test_gamma_product_recombination():
             prod = prod * D.padic_gamma_window(i, v, m) % mod
         s = D.digit_sum(v)
         geom = sum(p**j for j in range(m + 1))
-        expect = D.cyclic_window_product(v, m) % mod
+        expect = cyclic_window_product(v, m) % mod
         if (n + s * geom) % 2:
             expect = (-expect) % mod
         assert prod == expect
@@ -159,15 +160,37 @@ def test_digit_sum_drop_identity_exhaustive(p, nmax):
                 assert lhs == rhs, (p, n, e, a)
 
 
+def _runs(rows, values):
+    start, length = D.cyclic_runs(np.array(rows), values)
+    return [(int(s), int(l)) if l else None for s, l in zip(start, length)]
+
+
 def test_cyclic_runs():
     v = D.DigitVector(3, 4, (2, 2, 1, 0))
-    assert [D.cyclic_run(v, value) for value in (2, 1, 0)] == [(0, 2), (2, 1), (3, 1)]
-    assert D.cyclic_run(D.DigitVector(3, 4, (2, 1, 2, 0)), 2) is None  # two runs
-    assert D.cyclic_run(D.DigitVector(3, 4, (2, 1, 2, 0)), 1) == (1, 1)
-    assert D.cyclic_run(v, 3) is None  # no place holds it
-    assert D.cyclic_run(D.DigitVector(2, 4, (1, 0, 0, 1)), 1) == (3, 2)  # wraps
-    assert D.cyclic_run(D.DigitVector(3, 5, (2, 1, 0, 2, 2)), 2) == (3, 3)  # wraps
-    assert D.cyclic_run(D.DigitVector(3, 3, (1, 1, 1)), 1) == (0, 3)  # every digit
+    assert [cyclic_run(v, value) for value in (2, 1, 0)] == [(0, 2), (2, 1), (3, 1)]
+    assert cyclic_run(D.DigitVector(3, 4, (2, 1, 2, 0)), 2) is None  # two runs
+    assert cyclic_run(D.DigitVector(3, 3, (1, 1, 1)), 1) == (0, 3)  # every digit
+    # the digit-table form, one row per case
+    assert _runs([(2, 2, 1, 0)] * 4, [2, 1, 0, 3]) == [(0, 2), (2, 1), (3, 1), None]
+    assert _runs([(2, 1, 2, 0), (2, 1, 2, 0)], [2, 1]) == [None, (1, 1)]  # two runs
+    assert _runs([(1, 0, 0, 1), (2, 1, 0, 2)], [1, 2]) == [(3, 2), (3, 2)]  # wraps
+    assert _runs([(2, 1, 0, 2, 2)], [2]) == [(3, 3)]  # wraps
+    assert _runs([(1, 1, 1)], [1]) == [(0, 3)]  # every digit
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_digit_tables_match_the_vector_statistics(p, n):
+    N = p**n - 1
+    exps = list(range(N)) + [N, 2 * N + 5]  # classes, not integers
+    table = D.digit_table(p, n, exps)
+    vecs = [D.expand(p, n, e) for e in exps]
+    assert table.tolist() == [list(v.digits) for v in vecs]
+    assert D.factorial_residues(p, table).tolist() == [D.digit_factorial_mod_p(v) for v in vecs]
+    for m in (0, 1, 2):
+        assert D.window_products(p, table, m).tolist() == [cyclic_window_product(v, m) for v in vecs]
+    for pick in (max, min):
+        values = [pick(v.digits) for v in vecs]
+        assert _runs(table, values) == [cyclic_run(v, x) for v, x in zip(vecs, values)]
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (2, 7), (3, 5), (5, 2), (7, 3)])

@@ -7,13 +7,12 @@ import pytest
 
 from gausslab import _accel, build_tower, gauss
 from gausslab.chars import MultChar, ring_for, twist_offset
-from gausslab.cyclo import canonical_key, value_ids
+from gausslab.cyclo import canonical_key
 from gausslab.errors import ArgumentError, ResourceCapError
-from reference import absolute_traces, value_at
+from reference import absolute_traces, etale_gauss, value_at, value_ids
 from gausslab.gauss import (
     GaussTable,
     ScaledCyclo,
-    etale_gauss,
     gamma_n_by_1,
     gauss_S,
     gauss_table,
