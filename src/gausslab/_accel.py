@@ -3,9 +3,11 @@
 Two loops carry the bulk numeric work: building the multiplicative power
 table of a field generator (O(q^n * (fn)^2) small-int work) and
 accumulating the exponent histograms of a family of Gauss sums
-(O(q^n) per sum).  The power table advances in chunks through a
-precomputed matrix power of the multiply-by-g map; each histogram row is
-one `np.bincount`, and a Gauss table asks for its rows a block at a time.
+(O(q^n) per sum).  The power table fills its first chunk by doubling
+(rows [t, 2t) are rows [0, t) moved by the t-th power of the multiply-by-g
+map) and then advances chunk by chunk through that map's chunk-th power;
+each histogram row is one `np.bincount`, and a Gauss table asks for its
+rows a block at a time.
 
 All arithmetic is exact int64; values are bounded well below 2**63 by the
 field size cap (q^n < 2**20, conductors m = p*(q^n-1) < 2**41).
@@ -29,26 +31,27 @@ def power_table(mul_mat: np.ndarray, p: int, count: int) -> np.ndarray:
     mul_mat = np.ascontiguousarray(mul_mat, dtype=np.int64)
     d = mul_mat.shape[0]
     chunk = min(count, 4096)
-    v = np.zeros((d, chunk), dtype=np.int64)
+    v = np.zeros((chunk, d), dtype=np.int64)  # row j = g^j, so a step is v @ (M^t)^T
     v[0, 0] = 1
-    for t in range(1, chunk):
-        v[:, t] = (mul_mat @ v[:, t - 1]) % p
-    # advance whole chunks through M^chunk
-    mc = np.eye(d, dtype=np.int64)
-    b, sq = chunk, mul_mat.copy()
-    while b:
-        if b & 1:
-            mc = (mc @ sq) % p
-        sq = (sq @ sq) % p
-        b >>= 1
+    # fill the first chunk by doubling: rows [t, 2t) are rows [0, t) times
+    # (M^t)^T, and then (M^2t)^T = ((M^t)^T)^2
+    step, t = mul_mat.T.copy(), 1
+    while t < chunk:
+        rows = v[t : t + min(t, chunk - t)]
+        np.matmul(v[: len(rows)], step, out=rows)
+        np.remainder(rows, p, out=rows)
+        step = step @ step % p
+        t += len(rows)
+    # advance whole chunks; past one chunk, chunk = 4096 = 2^12, so the
+    # doubling ended on a full step and `step` is (M^chunk)^T
     out = np.empty((count, d), dtype=np.int16)
     done = 0
     while done < count:
         take = min(chunk, count - done)
-        out[done : done + take] = v[:, :take].T
+        out[done : done + take] = v[:take]
         done += take
         if done < count:
-            v = (mc @ v) % p
+            v = v @ step % p
     return out
 
 

@@ -14,13 +14,18 @@ Representation conventions (shared by every module downstream):
 * The modulus is the lexicographically smallest monic irreducible of degree D
   (coefficient tuples compared most-significant first, so candidates are
   enumerated in increasing integer encoding of the non-leading part).
-  Irreducibility is certified by gcd(x^(p^d) - x, M) = 1 for every proper
-  divisor d of D together with x^(p^D) = x mod M; no root-finding shortcut.
+  Irreducibility is certified by Rabin's test: gcd(x^(p^d) - x, M) = 1 for
+  every proper divisor d of D together with x^(p^D) = x mod M, each x^(p^d)
+  the p-th power of the one before.  For D >= 2 a candidate with a root in
+  F_p, which fails at d = 1, is rejected before the test; for D = 1 it is x.
 * The generator g is the smallest encoding of multiplicative order p^D - 1,
-  certified against the exact factorization of p^D - 1.  Downstream character
-  indexing (the Teichmueller convention) depends on this choice, which is why
-  it is deterministic.
+  certified against the exact factorization of p^D - 1; for D >= 2 the
+  constants, of order dividing p - 1, are skipped.  Downstream character
+  indexing (the Teichmueller convention) depends on this choice, which is
+  why it is deterministic.
 
+Both searches run on Python ints (`_Quotient`, F_p[x] modulo a fixed monic
+modulus): on a few dozen coefficients, numpy's per-call overhead dominates.
 Towers are immutable after construction; all methods are pure.  Building a
 tower finds only its modulus and generator.  The power and log tables
 (`exp_vec`, `exp_enc`, `log_table`) are built together, and checked to be a
@@ -42,89 +47,104 @@ DEFAULT_MAX_ELEMENTS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over F_p (ascending int64 coefficient arrays)
+# F_p[x] modulo a fixed monic modulus, on Python ints
 
 
-def _ptrim(a: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(a)[0]
-    if len(nz) == 0:
-        return a[:0]
-    return a[: nz[-1] + 1]
+def _digits(enc: int, p: int, count: int) -> list[int]:
+    """The first `count` base-p digits of enc, least significant first."""
+    out = []
+    for _ in range(count):
+        enc, c = divmod(enc, p)
+        out.append(c)
+    return out
 
 
-def _pmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if len(a) == 0 or len(b) == 0:
-        return a[:0]
-    return np.convolve(a, b) % p
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _pmod(a: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
-    # m monic
-    a = a % p
-    deg_m = len(m) - 1
-    a = _ptrim(a).copy()
-    while len(a) > deg_m:
-        c = a[-1]
+def _rem(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b over F_p for a trimmed nonzero b; the result is trimmed."""
+    a, db, inv = a[:], len(b) - 1, pow(b[-1], -1, p)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] * inv % p
         if c:
-            a[-deg_m - 1 : -1] = (a[-deg_m - 1 : -1] - c * m[:-1]) % p
-        a = _ptrim(a[:-1])
-    return a
+            for i in range(db):
+                a[k - db + i] = (a[k - db + i] - c * b[i]) % p
+    return _trim(a[:db])
 
 
-def _ppowmod(base: np.ndarray, e: int, m: np.ndarray, p: int) -> np.ndarray:
-    result = np.ones(1, dtype=np.int64)
-    acc = _pmod(base, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, acc, p), m, p)
-        acc = _pmod(_pmul(acc, acc, p), m, p)
-        e >>= 1
-    return result
+def _has_root(m: tuple[int, ...], p: int) -> bool:
+    return any(sum(c * r**i for i, c in enumerate(m)) % p == 0 for r in range(p))
 
 
-def _pgcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    a, b = _ptrim(a % p), _ptrim(b % p)
-    while len(b):
-        inv = pow(int(b[-1]), p - 2, p) if p > 2 else 1
-        bm = (b * inv) % p
-        a, b = b, _pmod(a, bm, p)
-    if len(a):
-        a = (a * pow(int(a[-1]), p - 2, p)) % p if p > 2 else a
-    return a
+class _Quotient:
+    """F_p[x]/(M) for a monic M of degree D >= 1.  An element is a list of D
+    ints in [0, p), ascending; reduction reads only M's nonzero lower terms."""
+
+    def __init__(self, p: int, modulus: tuple[int, ...]):
+        self.p, self.D = p, len(modulus) - 1
+        self.modulus = [int(c) % p for c in modulus]
+        # x^D = sum over the nonzero m_i, i < D, of (p - m_i) x^i
+        self._tail = [(i, p - c) for i, c in enumerate(self.modulus[:-1]) if c]
+        self.x = self._reduce([0, 1] + [0] * self.D)
+
+    def _reduce(self, a: list[int]) -> list[int]:
+        """a mod (M, p) for a list of length >= D, which is overwritten."""
+        p, D, tail = self.p, self.D, self._tail
+        for k in range(len(a) - 1, D - 1, -1):
+            c = a[k] % p
+            if c:
+                for i, t in tail:
+                    a[k - D + i] += c * t
+        return [c % p for c in a[:D]]
+
+    def mul(self, a: list[int], b: list[int]) -> list[int]:
+        prod = [0] * (2 * self.D - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for k, bj in enumerate(b, i):
+                    prod[k] += ai * bj
+        return self._reduce(prod)
+
+    def pow(self, a: list[int], e: int) -> list[int]:
+        """a^e for e >= 1, by left-to-right square and multiply."""
+        out = a
+        for bit in bin(e)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
+
+    def coprime_to_modulus(self, a: list[int]) -> bool:
+        """gcd(a, M) = 1, by Euclid on trimmed coefficient lists; `a` is trimmed."""
+        r0, r1 = self.modulus, _trim(a)
+        while r1:
+            r0, r1 = r1, _rem(r0, r1, self.p)
+        return len(r0) == 1
 
 
-def _x_poly() -> np.ndarray:
-    return np.array([0, 1], dtype=np.int64)
-
-
-def is_irreducible(modulus: np.ndarray, p: int) -> bool:
-    """Rabin-style certificate for a monic polynomial over F_p."""
-    d = len(modulus) - 1
-    if d < 1:
+def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
+    """Rabin's certificate for a monic polynomial over F_p."""
+    if len(modulus) < 2:
         return False
-    x = _x_poly()
-    for dd in numth.proper_divisors(d):
-        frob = _ppowmod(x, p**dd, modulus, p)
-        diff = np.zeros(max(len(frob), 2), dtype=np.int64)
-        diff[: len(frob)] = frob
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(diff, modulus, p)
-        if not (len(g) == 1 and g[0] == 1):
+    R = _Quotient(p, modulus)
+    gcd_at = set(numth.proper_divisors(R.D))
+    frob = R.x
+    for d in range(1, R.D + 1):
+        frob = R.pow(frob, p)  # x^(p^d), chained
+        if d in gcd_at and not R.coprime_to_modulus([(c - x) % p for c, x in zip(frob, R.x)]):
             return False
-    frob = _ppowmod(x, p**d, modulus, p)
-    return np.array_equal(frob, _pmod(x, modulus, p))
+    return frob == R.x
 
 
-def smallest_irreducible(p: int, degree: int) -> np.ndarray:
-    """Deterministic modulus choice: smallest monic irreducible of the degree."""
+def smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
+    """Deterministic modulus choice: the smallest monic irreducible of the degree."""
     for code in range(p**degree):
-        coeffs = np.empty(degree + 1, dtype=np.int64)
-        c = code
-        for i in range(degree):
-            coeffs[i] = c % p
-            c //= p
-        coeffs[degree] = 1
-        if is_irreducible(coeffs, p):
+        coeffs = (*_digits(code, p, degree), 1)
+        if (degree == 1 or not _has_root(coeffs, p)) and is_irreducible(coeffs, p):
             return coeffs
     raise RuntimeError(f"no irreducible of degree {degree} over F_{p}")  # unreachable
 
@@ -147,7 +167,7 @@ class FieldTower:
         """Build, check and cache all three tables: a later read of any of
         them finds it in the instance."""
         p, d, N = self.p, self.degree, self.mult_order
-        exp_vec = _accel.power_table(_mul_by_matrix(p, np.array(self.modulus), self.g), p, N)
+        exp_vec = _accel.power_table(_mul_by_matrix(p, self.modulus, self.g), p, N)
         exp_enc = exp_vec.astype(np.int64) @ p ** np.arange(d, dtype=np.int64)
         log_table = np.full(self.order, -1, dtype=np.int32)
         log_table[exp_enc] = np.arange(N, dtype=np.int32)
@@ -194,11 +214,7 @@ class FieldTower:
     # -- element plumbing ---------------------------------------------------
 
     def vec(self, x: int) -> np.ndarray:
-        out = np.zeros(self.degree, dtype=np.int64)
-        for i in range(self.degree):
-            out[i] = x % self.p
-            x //= self.p
-        return out
+        return np.array(_digits(x, self.p, self.degree), dtype=np.int64)
 
     def enc(self, v: np.ndarray) -> int:
         out = 0
@@ -283,44 +299,28 @@ class FieldTower:
 # construction
 
 
-def _find_generator(p: int, modulus: np.ndarray, N: int) -> int:
+def _find_generator(p: int, modulus: tuple[int, ...], N: int) -> int:
     if N == 1:  # F_2: the trivial group is generated by the identity
         return 1
-    prime_divs = numth.prime_divisors(N)
-    degree = len(modulus) - 1
-    for enc in range(2, p**degree):
-        v = np.empty(degree, dtype=np.int64)
-        c = enc
-        for i in range(degree):
-            v[i] = c % p
-            c //= p
-        v = _ptrim(v)
-        ok = True
-        for ell in prime_divs:
-            r = _ppowmod(v, N // ell, modulus, p)
-            if len(r) == 1 and r[0] == 1:
-                ok = False
-                break
-        if ok:
+    R = _Quotient(p, modulus)
+    one = _digits(1, p, R.D)
+    cofactors = [N // ell for ell in numth.prime_divisors(N)]
+    # for D >= 2 the constants (encodings below p) have order dividing p - 1 < N
+    for enc in range(2 if R.D == 1 else p, p**R.D):
+        g = _digits(enc, p, R.D)
+        if all(R.pow(g, k) != one for k in cofactors):
             return enc
     raise RuntimeError("no generator found")  # unreachable for a true field
 
 
-def _mul_by_matrix(p: int, modulus: np.ndarray, g_enc: int) -> np.ndarray:
-    """Multiply-by-g as an F_p-linear map on coefficient vectors."""
-    d = len(modulus) - 1
-    gv = np.empty(d, dtype=np.int64)
-    c = g_enc
-    for i in range(d):
-        gv[i] = c % p
-        c //= p
-    mat = np.zeros((d, d), dtype=np.int64)
-    for k in range(d):
-        xk = np.zeros(k + 1, dtype=np.int64)
-        xk[k] = 1
-        col = _pmod(_pmul(gv, xk, p), modulus, p)
-        mat[: len(col), k] = col
-    return mat
+def _mul_by_matrix(p: int, modulus: tuple[int, ...], g_enc: int) -> np.ndarray:
+    """Multiply-by-g as an F_p-linear map on coefficient vectors: column k
+    is g * x^k."""
+    R = _Quotient(p, modulus)
+    cols = [_digits(g_enc, p, R.D)]
+    while len(cols) < R.D:
+        cols.append(R.mul(cols[-1], R.x))
+    return np.array(cols, dtype=np.int64).T
 
 
 def check_field(p: int, d: int, max_elements: int) -> None:
@@ -357,5 +357,4 @@ def build_tower(
     d = f * n
     check_field(p, d, max_elements)
     modulus = smallest_irreducible(p, d)
-    return FieldTower(p=p, f=f, n=n, modulus=tuple(int(c) for c in modulus),
-                      g=_find_generator(p, modulus, p**d - 1))
+    return FieldTower(p=p, f=f, n=n, modulus=modulus, g=_find_generator(p, modulus, p**d - 1))

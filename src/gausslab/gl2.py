@@ -90,9 +90,9 @@ class GL2Group:
     `gl2_group`, which validates q.
     """
 
-    def __init__(self, q: int):
+    def __init__(self, q: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS):
         self.q = q
-        self.tower = build_tower(q, 1, 2)
+        self.tower = build_tower(q, 1, 2, max_elements=max_elements)
         self.order = (q * q - 1) * (q * q - q)
         self.classes: list[GL2Class] = []
         for z in range(1, q):
@@ -221,7 +221,7 @@ def gl2_group(
         raise ArgumentError(f"GL2 oracle needs an odd prime q, got {q}")
     g = _GROUP_CACHE.get(q)
     if g is None:
-        g = GL2Group(q)
+        g = GL2Group(q, max_elements=max_elements)
         _GROUP_CACHE[q] = g
     return g
 

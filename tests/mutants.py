@@ -270,6 +270,43 @@ MUTANTS = [
          "tests/test_digits.py::test_twist_key_tables[3-5]"),
     ),
     Mutant(
+        "rabin-gcd-at-the-largest-proper-divisor-skipped",
+        "src/gausslab/ff.py",
+        "gcd_at = set(numth.proper_divisors(R.D))",
+        "gcd_at = set(numth.proper_divisors(R.D)[:-1])",
+        ("tests/test_ff.py::test_irreducibility_matches_sympy_on_every_monic_candidate[3-6]",),
+    ),
+    Mutant(
+        "generator-test-without-the-largest-prime",
+        "src/gausslab/ff.py",
+        "cofactors = [N // ell for ell in numth.prime_divisors(N)]",
+        "cofactors = [N // ell for ell in numth.prime_divisors(N)[:-1]]",
+        ("tests/test_ff.py::test_modulus_and_generator_match_the_numpy_oracle[extensions]",),
+    ),
+    Mutant(
+        "root-filter-drops-the-leading-term",
+        "src/gausslab/ff.py",
+        "return any(sum(c * r**i for i, c in enumerate(m)) % p == 0 for r in range(p))",
+        "return any(sum(c * r**i for i, c in enumerate(m[:-1])) % p == 0 for r in range(p))",
+        ("tests/test_ff.py::test_modulus_and_generator_match_the_numpy_oracle[extensions]",),
+    ),
+    Mutant(
+        "reduction-tail-not-negated",
+        "src/gausslab/ff.py",
+        "self._tail = [(i, p - c) for i, c in enumerate(self.modulus[:-1]) if c]",
+        "self._tail = [(i, c) for i, c in enumerate(self.modulus[:-1]) if c]",
+        ("tests/test_ff.py::test_modulus_and_generator_match_the_numpy_oracle[extensions]",
+         "tests/test_ff.py::test_mul_by_matrix_matches_the_numpy_oracle[3-7]"),
+    ),
+    Mutant(
+        "power-table-doubling-steps-by-one",
+        "src/gausslab/_accel.py",
+        "step = step @ step % p",
+        "step = step @ mul_mat.T % p",
+        ("tests/test_accel.py::test_power_table_matches_plain_loop[3-4]",
+         "tests/test_accel.py::test_power_table_matches_plain_loop[2-13]"),
+    ),
+    Mutant(
         "cyclic-run-without-wrap-around",
         "src/gausslab/digits.py",
         "starts = places & ~np.roll(places, 1, axis=1)",

@@ -7,7 +7,9 @@ unit residues; the etale scan from products multiplied in Z[zeta_m] inside
 the master tower, where the library keys them by integers; the lemma suite
 one pair at a time, on digit vectors, where the library compares arrays
 over one digit table; a character value from its defining formula; absolute
-traces from Newton's identities on the modulus; Phi_m by stretching the
+traces from Newton's identities on the modulus; the tower's modulus,
+generator and multiply-by-g matrix on numpy coefficient arrays, where the
+library works on lists of Python ints; Phi_m by stretching the
 squarefree-radical polynomial; Frobenius orbits by walking them; p-free
 factorials by a loop; and the p-adic side by a schoolbook product of
 (p-1, n) coordinate arrays, which reduces x^n by the modulus and pi^(p-1)
@@ -31,7 +33,7 @@ from gausslab.cyclo import _cyclotomic_radical, canonical_key
 from gausslab.errors import ArgumentError
 from gausslab.ff import DEFAULT_MAX_ELEMENTS, build_tower, check_field
 from gausslab.gauss import GaussTable, gauss_S
-from gausslab.numth import radical
+from gausslab.numth import prime_divisors, proper_divisors, radical
 from gausslab.padic import GrossKoblitzReport, StickelbergerReport, embedding_for
 
 
@@ -260,6 +262,113 @@ def lemma_suite_pairwise(tower):
     ]
     result = {"p": p, "n": n, "stamp": convention_stamp(tower), "lemmas": [row for row, _ in rows]}
     return Report(result, [assertion for _, assertion in rows])
+
+
+# ---------------------------------------------------------------------------
+# tower construction on numpy coefficient arrays (ascending int64), the
+# library's route before it moved to Python ints: no root filter, a fresh
+# x^(p^d) for every divisor, and every encoding tried as a generator
+
+
+def ptrim(a):
+    nz = np.nonzero(a)[0]
+    if len(nz) == 0:
+        return a[:0]
+    return a[: nz[-1] + 1]
+
+
+def pmul(a, b, p):
+    if len(a) == 0 or len(b) == 0:
+        return a[:0]
+    return np.convolve(a, b) % p
+
+
+def pmod(a, m, p):
+    """a mod the monic m over F_p."""
+    a = a % p
+    deg_m = len(m) - 1
+    a = ptrim(a).copy()
+    while len(a) > deg_m:
+        c = a[-1]
+        if c:
+            a[-deg_m - 1 : -1] = (a[-deg_m - 1 : -1] - c * m[:-1]) % p
+        a = ptrim(a[:-1])
+    return a
+
+
+def ppowmod(base, e, m, p):
+    result = np.ones(1, dtype=np.int64)
+    acc = pmod(base, m, p)
+    while e:
+        if e & 1:
+            result = pmod(pmul(result, acc, p), m, p)
+        acc = pmod(pmul(acc, acc, p), m, p)
+        e >>= 1
+    return result
+
+
+def pgcd(a, b, p):
+    a, b = ptrim(a % p), ptrim(b % p)
+    while len(b):
+        inv = pow(int(b[-1]), p - 2, p) if p > 2 else 1
+        bm = (b * inv) % p
+        a, b = b, pmod(a, bm, p)
+    if len(a):
+        a = (a * pow(int(a[-1]), p - 2, p)) % p if p > 2 else a
+    return a
+
+
+def np_is_irreducible(modulus, p):
+    """Rabin's certificate on numpy arrays."""
+    modulus = np.asarray(modulus, dtype=np.int64)
+    d = len(modulus) - 1
+    if d < 1:
+        return False
+    x = np.array([0, 1], dtype=np.int64)
+    for dd in proper_divisors(d):
+        frob = ppowmod(x, p**dd, modulus, p)
+        diff = np.zeros(max(len(frob), 2), dtype=np.int64)
+        diff[: len(frob)] = frob
+        diff[1] = (diff[1] - 1) % p
+        g = pgcd(diff, modulus, p)
+        if not (len(g) == 1 and g[0] == 1):
+            return False
+    frob = ppowmod(x, p**d, modulus, p)
+    return np.array_equal(frob, pmod(x, modulus, p))
+
+
+def np_smallest_irreducible(p, degree):
+    for code in range(p**degree):
+        coeffs = np.array([code // p**i % p for i in range(degree)] + [1], dtype=np.int64)
+        if np_is_irreducible(coeffs, p):
+            return tuple(int(c) for c in coeffs)
+    raise AssertionError(f"no irreducible of degree {degree} over F_{p}")
+
+
+def np_find_generator(p, modulus, N):
+    if N == 1:
+        return 1
+    modulus = np.asarray(modulus, dtype=np.int64)
+    degree = len(modulus) - 1
+    for enc in range(2, p**degree):
+        v = ptrim(np.array([enc // p**i % p for i in range(degree)], dtype=np.int64))
+        if all(not np.array_equal(ppowmod(v, N // ell, modulus, p), [1]) for ell in prime_divisors(N)):
+            return enc
+    raise AssertionError("no generator found")
+
+
+def np_mul_by_matrix(p, modulus, g_enc):
+    """Column k is g * x^k mod the modulus."""
+    modulus = np.asarray(modulus, dtype=np.int64)
+    d = len(modulus) - 1
+    gv = np.array([g_enc // p**i % p for i in range(d)], dtype=np.int64)
+    mat = np.zeros((d, d), dtype=np.int64)
+    for k in range(d):
+        xk = np.zeros(k + 1, dtype=np.int64)
+        xk[k] = 1
+        col = pmod(pmul(gv, xk, p), modulus, p)
+        mat[: len(col), k] = col
+    return mat
 
 
 def value_at(tower, e, x):

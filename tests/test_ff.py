@@ -1,11 +1,23 @@
+import itertools
+
 import numpy as np
 import pytest
+import sympy
 
 from gausslab import build_tower
 from gausslab.errors import ArgumentError, PrimalityError, ResourceCapError
-from gausslab.ff import is_irreducible, smallest_irreducible
-from gausslab.numth import divisors
-from reference import absolute_traces
+from gausslab.ff import _mul_by_matrix, is_irreducible, smallest_irreducible
+from gausslab.numth import divisors, is_prime
+from reference import absolute_traces, np_find_generator, np_mul_by_matrix, np_smallest_irreducible
+
+PRIMES = [p for p in range(2, 2000) if is_prime(p)]
+# every p^d <= 2^16 with d >= 2, the prime fields below 2000, and the two
+# largest fields under the default cap
+ORACLE_FIELDS = {
+    "extensions": [(p, d) for p in PRIMES for d in range(2, 17) if p**d <= 1 << 16],
+    "prime-fields": [(p, 1) for p in PRIMES],
+    "largest": [(2, 20), (3, 12)],
+}
 
 
 def test_prime_field_generator():
@@ -38,6 +50,31 @@ def test_modulus_is_deterministic_and_irreducible():
                 [(smaller // p**i) % p for i in range(d)] + [1], dtype=np.int64
             )
             assert not is_irreducible(cand, p)
+
+
+@pytest.mark.parametrize("fields", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS.keys())
+def test_modulus_and_generator_match_the_numpy_oracle(fields):
+    for p, d in fields:
+        T = build_tower(p, 1, d)
+        modulus = np_smallest_irreducible(p, d)
+        assert (T.modulus, T.g) == (modulus, np_find_generator(p, modulus, p**d - 1)), (p, d)
+
+
+@pytest.mark.parametrize("p,d", [(2, 12), (3, 7), (7, 3), (13, 2), (5, 1)])
+def test_mul_by_matrix_matches_the_numpy_oracle(p, d):
+    T = build_tower(p, 1, d)
+    for g in (T.g, p, T.order - 1):
+        assert np.array_equal(_mul_by_matrix(p, T.modulus, g), np_mul_by_matrix(p, T.modulus, g))
+
+
+@pytest.mark.parametrize("p,top", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_irreducibility_matches_sympy_on_every_monic_candidate(p, top):
+    x = sympy.symbols("x")
+    for d in range(1, top + 1):
+        for low in itertools.product(range(p), repeat=d):
+            coeffs = list(low) + [1]
+            want = sympy.Poly(coeffs[::-1], x, modulus=p).is_irreducible
+            assert is_irreducible(coeffs, p) == want, (p, coeffs)
 
 
 def test_rejects_non_prime():

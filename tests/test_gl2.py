@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gausslab.gl2 as gl2
 from gausslab.chars import MultChar
 from gausslab.cyclo import canonical_key
 from gausslab.errors import ArgumentError, FormulaValidationError, ResourceCapError
@@ -68,6 +69,24 @@ def test_q_cap_binds_on_cache_hit():
     gl2_group(5)
     with pytest.raises(ResourceCapError, match="max_elements cap 24"):
         gl2_group(5, max_elements=24)
+
+
+def test_a_raised_max_elements_reaches_the_tower(monkeypatch):
+    # F_{1031^2} has 1,062,961 elements, past the default cap; a spy in place
+    # of build_tower records the cap the group's tower is built under
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def spy(p, f, n, *, max_elements):
+        seen.append((p, f, n, max_elements))
+        raise Stop
+
+    monkeypatch.setattr(gl2, "build_tower", spy)
+    with pytest.raises(Stop):
+        gl2_group(1031, max_q=1031, max_elements=2_000_000)
+    assert seen == [(1031, 1, 2, 2_000_000)]
 
 
 def test_validation_gates_all_regular(G3):
