@@ -26,7 +26,8 @@ def power_table(mul_mat: np.ndarray, p: int, count: int) -> np.ndarray:
     """Rows 0..count-1 of coefficient vectors of successive powers e, g, g^2, ...
 
     mul_mat is the (d x d) multiply-by-g matrix over F_p acting on coefficient
-    vectors in the modulus basis.
+    vectors in the modulus basis.  The result is int16 while p <= 2^15, where
+    every coefficient in [0, p) fits, and int32 above.
     """
     mul_mat = np.ascontiguousarray(mul_mat, dtype=np.int64)
     d = mul_mat.shape[0]
@@ -44,7 +45,7 @@ def power_table(mul_mat: np.ndarray, p: int, count: int) -> np.ndarray:
         t += len(rows)
     # advance whole chunks; past one chunk, chunk = 4096 = 2^12, so the
     # doubling ended on a full step and `step` is (M^chunk)^T
-    out = np.empty((count, d), dtype=np.int16)
+    out = np.empty((count, d), dtype=np.int16 if p <= 1 << 15 else np.int32)
     done = 0
     while done < count:
         take = min(chunk, count - done)

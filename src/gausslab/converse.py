@@ -31,8 +31,7 @@ from math import lcm
 import numpy as np
 
 from . import digits, numth
-from .chars import (MultChar, orbit_count, orbit_minima, orbit_reps, regular_exponents,
-                    regular_mask)
+from .chars import MultChar, orbit_count, orbit_minima, orbit_reps, regular_exponents, regular_mask
 from .errors import ArgumentError, ResourceCapError
 from .ff import DEFAULT_MAX_ELEMENTS, FieldTower, build_tower, check_field
 from .gauss import GaussTable, gauss_table
@@ -169,14 +168,16 @@ def scan_converse(tower: FieldTower, population: str = "regular") -> Report:
     # cross-module necessary conditions on any collision (prime base only):
     # one (central character, digit sum, digit factorial) per class
     if collisions and tower.f == 1:
-        def invariants(e: int) -> tuple[int, int, int]:
-            v = digits.expand(tower.p, tower.n, e)
-            return (MultChar(tower, e).restrict_to_base(), digits.digit_sum(v),
-                    digits.digit_factorial_mod_p(v))
-
+        members = np.concatenate(collisions)
+        table = digits.digit_table(tower.p, tower.n, members)
+        central = [MultChar(tower, e).restrict_to_base() for e in members.tolist()]
+        invariants = np.column_stack([central, table.sum(axis=1),
+                                      digits.factorial_residues(tower.p, table)])
+        sizes = [len(cls) for cls in collisions]
+        first = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)  # each member's class head
         assertions.append(check(
             "collisions-respect-central-character-and-digit-invariants",
-            all(len({invariants(e) for e in cls}) == 1 for cls in collisions),
+            bool((invariants == invariants[first]).all()),
         ))
     return Report(result, assertions)
 

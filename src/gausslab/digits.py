@@ -8,13 +8,14 @@ carry arithmetic of adding a positive multiple of (p^n-1)/(p-1) lands on the
 all-(p-1) representative instead, so the digit-sum drop identity is checked
 through `digit_sum_shifted`, which uses zero_rep="full" on the shifted class.
 
-Statistics of one digit vector: digit_sum (s), digit_factorial_mod_p
-(t mod p), the p-free factorial N!', and truncated p-adic gamma values by
-the digit-window formula as well as by the direct product definition at
-integer arguments.  Statistics of a digit table (`digit_table`, one row per
-exponent), each one array: t mod p, the cyclic windowed-factorial product
-mod p^(m+1) (V_m), and cyclic runs: the start and length of the one cyclic
-run that the places of a digit value may form.
+Scalars: digit_sum (s) of one digit vector and its shifted form, the
+p-free factorial N!', and Gamma_p at a non-negative integer.  The carry
+graphs read one digit vector.  Every other statistic reads a digit table
+(`digit_table`, one row per exponent) and is one array: s is the row sum,
+t = prod d_i! mod p is `factorial_residues`, V_m, the cyclic
+windowed-factorial product mod p^(m+1), is `window_products`, and
+`cyclic_runs` gives the start and length of the one cyclic run that the
+places of a digit value may form.
 
 Twist signatures: `twist_classes` partitions characters by the exact Gauss
 sums of their twists from integers alone, the Stickelberger valuations at
@@ -47,10 +48,6 @@ class DigitVector:
         if any(d < 0 or d >= self.p for d in self.digits):
             raise ArgumentError("digits must lie in [0, p)")
 
-    def digit(self, j: int) -> int:
-        """Cyclic access, 1-based like the positional expansion."""
-        return self.digits[(j - 1) % self.n]
-
 
 def expand(p: int, n: int, e: int, zero_rep: str = "zero") -> DigitVector:
     """Digit expansion of the class of e mod p^n - 1.
@@ -75,15 +72,6 @@ def digit_sum(v: DigitVector) -> int:
     return sum(v.digits)
 
 
-def digit_factorial_mod_p(v: DigitVector) -> int:
-    """t = prod d_i! mod p (each d_i < p, so the factorials are p-free)."""
-    out = 1
-    for d in v.digits:
-        for k in range(2, d + 1):
-            out = out * k % v.p
-    return out
-
-
 def digit_sum_shifted(p: int, n: int, e: int, k: int) -> int:
     """s(e + k-hat) with the carry-faithful representative of the zero class.
 
@@ -98,28 +86,21 @@ def digit_sum_shifted(p: int, n: int, e: int, k: int) -> int:
 _PRIME_FREE_TABLES: dict[tuple[int, int], list[int]] = {}
 
 
-def prime_free_factorial(N: int, p: int, modulus: int) -> int:
-    """N!' = product of i <= N coprime to p, reduced mod `modulus`.
-
-    Read from one prefix-product table per (p, modulus), extended on demand
-    and kept until the CLI call that built it ends.
-    Every caller asks for a window value or a gamma argument below
-    modulus = p^(m+1), so a table never holds more than p^(m+1) entries.
-    """
-    if N < 2:
-        return 1
+def _prime_free_prefix(N: int, p: int, modulus: int) -> list[int]:
+    """The prefix-product table of (p, modulus), entry k = k!' mod
+    `modulus`, extended to hold at least k <= N and kept until the CLI call
+    that built it ends.  Every caller asks for a window value or a gamma
+    argument below modulus = p^(m+1), so a table never holds more than
+    p^(m+1) entries."""
     table = _PRIME_FREE_TABLES.setdefault((p, modulus), [1, 1])
     for i in range(len(table), N + 1):
         table.append(table[-1] * i % modulus if i % p else table[-1])
-    return table[N]
+    return table
 
 
-def window_value(v: DigitVector, i: int, m: int) -> int:
-    """d_i + d_{i+1} p + ... + d_{i+m} p^m with cyclic digits, 1-based i."""
-    out = 0
-    for j in range(m, -1, -1):
-        out = out * v.p + v.digit(i + j)
-    return out
+def prime_free_factorial(N: int, p: int, modulus: int) -> int:
+    """N!' = product of i <= N coprime to p, reduced mod `modulus`."""
+    return _prime_free_prefix(N, p, modulus)[N] if N >= 2 else 1
 
 
 def padic_gamma_int(x: int, p: int, modulus: int) -> int:
@@ -130,24 +111,6 @@ def padic_gamma_int(x: int, p: int, modulus: int) -> int:
     if x % 2:
         out = modulus - out if out else 0
     return out % modulus
-
-
-def padic_gamma_window(i: int, v: DigitVector, m: int) -> int:
-    """Gamma_p(1 - <p^(i-1) e / (p^n-1)>) mod p^(m+1) by the digit window.
-
-    Equals (-1)^(1+w) * w!' where w is the width-(m+1) cyclic window reading
-    the digits of p^(i-1) e from their lowest position; since multiplying by
-    p rotates digit positions upward, that window starts at index 2-i of e's
-    own digits.  The product over all i is start-independent.
-    """
-    if not 1 <= i <= v.n:
-        raise ArgumentError(f"position {i} outside 1..{v.n}")
-    modulus = v.p ** (m + 1)
-    w = window_value(v, 2 - i, m)
-    out = prime_free_factorial(w, v.p, modulus)
-    if (1 + w) % 2:
-        out = (modulus - out) % modulus
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +189,8 @@ def digit_table(p: int, n: int, exps) -> np.ndarray:
 
 
 def factorial_residues(p: int, table: np.ndarray) -> np.ndarray:
-    """t = prod d_i! mod p (`digit_factorial_mod_p`) of every row of a digit
-    table."""
+    """t = prod d_i! mod p of every row of a digit table (each d_i < p, so
+    the factorials are p-free)."""
     fact = np.array([math.factorial(d) % p for d in range(p)], dtype=np.int64)
     out = np.ones(len(table), dtype=np.int64)
     for column in table.T:
@@ -243,8 +206,8 @@ def window_products(p: int, table: np.ndarray, m: int) -> np.ndarray:
     modulus = p ** (m + 1)
     # the window at place i reads d_i + d_{i+1} p + ... + d_{i+m} p^m, cyclically
     windows = sum(np.roll(table, -j, axis=1) * p**j for j in range(m + 1))
-    factorials = np.array([prime_free_factorial(w, p, modulus)
-                           for w in range(int(windows.max(initial=0)) + 1)], dtype=np.int64)
+    top = int(windows.max(initial=0))
+    factorials = np.array(_prime_free_prefix(top, p, modulus)[:top + 1], dtype=np.int64)
     out = np.ones(len(table), dtype=np.int64)
     for column in windows.T:
         out = out * factorials[column] % modulus

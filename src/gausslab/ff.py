@@ -181,7 +181,7 @@ class FieldTower:
 
     @cached_property
     def exp_vec(self) -> np.ndarray:
-        """(N, D) int16, row j = coefficients of g^j."""
+        """(N, D) int16 (int32 past p = 2^15), row j = coefficients of g^j."""
         return self._power_tables()["exp_vec"]
 
     @cached_property

@@ -15,13 +15,12 @@ S(chi_{pe}) = S(chi_e).  A table keeps only the recipe of its rows and
 computes them when read, in row blocks of about 1 MiB of histogram, so a
 reader never holds an (R, m) or (R, phi) matrix of all its rows.  The
 histograms reduce to exact tensor-basis coordinates by subtractions alone.
-Integer ids of the rows' values (`value_id`, `key`) are numbered from
-digests of those coordinates with an exact recheck wherever digests meet;
-signature scans do not read them, since they decide equal sums from
-integers alone (`digits.twist_classes`), and the ids remain the Z[zeta_m]
-grouping that the tests hold those scans to.  The power-basis coefficients
-are computed, by matrix reduction, only when a sum is read: all of them
-for `S`, a few for `rows`.  The whole-field table
+Integer ids of the rows' values (`value_id`, `key`) come from integers
+alone, the Stickelberger valuations and Gross-Koblitz unit of each row's
+character (`digits.product_labels`), and compute no row; the tests hold
+them to the Z[zeta_m] numbering of the rows' coordinates.  The
+power-basis coefficients are computed, by matrix reduction, only when a
+sum is read: all of them for `S`, a few for `rows`.  The whole-field table
 is cached per tower in `_TABLE_CACHE` and serves gauss_S; a CLI call
 empties that cache when it ends, so a table lives as long as the call that
 built its tower.  A table over a subfield F_{q^d} is owned by its caller
@@ -44,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _accel, cyclo
+from . import _accel, cyclo, digits
 from .chars import MultChar, orbit_minima, ring_for, twist_offset
 from .errors import ArgumentError
 from .ff import FieldTower
@@ -56,13 +55,6 @@ from .ff import FieldTower
 # A table computes its rows in blocks of about this many bytes of int64
 # histogram, so no (rows, m) matrix is ever held and each block stays in cache.
 _BLOCK_BYTES = 1 << 20
-
-
-def _digest(key: bytes | tuple[int, ...]) -> int:
-    """A digest of a `cyclo.canonical_key`: equal keys, equal digests.  Rows
-    whose digests meet are compared in full (`GaussTable.value_id`), so the
-    digest's quality costs only rechecks, never exactness."""
-    return hash(key)
 
 
 def _put(out: np.ndarray, block: slice, part: np.ndarray) -> np.ndarray:
@@ -96,18 +88,15 @@ class GaussTable:
 
     * `value_id[r]` numbers the exact value of row r in first-seen order, so
       two rows have equal ids exactly when their sums are equal; `key(c)` is
-      the id of S(chi_c).
-      Each coordinate row is kept only as a digest of its canonical key;
-      rows whose digests meet are recomputed and their keys compared in full
-      before they share an id.
+      the id of S(chi_c).  The ids are `digits.product_labels` of the
+      orbit-minimum characters, so they compute no row.
     * `S`, the power-basis coefficients of every row, is built on its first
       read through `CycloRing.from_powerful`; `rows(exps)` computes just the
       rows of some exponents, for callers that read a few sums.  Either is
       int64 unless some block needs Python ints, and then all of it is
       object.
 
-    Neither `value_id` nor `S` builds the other: readers of sums never
-    number them.
+    Neither `value_id` nor `S` builds the other.
     """
 
     def __init__(self, tower: FieldTower, d: int | None = None):
@@ -115,6 +104,7 @@ class GaussTable:
         if d < 1 or tower.n % d != 0:
             raise ArgumentError(f"subfield degree {d} does not divide n={tower.n}")
         self.tower = tower
+        self._d = d
         self.ring = ring_for(tower)
         N, p, m = tower.mult_order, tower.p, self.ring.m
         self.mult_order = Nd = tower.q**d - 1
@@ -141,22 +131,8 @@ class GaussTable:
     def value_id(self) -> np.ndarray:
         """An int64 id per row, numbering the rows' exact values in
         first-seen order."""
-        R = len(self._exps)
-        digests = np.empty(R, dtype=np.int64)
-        for block in self._blocks(R):
-            digests[block] = [_digest(cyclo.canonical_key(row)) for row in self._coordinates(block)]
-        _, first, inverse, count = np.unique(digests, return_index=True, return_inverse=True,
-                                             return_counts=True)
-        # same[r] is the first row with the value of row r: the first row
-        # with its digest, unless that digest is shared, when the rows that
-        # share it are recomputed (in ascending order) and keyed exactly
-        same = first[inverse]
-        shared = np.flatnonzero(count[inverse] > 1)
-        seen: dict = {}
-        for block in self._blocks(len(shared)):
-            for r, row in zip(shared[block].tolist(), self._coordinates(shared[block])):
-                same[r] = seen.setdefault(cyclo.canonical_key(row), r)
-        return np.unique(same, return_inverse=True)[1].astype(np.int64)
+        c = self._exps // (self.tower.mult_order // self.mult_order)
+        return digits.product_labels(self.tower.p, self.tower.f, [(1, (self._d,), c[:, None])])
 
     def _power_rows(self, rows: np.ndarray) -> np.ndarray:
         """Power-basis coefficients of the given rows, (len(rows), phi);

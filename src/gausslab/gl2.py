@@ -93,6 +93,7 @@ class GL2Group:
     def __init__(self, q: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS):
         self.q = q
         self.tower = build_tower(q, 1, 2, max_elements=max_elements)
+        self.ring = ring_for(self.tower)  # the conductor cap, before any O(q^2) work
         self.order = (q * q - 1) * (q * q - q)
         self.classes: list[GL2Class] = []
         for z in range(1, q):
@@ -129,7 +130,6 @@ class GL2Group:
         for i in range(q - 1):
             self._dlog_base[acc] = i
             acc = acc * h % q
-        self.ring = ring_for(self.tower)
 
     def class_index(self, mat: tuple[int, int, int, int]) -> int:
         """Index into `classes` of (a, b, c, d) = [[a, b], [c, d]] over Z/q."""

@@ -33,7 +33,11 @@ the floor read as unknown, never as a comparison of truncated zeros.
 
 The verifiers work on whole sweeps: every Gauss sum a sweep needs is
 embedded by one matrix product, and valuations and pi-shifts act on the
-resulting integer array.
+resulting integer array.  The digit statistics they compare against are
+arrays over one digit table of the sweep's exponents: s and t, and the
+Gamma_p product by the digit-window route (`digits.window_products` with
+its sign) and by the direct route (Gamma_p at the integer argument of
+every p^i e, each distinct argument evaluated once).
 """
 
 from __future__ import annotations
@@ -341,8 +345,8 @@ def stickelberger_check(tower: FieldTower, exponents) -> list[StickelbergerRepor
         raise ArgumentError("Stickelberger check needs a nontrivial character (e != 0)")
     if not es:
         return []
-    vs = [digits.expand(p, n, e) for e in es]
-    s = [digits.digit_sum(v) for v in vs]
+    table = digits.digit_table(p, n, es)
+    s = table.sum(axis=1).tolist()
     emb = embedding_for(tower)
     X = _embedded_gauss_sums(emb, [-e for e in es])
     measured = emb.ctx.valuations(X)
@@ -350,7 +354,7 @@ def stickelberger_check(tower: FieldTower, exponents) -> list[StickelbergerRepor
     congruent = set()
     if at_s:
         head = emb.ctx.shift_down(X[at_s], [s[i] for i in at_s])[:, 0, :]
-        t = np.array([digits.digit_factorial_mod_p(vs[i]) for i in at_s], dtype=object)
+        t = digits.factorial_residues(p, table[at_s])
         unit = [p - 1] + [0] * (n - 1)
         congruent = {i for i, r in zip(at_s, (head * t[:, None] % p).tolist()) if r == unit}
     return [
@@ -399,20 +403,24 @@ def gross_koblitz_check(tower: FieldTower, exponents, window: int = 1) -> list[G
         return []
     mod = p ** (window + 1)
     top = n * (p - 1)
-    s, prod_digit, prod_direct = [], [], []
-    for e in es:
-        v = digits.expand(p, n, e)
-        s.append(digits.digit_sum(v))
-        g = 1
-        for i in range(1, n + 1):
-            g = g * digits.padic_gamma_window(i, v, window) % mod
-        prod_digit.append(g)
-        g = 1
-        for i in range(n):
-            r = pow(p, i, N) * e % N
-            x_int = (N - r) * pow(N, -1, mod) % mod
-            g = g * digits.padic_gamma_int(x_int, p, mod) % mod
-        prod_direct.append(g)
+    table = digits.digit_table(p, n, es)
+    sums = table.sum(axis=1)
+    s = sums.tolist()
+    # digit route: the windows of p^i e, i < n, are the n cyclic windows of
+    # e's digits, so prod_i (-1)^(1 + w_i) w_i!' = (-1)^(n + sum_i w_i) V_w,
+    # and sum_i w_i = s (1 + p + ... + p^w)
+    odd = (n + sums * ((p ** (window + 1) - 1) // (p - 1))) % 2
+    V = digits.window_products(p, table, window)
+    prod_digit = np.where(odd, -V % mod, V).tolist()
+    # direct route: Gamma_p(1 - <c/N>), c = p^i e mod N, is Gamma_p at the
+    # integer (N - c) N^-1 mod p^(w+1); each distinct argument is evaluated once
+    c = np.array(es, dtype=np.int64)[:, None] * [pow(p, i, N) for i in range(n)] % N
+    args, where = np.unique((N - c) % mod * pow(N, -1, mod) % mod, return_inverse=True)
+    gamma = np.array([digits.padic_gamma_int(x, p, mod) for x in args.tolist()], dtype=np.int64)
+    direct = np.ones(len(es), dtype=np.int64)
+    for column in gamma[where.reshape(c.shape)].T:
+        direct = direct * column % mod
+    prod_direct = direct.tolist()
 
     emb = embedding_for(tower, top + window + 8)
     X = _embedded_gauss_sums(emb, es)

@@ -50,8 +50,8 @@ MUTANTS = [
     ),
     Mutant(
         "value-ids-from-digests-alone",
-        "src/gausslab/gauss.py",
-        "same[r] = seen.setdefault(cyclo.canonical_key(row), r)",
+        "tests/reference.py",
+        "same[r] = seen.setdefault(canonical_key(row), r)",
         "continue",
         ("tests/test_gauss.py::test_value_ids_survive_digest_collisions",),
     ),
@@ -142,8 +142,8 @@ MUTANTS = [
     Mutant(
         "value-ids-are-row-numbers",
         "src/gausslab/gauss.py",
-        "return np.unique(same, return_inverse=True)[1].astype(np.int64)",
-        "return np.arange(R, dtype=np.int64)",
+        "return digits.product_labels(self.tower.p, self.tower.f, [(1, (self._d,), c[:, None])])",
+        "return np.arange(len(c), dtype=np.int64)",
         ("tests/test_gauss.py::test_value_ids_are_exact",),
     ),
     Mutant(
@@ -152,6 +152,37 @@ MUTANTS = [
         "head = emb.ctx.shift_down(X[at_s], [s[i] for i in at_s])[:, 0, :]",
         "head = emb.ctx.shift_down(X[at_s], [s[i] + 1 for i in at_s])[:, 0, :]",
         ("tests/test_padic.py::test_stickelberger_examples[3-2]",),
+    ),
+    Mutant(
+        "stickelberger-factorial-residue-dropped",
+        "src/gausslab/padic.py",
+        "t = digits.factorial_residues(p, table[at_s])",
+        "t = np.ones(len(at_s), dtype=np.int64)",
+        ("tests/test_padic.py::test_stickelberger_examples[3-2]",
+         "tests/test_padic.py::test_batched_reports_match_the_per_element_route[5-2]"),
+    ),
+    Mutant(
+        "window-product-sign-dropped",
+        "src/gausslab/padic.py",
+        "prod_digit = np.where(odd, -V % mod, V).tolist()",
+        "prod_digit = V.tolist()",
+        ("tests/test_padic.py::test_gross_koblitz_windows[3-2]",
+         "tests/test_padic.py::test_batched_reports_match_the_per_element_route[3-3]"),
+    ),
+    Mutant(
+        "gamma-direct-route-read-mod-p",
+        "src/gausslab/padic.py",
+        "args, where = np.unique((N - c) % mod * pow(N, -1, mod) % mod, return_inverse=True)",
+        "args, where = np.unique((N - c) % p * pow(N, -1, p) % p, return_inverse=True)",
+        ("tests/test_padic.py::test_gross_koblitz_windows[5-2]",
+         "tests/test_padic.py::test_batched_reports_match_the_per_element_route[5-2]"),
+    ),
+    Mutant(
+        "collision-invariants-without-the-digit-factorial",
+        "src/gausslab/converse.py",
+        "table.sum(axis=1),\n                                      digits.factorial_residues(tower.p, table)])",
+        "table.sum(axis=1)])",
+        ("tests/test_converse.py::test_collision_invariants_fail_on_a_merged_class[factorials-differ]",),
     ),
     Mutant(
         "int64-product-mod-dropped",
@@ -305,6 +336,13 @@ MUTANTS = [
         "step = step @ mul_mat.T % p",
         ("tests/test_accel.py::test_power_table_matches_plain_loop[3-4]",
          "tests/test_accel.py::test_power_table_matches_plain_loop[2-13]"),
+    ),
+    Mutant(
+        "power-table-int16-past-2-15",
+        "src/gausslab/_accel.py",
+        "dtype=np.int16 if p <= 1 << 15 else np.int32",
+        "dtype=np.int16",
+        ("tests/test_accel.py::test_power_table_dtype_holds_every_coefficient[32771-int32]",),
     ),
     Mutant(
         "cyclic-run-without-wrap-around",

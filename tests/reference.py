@@ -1,22 +1,25 @@
 """Independent references the tests compare the library against.
 
-Each helper computes by a route the library does not take: signature
-classes from the value ids of Gauss-table rows in Z[zeta_m], where the
-library decides equal sums from Stickelberger valuations and Gross-Koblitz
-unit residues; the etale scan from products multiplied in Z[zeta_m] inside
-the master tower, where the library keys them by integers; the lemma suite
-one pair at a time, on digit vectors, where the library compares arrays
-over one digit table; a character value from its defining formula; absolute
-traces from Newton's identities on the modulus; the tower's modulus,
-generator and multiply-by-g matrix on numpy coefficient arrays, where the
-library works on lists of Python ints; Phi_m by stretching the
-squarefree-radical polynomial; Frobenius orbits by walking them; p-free
-factorials by a loop; and the p-adic side by a schoolbook product of
-(p-1, n) coordinate arrays, which reduces x^n by the modulus and pi^(p-1)
-by -p where the library multiplies by Kronecker products of matrices.  On
-it the p-adic verifiers run one exponent at a time on sequential image
-powers, with valuations read off coordinates and pi-divisions one step at
-a time.
+Each helper computes by a route the library does not take: Gauss-table
+value ids from the Z[zeta_m] coordinates of the rows (`ring_value_ids`,
+digests with an exact recheck wherever they meet), where the library
+numbers them from Stickelberger valuations and Gross-Koblitz unit
+residues, and signature classes from those ids; the etale scan from
+products multiplied in Z[zeta_m] inside the master tower, where the
+library keys them by integers; the lemma suite one pair at a time, on
+digit vectors, where the library compares arrays over one digit table; a
+character value from its defining formula; absolute traces from Newton's
+identities on the modulus; the tower's modulus, generator and multiply-by-g
+matrix on numpy coefficient arrays, where the library works on lists of
+Python ints; Phi_m by stretching the squarefree-radical polynomial;
+Frobenius orbits by walking them; p-free factorials by a loop; the digit
+statistics t, window values and Gamma_p by the digit window one digit
+vector at a time, where the library reads digit tables; and the p-adic
+side by a schoolbook product of (p-1, n) coordinate arrays, which reduces
+x^n by the modulus and pi^(p-1) by -p where the library multiplies by
+Kronecker products of matrices.  On it the p-adic verifiers run one
+exponent at a time on sequential image powers, with valuations read off
+coordinates and pi-divisions one step at a time.
 """
 
 import functools
@@ -27,8 +30,7 @@ import numpy as np
 
 from gausslab import digits
 from gausslab.chars import MultChar, orbit_count, orbit_minima, regular_exponents, ring_for
-from gausslab.converse import (Assertion, Report, _check_pairs, _partitions, _signature_key, check,
-                               convention_stamp)
+from gausslab.converse import Assertion, Report, _check_pairs, _partitions, check, convention_stamp
 from gausslab.cyclo import _cyclotomic_radical, canonical_key
 from gausslab.errors import ArgumentError
 from gausslab.ff import DEFAULT_MAX_ELEMENTS, build_tower, check_field
@@ -37,13 +39,47 @@ from gausslab.numth import prime_divisors, proper_divisors, radical
 from gausslab.padic import GrossKoblitzReport, StickelbergerReport, embedding_for
 
 
+def _digest(key):
+    """A digest of a `cyclo.canonical_key`: equal keys, equal digests.  Rows
+    whose digests meet are compared in full (`ring_value_ids`), so the
+    digest's quality costs only rechecks, never exactness."""
+    return hash(key)
+
+
+def ring_value_ids(tab):
+    """An int64 id per row of the Gauss table `tab`, numbering the rows'
+    exact values in first-seen order by their Z[zeta_m] coordinates.
+
+    Each block of coordinate rows is kept only as the digests of its
+    canonical keys; rows whose digests meet are recomputed and their keys
+    compared in full before they share an id."""
+    R = len(tab._exps)
+    digests = np.empty(R, dtype=np.int64)
+    for block in tab._blocks(R):
+        digests[block] = [_digest(canonical_key(row)) for row in tab._coordinates(block)]
+    _, first, inverse, count = np.unique(digests, return_index=True, return_inverse=True,
+                                         return_counts=True)
+    # same[r] is the first row with the value of row r: the first row with
+    # its digest, unless that digest is shared, when the rows that share it
+    # are recomputed (in ascending order) and keyed exactly
+    same = first[inverse]
+    shared = np.flatnonzero(count[inverse] > 1)
+    seen = {}
+    for block in tab._blocks(len(shared)):
+        for r, row in zip(shared[block].tolist(), tab._coordinates(shared[block])):
+            same[r] = seen.setdefault(canonical_key(row), r)
+    return np.unique(same, return_inverse=True)[1].astype(np.int64)
+
+
 def signature_classes(tab, exps, stride, n_twists):
     """Partition `exps` by the exact sums of their twists e + k*stride,
-    k < n_twists, read as value ids of the Gauss table `tab`: classes in
-    first-seen order, members in input order."""
+    k < n_twists, read as `ring_value_ids` of the Gauss table `tab`: classes
+    in first-seen order, members in input order."""
+    ids = ring_value_ids(tab)
     classes = {}
     for e in exps:
-        classes.setdefault(_signature_key(tab, e, stride, n_twists), []).append(e)
+        key = ids[tab.row_of[(e + stride * np.arange(n_twists)) % tab.mult_order]].tobytes()
+        classes.setdefault(key, []).append(e)
     return list(classes.values())
 
 
@@ -65,7 +101,7 @@ def cyclic_window_product(v, m):
     modulus = v.p ** (m + 1)
     out = 1
     for i in range(1, v.n + 1):
-        out = out * digits.prime_free_factorial(digits.window_value(v, i, m), v.p, modulus) % modulus
+        out = out * digits.prime_free_factorial(window_value(v, i, m), v.p, modulus) % modulus
     return out
 
 
@@ -205,7 +241,7 @@ def lemma_suite_pairwise(tower):
 
     @functools.cache
     def sums(e):
-        return digits.digit_sum(vecs[e]), digits.digit_factorial_mod_p(vecs[e]), inverse_id[e]
+        return digits.digit_sum(vecs[e]), digit_factorial_mod_p(vecs[e]), inverse_id[e]
 
     @functools.cache
     def extremes(e):
@@ -545,6 +581,45 @@ def embed_by_terms(emb, elt):
     return flat.reshape(emb.ctx.e, emb.ctx.n)
 
 
+# digit statistics of one digit vector, the scalar forms of the digit-table
+# arrays the verifiers read
+
+
+def digit_factorial_mod_p(v):
+    """t = prod d_i! mod p (each d_i < p, so the factorials are p-free)."""
+    out = 1
+    for d in v.digits:
+        for k in range(2, d + 1):
+            out = out * k % v.p
+    return out
+
+
+def window_value(v, i, m):
+    """d_i + d_{i+1} p + ... + d_{i+m} p^m with cyclic digits, 1-based i."""
+    out = 0
+    for j in range(m, -1, -1):
+        out = out * v.p + v.digits[(i + j - 1) % v.n]
+    return out
+
+
+def padic_gamma_window(i, v, m):
+    """Gamma_p(1 - <p^(i-1) e / (p^n-1)>) mod p^(m+1) by the digit window.
+
+    Equals (-1)^(1+w) * w!' where w is the width-(m+1) cyclic window reading
+    the digits of p^(i-1) e from their lowest position; since multiplying by
+    p rotates digit positions upward, that window starts at index 2-i of e's
+    own digits.  The product over all i is start-independent.
+    """
+    if not 1 <= i <= v.n:
+        raise ArgumentError(f"position {i} outside 1..{v.n}")
+    modulus = v.p ** (m + 1)
+    w = window_value(v, 2 - i, m)
+    out = digits.prime_free_factorial(w, v.p, modulus)
+    if (1 + w) % 2:
+        out = (modulus - out) % modulus
+    return out
+
+
 def stickelberger_one(tower, e):
     """The Stickelberger report of one exponent, by the per-element route."""
     p, n, N = tower.p, tower.n, tower.mult_order
@@ -556,7 +631,7 @@ def stickelberger_one(tower, e):
     mv = valuation(emb.ctx, x)
     congruence_ok = False
     if mv == s:
-        t = digits.digit_factorial_mod_p(v)
+        t = digit_factorial_mod_p(v)
         res = residue(emb.ctx, div_by_pi_power(emb.ctx, x, s) * t)
         congruence_ok = res == (p - 1,) + (0,) * (n - 1)
     return StickelbergerReport(p=p, n=n, e=e, s=s, measured_valuation=mv,
@@ -573,7 +648,7 @@ def gross_koblitz_one(tower, e, window):
     mod = p ** (window + 1)
     prod_digit = prod_direct = 1
     for i in range(n):
-        prod_digit = prod_digit * digits.padic_gamma_window(i + 1, v, window) % mod
+        prod_digit = prod_digit * padic_gamma_window(i + 1, v, window) % mod
         x_int = (N - pow(p, i, N) * e % N) * pow(N, -1, mod) % mod
         prod_direct = prod_direct * digits.padic_gamma_int(x_int, p, mod) % mod
     emb = embedding_for(tower, n * (p - 1) + window + 8)

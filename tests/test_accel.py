@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gausslab import _accel
+from gausslab import _accel, build_tower
 from gausslab.ff import _mul_by_matrix, smallest_irreducible
 
 
@@ -26,6 +26,17 @@ def test_power_table_matches_plain_loop(p, d):
     t = _accel.power_table(mat, p, count)
     assert t.shape == (count, d) and t.dtype == np.int16
     assert np.array_equal(t, _power_table_loop(mat, p, count))
+
+
+@pytest.mark.parametrize("p,dtype", [(32749, np.int16), (32771, np.int32)])
+def test_power_table_dtype_holds_every_coefficient(p, dtype):
+    # coefficients lie in [0, p): int16 holds them while p <= 2^15, so every
+    # table up to the largest prime below 2^15 stays int16 and only larger
+    # primes widen
+    T = build_tower(p, 1, 1)
+    assert T.exp_vec.dtype == dtype
+    assert T.exp_vec[:, 0].tolist() == [pow(T.g, j, p) for j in range(p - 1)]
+    assert T.log_table[T.g] == 1 and T.log_table[1] == 0
 
 
 def test_power_table_first_rows():

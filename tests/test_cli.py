@@ -355,6 +355,15 @@ def test_gl2_caps_bind_before_primality(capsys, monkeypatch):
     assert (status, out) == (EXIT_RESOURCE, "") and "max_q = 7" in err
 
 
+def test_gl2_conductor_cap_binds_before_the_group(capsys):
+    # F_{1031^2} is under the raised field-size cap, but the conductor
+    # 1031 * (1031^2 - 1) is not: it is refused before the O(q^2) classes
+    start = time.perf_counter()
+    status, out, err = run(capsys, *"gl2-check --q 1031 --max-q 1031 --max-elements 2000000".split())
+    assert time.perf_counter() - start < 1
+    assert (status, out) == (EXIT_RESOURCE, "") and "conductor 1095911760" in err
+
+
 @pytest.mark.parametrize(
     "flags", [["--use-cache"], ["--cache-dir", "x"], ["--jobs", "2"]], ids=lambda f: f[0][2:]
 )

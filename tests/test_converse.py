@@ -105,6 +105,26 @@ def test_scan_finds_counterexample(f729):
     )
 
 
+@pytest.mark.parametrize("a,b", [(2, 8), (2, 4)], ids=["digit-sums-differ", "factorials-differ"])
+def test_collision_invariants_fail_on_a_merged_class(monkeypatch, f81, a, b):
+    # F_81 has no collision; merging the classes of two orbits makes one.
+    # Both pairs share the central character (e mod 2); (2,0,0,0) and
+    # (2,2,0,0) differ in digit sum, (2,0,0,0) and (1,1,0,0) only in the
+    # digit factorial (2 against 1 mod 3)
+    twist_classes = D.twist_classes
+
+    def merged(*args):
+        classes = twist_classes(*args)
+        first, second = (next(c for c in classes if e in c) for e in (a, b))
+        return [first + second if c is first else c for c in classes if c is not second]
+
+    monkeypatch.setattr(D, "twist_classes", merged)
+    rep = scan_converse(f81, "regular")
+    assert rep.collision_classes == [[a, b]]
+    statuses = {x.name: x.status for x in rep.assertions}
+    assert statuses["collisions-respect-central-character-and-digit-invariants"] == "fail"
+
+
 def test_scan_all_population_appendix_bound():
     T = build_tower(13, 1, 2)
     rep = scan_converse(T, "all")

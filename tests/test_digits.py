@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from gausslab import digits as D
 from gausslab.errors import ArgumentError
-from reference import cyclic_run, cyclic_window_product, prime_free_factorial
+from reference import (cyclic_run, cyclic_window_product, digit_factorial_mod_p, padic_gamma_window,
+                       prime_free_factorial)
 
 
 def test_expansion_examples():
     v = D.expand(3, 2, 5)
     assert v.digits == (2, 1) and D.digit_sum(v) == 3
-    assert D.digit_factorial_mod_p(v) == 2  # 2! * 1!
+    assert digit_factorial_mod_p(v) == 2  # 2! * 1!
     v = D.expand(3, 4, 4)
     assert v.digits == (1, 1, 0, 0) and D.digit_sum(v) == 2
 
@@ -42,7 +43,7 @@ def test_shift_invariance_of_statistics(pn, e, j):
     w = D.expand(p, n, e * pow(p, j, p**n - 1))
     assert sorted(v.digits) == sorted(w.digits)
     assert D.digit_sum(v) == D.digit_sum(w)
-    assert D.digit_factorial_mod_p(v) == D.digit_factorial_mod_p(w)
+    assert digit_factorial_mod_p(v) == digit_factorial_mod_p(w)
     for m in (0, 1):
         assert cyclic_window_product(v, m) == cyclic_window_product(w, m)
     for a in range(1, p):
@@ -87,7 +88,7 @@ def test_window_products():
     for p, n in [(3, 4), (5, 2)]:
         for e in range(p**n - 1):
             v = D.expand(p, n, e)
-            assert cyclic_window_product(v, 0) == D.digit_factorial_mod_p(v) % p
+            assert cyclic_window_product(v, 0) == digit_factorial_mod_p(v) % p
 
 
 def test_gamma_window_formula_against_product_definition():
@@ -105,13 +106,13 @@ def test_gamma_window_formula_against_product_definition():
         mod = p ** (m + 1)
         r = pow(p, i - 1, N) * e % N
         x_int = (N - r) * pow(N, -1, mod) % mod
-        assert D.padic_gamma_window(i, v, m) == D.padic_gamma_int(x_int, p, mod)
+        assert padic_gamma_window(i, v, m) == D.padic_gamma_int(x_int, p, mod)
 
 
 def test_gamma_all_window_zero():
     # all-zero window: Gamma_p(1) = -1
     v = D.expand(3, 3, 0)
-    assert D.padic_gamma_window(1, v, 1) == 9 - 1
+    assert padic_gamma_window(1, v, 1) == 9 - 1
 
 
 def test_gamma_product_recombination():
@@ -125,7 +126,7 @@ def test_gamma_product_recombination():
         mod = p ** (m + 1)
         prod = 1
         for i in range(1, n + 1):
-            prod = prod * D.padic_gamma_window(i, v, m) % mod
+            prod = prod * padic_gamma_window(i, v, m) % mod
         s = D.digit_sum(v)
         geom = sum(p**j for j in range(m + 1))
         expect = cyclic_window_product(v, m) % mod
@@ -185,7 +186,7 @@ def test_digit_tables_match_the_vector_statistics(p, n):
     table = D.digit_table(p, n, exps)
     vecs = [D.expand(p, n, e) for e in exps]
     assert table.tolist() == [list(v.digits) for v in vecs]
-    assert D.factorial_residues(p, table).tolist() == [D.digit_factorial_mod_p(v) for v in vecs]
+    assert D.factorial_residues(p, table).tolist() == [digit_factorial_mod_p(v) for v in vecs]
     for m in (0, 1, 2):
         assert D.window_products(p, table, m).tolist() == [cyclic_window_product(v, m) for v in vecs]
     for pick in (max, min):

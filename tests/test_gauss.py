@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference
 from gausslab import _accel, build_tower, gauss
 from gausslab.chars import MultChar, ring_for, twist_offset
 from gausslab.cyclo import canonical_key
 from gausslab.errors import ArgumentError, ResourceCapError
-from reference import absolute_traces, etale_gauss, value_at, value_ids
+from reference import absolute_traces, etale_gauss, ring_value_ids, value_at, value_ids
 from gausslab.gauss import (
     GaussTable,
     ScaledCyclo,
@@ -419,6 +420,7 @@ def test_value_ids_are_exact(p, f, n):
     tab = GaussTable(build_tower(p, f, n))
     keys = [canonical_key(row) for row in tab.S]
     _ids_match_keys(tab.value_id.tolist(), keys)
+    assert np.array_equal(tab.value_id, ring_value_ids(tab))
     # distinct orbits share sums here, so the ids are not just row numbers
     assert len(set(keys)) < len(keys)
     N = tab.mult_order
@@ -465,16 +467,18 @@ def _row_arrays(tab):
 
 @pytest.mark.parametrize("p,f,n,d", ROUTE_FIELDS)
 def test_table_matches_the_power_basis_route(p, f, n, d):
-    """Ids number the rows exactly as the keys of their recomputed tensor
-    coordinates and of the power-basis rows do, and S, built on first read,
-    is those rows: the plain-order histograms reduced by one `reduce_matrix`
-    call.  The table holds no matrix of rows but S."""
+    """The integer ids, and those of the Z[zeta_m] oracle, number the rows
+    exactly as the keys of their recomputed tensor coordinates and of the
+    power-basis rows do, and S, built on first read, is those rows: the
+    plain-order histograms reduced by one `reduce_matrix` call.  The table
+    holds no matrix of rows but S."""
     T = build_tower(p, f, n)
     tab = GaussTable(T, d)
     ring = tab.ring
     want = ring.reduce_matrix(_recomputed(T, d, tab, np.arange(ring.m)))
     coords = ring.reduce_tensor(_recomputed(T, d, tab, ring.tensor_position))
     assert np.array_equal(ring.from_powerful(coords), want)
+    assert np.array_equal(ring_value_ids(tab), value_ids(coords))
     assert np.array_equal(tab.value_id, value_ids(coords))
     assert np.array_equal(tab.value_id, value_ids(want))
     assert _row_arrays(tab) == []
@@ -497,7 +501,7 @@ def _counting_gauss_counts(monkeypatch):
 
 def test_tables_compute_only_what_is_read(monkeypatch):
     """A table computes no row until it is read; readers of sums never build
-    ids, and `key` never builds S."""
+    ids, and `key` computes no row at all."""
     calls = _counting_gauss_counts(monkeypatch)
     T = build_tower(3, 1, 6)
     tab = GaussTable(T)
@@ -506,9 +510,10 @@ def test_tables_compute_only_what_is_read(monkeypatch):
     assert "value_id" not in vars(tab) and "S" not in vars(tab)
     tab.element(5)
     assert "S" in vars(tab) and "value_id" not in vars(tab)
+    calls.clear()
     tab = GaussTable(T)
     tab.key(5)
-    assert "value_id" in vars(tab) and "S" not in vars(tab)
+    assert calls == [] and "value_id" in vars(tab) and "S" not in vars(tab)
 
 
 @pytest.mark.parametrize("p,f,n,d", [(3, 1, 6, 6), (2, 1, 12, 4), (5, 2, 2, 2), (2, 2, 3, 1)])
@@ -547,9 +552,10 @@ def _scaling_coordinates(monkeypatch, scaled_rows):
 def test_row_blocks_match_one_block(monkeypatch, p, f, n, d):
     """Tables read in one-row blocks and in blocks of three rows (a ragged
     last block) have the value ids, S and rows of the default build, in
-    values and dtype.  One block of Python ints (rows 3 to 5) turns S and
-    every rows() call that reads it into Python ints, exactly, and its ids
-    still number the exact values."""
+    values and dtype, and so has the Z[zeta_m] oracle of the ids.  One
+    block of Python ints (rows 3 to 5) turns S and every rows() call that
+    reads it into Python ints, exactly, and the oracle's ids still number
+    the exact values."""
     T = build_tower(p, f, n)
     want = GaussTable(T, d)
     R = len(want.value_id)
@@ -563,6 +569,7 @@ def test_row_blocks_match_one_block(monkeypatch, p, f, n, d):
             tab = GaussTable(T, d)
             assert tab.value_id.dtype == want.value_id.dtype
             assert np.array_equal(tab.value_id, want.value_id)
+            assert np.array_equal(ring_value_ids(tab), want.value_id)
             assert tab.S.dtype == want.S.dtype and np.array_equal(tab.S, want.S)
             got = GaussTable(T, d).rows(exps)
             assert got.dtype == want.S.dtype and np.array_equal(got, want.S[want.row_of[exps]])
@@ -570,7 +577,7 @@ def test_row_blocks_match_one_block(monkeypatch, p, f, n, d):
             _scaling_coordinates(patched, [3, 4, 5])
             tab = GaussTable(T, d)
             assert tab.S.dtype == object and np.array_equal(tab.S, scaled)
-            assert np.array_equal(tab.value_id, value_ids(scaled))
+            assert np.array_equal(ring_value_ids(tab), value_ids(scaled))
             got = GaussTable(T, d).rows(exps)
             assert got.dtype == object and np.array_equal(got, scaled[want.row_of[exps]])
             got = GaussTable(T, d).rows(exps[want.row_of[exps] != 4])  # no scaled row read
@@ -579,15 +586,18 @@ def test_row_blocks_match_one_block(monkeypatch, p, f, n, d):
 
 @pytest.mark.parametrize("digest", [lambda key: 0, lambda key: hash(key) & 0xFF],
                          ids=["constant", "low-byte"])
-@pytest.mark.parametrize("p,f,n,d", ROUTE_FIELDS + [(3, 1, 4, 4), (2, 1, 8, 8)])
+@pytest.mark.parametrize("p,f,n,d", ROUTE_FIELDS + [(3, 1, 4, 4), (2, 1, 8, 8), (2, 3, 2, 2),
+                                     (2, 3, 2, 1), (2, 1, 6, 1)])
 def test_value_ids_survive_digest_collisions(monkeypatch, p, f, n, d, digest):
-    """Rows whose digests meet are compared exactly, so a digest that
-    collides on every row, or on most of them, changes neither the id
-    partition nor the first-seen numbering."""
+    """In the Z[zeta_m] oracle, rows whose digests meet are compared exactly,
+    so a digest that collides on every row, or on most of them, changes
+    neither the id partition nor the first-seen numbering: the oracle still
+    reads the table's integer ids, at f = 1, 2 and 3 and on subfields of
+    one element (q^d - 1 = 1) too."""
     T = build_tower(p, f, n)
     want = GaussTable(T, d).value_id
-    monkeypatch.setattr(gauss, "_digest", digest)
-    assert np.array_equal(GaussTable(T, d).value_id, want)
+    monkeypatch.setattr(reference, "_digest", digest)
+    assert np.array_equal(ring_value_ids(GaussTable(T, d)), want)
 
 
 def _peak_above_kept(build):
