@@ -81,10 +81,11 @@ def regular_exponents(tower: FieldTower) -> list[int]:
     return np.flatnonzero(regular_mask(tower.mult_order, tower.q, tower.n)).tolist()
 
 
-def orbit_minima(N: int, mult: int, period: int) -> np.ndarray:
+def orbit_minima(N: int, mult: int, period: int, exps=None) -> np.ndarray:
     """Smallest member of the orbit of e under e -> mult*e mod N, for every
-    e in [0, N); `period` must satisfy mult^period = 1 mod N."""
-    e = np.arange(N, dtype=np.int64)
+    e of `exps` (default: every e in [0, N)); `period` must satisfy
+    mult^period = 1 mod N."""
+    e = np.arange(N, dtype=np.int64) if exps is None else np.asarray(exps, dtype=np.int64) % N
     out = e.copy()
     x = e
     for _ in range(period - 1):

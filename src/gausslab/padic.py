@@ -7,12 +7,10 @@ integer lift of the field tower's modulus, truncated at p^K.  The relation
 pi^(p-1) = -p makes v(pi) = 1, v(p) = p-1 in pi-units.  An element is its
 (p-1, n) integer array of coordinates, pi-degree major, entries in [0, p^K).
 
-The ring factors as Z/p^K[pi]/(pi^(p-1) + p) tensor W, so multiplication by
-zeta_p^a * teich(g)^b, whose first factor lies in Z_p[pi] and second in W,
-is the Kronecker product Z^a (x) T^b mod p^K of the (p-1, p-1) matrix Z of
-multiplication by zeta_p and the (n, n) matrix T of multiplication by
-teich(g).  Both lifts are computed as those matrices, from the two
-generator matrices of `RamifiedContext`, and every product goes through
+The ring factors as Z/p^K[pi]/(pi^(p-1) + p) tensor W, and the two lifts
+the embedding needs lie one in each factor: zeta_p in Z_p[pi], teich(g) in
+W.  Both are computed as multiplication matrices, from the two generator
+matrices of `RamifiedContext`, and every product goes through
 `_matmul_mod`.
 
 Pinned choices (they select the prime over p that the whole artifact uses):
@@ -31,9 +29,18 @@ valuations being measured, and pi-divisions (one exact division of each
 coordinate by a power of -p) stay far from the floor.  Valuations that reach
 the floor read as unknown, never as a comparison of truncated zeros.
 
-The verifiers work on whole sweeps: every Gauss sum a sweep needs is
-embedded by one matrix product, and valuations and pi-shifts act on the
-resulting integer array.  The digit statistics they compare against are
+The embedding never passes through Z[zeta_m].  It sends zeta_m^v to
+zeta_p^t teich(g)^k, t = v N^-1 mod p and k = v p^-1 mod N, so a sum is
+read from its histogram over (t, k) alone: one product with the table of
+teich(g)^k, k < N, gives a W-coordinate row per t, and one product with the
+table of zeta_p^t, t < p, combines them.  S(chi_e) counts the j < N by
+(Tr g^j, e j mod N), an `_accel.gauss_counts` histogram, computed only at
+the orbit minima of e -> p e, since S(chi_pe) = S(chi_e).
+
+The verifiers work on whole sweeps: each Gauss sum a sweep needs is
+embedded once per p-orbit, and valuations and pi-shifts act on the
+resulting integer array, once per orbit, before they are spread back over
+the exponents.  The digit statistics they compare against are
 arrays over one digit table of the sweep's exponents: s and t, and the
 Gamma_p product by the digit-window route (`digits.window_products` with
 its sign) and by the direct route (Gamma_p at the integer argument of
@@ -44,16 +51,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import digits
+from . import _accel, digits
+from .chars import orbit_minima
 from .cyclo import _I64_SAFE, CycloElement
-from .errors import ArgumentError, PrecisionError
+from .errors import ArgumentError, PrecisionError, ResourceCapError
 from .ff import FieldTower
-from .gauss import gauss_table
+from .gauss import _BLOCK_BYTES
 
 _I64_LIMIT = 1 << 63  # |partial sums| of an int64 product stay below this
+
+# The most histogram terms (orbits x N: one per j < N for each orbit's sum)
+# one sweep counts.  The histograms cost O(terms) and the teich(g) product
+# after them O(terms * p * n), so this bounds a sweep's time where the
+# field-size cap does not: (2,13) and (3,8) count about 5.2 and 5.5 million
+# terms, (2,16) 270 million.
+MAX_HISTOGRAM_TERMS = 1 << 24
+
+# The largest modulus p^(window+1) a Gross-Koblitz comparison reads.  The
+# Gamma_p values come from a prefix table of that many p-free factorials,
+# and its products stay in int64 (below 2^40).
+MAX_WINDOW_MODULUS = 1 << 20
 
 
 class RamifiedContext:
@@ -190,7 +211,9 @@ class PadicEmbedding:
 
     Realizes the choice of prime over p: its kernel is reduction mod pi.
     Prime-base towers only (q = p).  `zeta_p` and `teich_g` hold the
-    multiplication matrices of the two images.
+    multiplication matrices of the two images, and `zeta_powers` and
+    `teich_powers` the coordinates of their powers.  Every embedded value is
+    a histogram over (t, k), read as sum H[t, k] zeta_p^t teich(g)^k.
     """
 
     def __init__(self, tower: FieldTower, K: int | None = None):
@@ -204,50 +227,69 @@ class PadicEmbedding:
         self.teich_g = teichmuller(self.ctx, tower.exp_vec[1 % N].astype(int))  # g = 1 on F_2
         self.zeta_p = zeta_p_lift(self.ctx)
         self.m = p * N
-        self._images: np.ndarray | None = None
 
-    def _step_matrix(self) -> np.ndarray:
-        """(D, D) matrix, D = (p-1)*n, of multiplication by img(zeta_m), so that
-        a coordinate row v of x gives v @ M, the coordinates of x * img(zeta_m).
+    @cached_property
+    def teich_powers(self) -> np.ndarray:
+        """(N, n): row k holds the W-coordinates of teich(g)^k."""
+        return _powers(self.teich_g, self.tower.mult_order, self.ctx.pK)
 
-        zeta_m = zeta_p^a * zeta_N^b with a*N + b*p = 1 mod m, and the ring is
-        Z/p^K[pi]/(pi^(p-1) + p) tensor W, so M is the Kronecker product of
-        the two factors' multiplication matrices.
+    @cached_property
+    def zeta_powers(self) -> np.ndarray:
+        """(p, p-1): row t holds the pi-coordinates of zeta_p^t."""
+        return _powers(self.zeta_p, self.ctx.p, self.ctx.pK)
+
+    @cached_property
+    def position(self) -> np.ndarray:
+        """Column t*N + k of zeta_m^v, v < m, in the histogram layout:
+        zeta_m = zeta_p^(N^-1 mod p) zeta_N^(p^-1 mod N), so zeta_m^v maps
+        to zeta_p^t teich(g)^k with t = v N^-1 mod p, k = v p^-1 mod N."""
+        p, N = self.ctx.p, self.tower.mult_order
+        v = np.arange(self.m, dtype=np.int64)
+        return v * pow(N, -1, p) % p * N + v * pow(p, -1, N) % N
+
+    def _combine(self, H: np.ndarray) -> np.ndarray:
+        """sum over t, k of H[r, t*N + k] zeta_p^t teich(g)^k for each row r
+        of H, as (rows, p-1, n).
+
+        One product with `teich_powers` turns each (r, t) block of H into
+        W-coordinates w_rt.  zeta_p^t lies in Z_p[pi] and w_rt in W, so
+        their product is an outer product of coordinates, and one product
+        with `zeta_powers` sums those over t.
         """
-        ctx, N = self.ctx, self.tower.mult_order
-        Za = _matpow_mod(self.zeta_p, pow(N, -1, ctx.p), ctx.pK)
-        Tb = _matpow_mod(self.teich_g, pow(ctx.p, -1, N), ctx.pK)
-        return np.kron(Za.astype(object), Tb.astype(object)) % ctx.pK
+        ctx, N, rows = self.ctx, self.tower.mult_order, len(H)
+        p, n = ctx.p, ctx.n
+        W = _matmul_mod(H.reshape(rows * p, N), self.teich_powers, ctx.pK)
+        W = W.reshape(rows, p, n).transpose(1, 0, 2).reshape(p, rows * n)
+        out = _matmul_mod(self.zeta_powers.T, W, ctx.pK)
+        if ctx.pK < _I64_SAFE:  # the values fit in int64 even where the product needed Python ints
+            out = out.astype(np.int64)
+        return out.reshape(p - 1, rows, n).transpose(1, 0, 2)
 
-    def _image_matrix(self, phi: int) -> np.ndarray:
-        """(phi, (p-1)*n) matrix whose row k is img(zeta_m)^k, pi-degree major.
+    def gauss_sums(self, exps) -> np.ndarray:
+        """Embedded S(chi_e) for every e of `exps`, (len(exps), p-1, n).
 
-        Built by doubling: rows L..2L-1 are rows 0..L-1 times M^L, M the
-        step matrix, and M^L is squared between steps, so about log2(phi)
-        matrix products mod p^K.  int64 while every entry (< p^K) fits with
-        headroom, Python ints otherwise.
+        S(chi_e) = sum_j zeta_N^(e j) zeta_p^(Tr g^j) is zeta_m^v summed
+        over v = p e j + N Tr(g^j), so its (t, k) histogram is
+        `_accel.gauss_counts` with the trace offsets and `position`.  Rows
+        are computed in blocks of about _BLOCK_BYTES of histogram.
         """
-        ctx = self.ctx
-        dtype = np.int64 if ctx.pK < _I64_SAFE else object
-        power = self._step_matrix().astype(dtype)
-        rows = np.zeros((phi, len(power)), dtype=dtype)
-        rows[0, 0] = 1
-        filled = 1
-        while filled < phi:
-            take = min(filled, phi - filled)
-            rows[filled:filled + take] = _matmul_mod(rows[:take], power, ctx.pK)
-            filled += take
-            if filled < phi:
-                power = _matmul_mod(power, power, ctx.pK)
-        return rows
+        tower, p, m = self.tower, self.ctx.p, self.m
+        exps = np.asarray(exps, dtype=np.int64) % tower.mult_order
+        offsets = tower.mult_order * tower.subfield_traces(tower.n) % m
+        step = max(1, _BLOCK_BYTES // (8 * m))
+        return np.concatenate([
+            self._combine(_accel.gauss_counts(p, m, offsets, position=self.position,
+                                              exps=exps[lo:lo + step]))
+            for lo in range(0, len(exps), step)
+        ])
 
     def embed_rows(self, C: np.ndarray) -> np.ndarray:
-        """Embed every row of C, power-basis coefficients in Z[zeta_m], with one
-        product C @ images mod p^K; returns (rows, p-1, n), pi-degree major."""
-        if self._images is None:
-            self._images = self._image_matrix(C.shape[1])
-        ctx = self.ctx
-        return _matmul_mod(C, self._images, ctx.pK).reshape(len(C), ctx.e, ctx.n)
+        """Embed every row of C, power-basis coefficients in Z[zeta_m]: the
+        coefficient of zeta_m^k goes to column `position[k]` of a histogram
+        row; returns (rows, p-1, n), pi-degree major."""
+        H = np.zeros((len(C), self.m), dtype=C.dtype)
+        H[:, self.position[:C.shape[1]]] = C
+        return self._combine(H)
 
     def embed(self, elt: CycloElement) -> np.ndarray:
         """sum_k c_k img(zeta_m)^k mod p^K as a (p-1, n) array, by `embed_rows`
@@ -257,6 +299,29 @@ class PadicEmbedding:
                 f"conductor {elt.ring.m} does not match the embedding conductor {self.m}"
             )
         return self.embed_rows(elt.coeffs[None, :])[0]
+
+
+def _powers(M: np.ndarray, count: int, modulus: int) -> np.ndarray:
+    """(count, d): row k holds the coordinates of x^k, M the (d, d) matrix of
+    multiplication by x, whose row 0 holds x itself.
+
+    Built by doubling: rows L..2L-1 are rows 0..L-1 times M^L, and M^L is
+    squared between steps, so about log2(count) products mod `modulus`.
+    int64 while every entry (< modulus) fits with headroom, Python ints
+    otherwise.
+    """
+    dtype = np.int64 if modulus < _I64_SAFE else object
+    power = M.astype(dtype)
+    rows = np.zeros((count, len(M)), dtype=dtype)
+    rows[0, 0] = 1
+    filled = 1
+    while filled < count:
+        take = min(filled, count - filled)
+        rows[filled:filled + take] = _matmul_mod(rows[:take], power, modulus)
+        filled += take
+        if filled < count:
+            power = _matmul_mod(power, power, modulus)
+    return rows
 
 
 def _matmul_mod(A: np.ndarray, B: np.ndarray, modulus: int) -> np.ndarray:
@@ -322,14 +387,39 @@ class StickelbergerReport:
         return self.valuation_ok and self.congruence_ok
 
 
-def _embedded_gauss_sums(emb: PadicEmbedding, exponents) -> np.ndarray:
-    """Embedded S(chi_e) for every exponent, (len, p-1, n): one product over
-    the needed rows of the whole-field Gauss table, one row per p-orbit,
-    and no other row computed."""
-    table = gauss_table(emb.tower)
-    exps = np.asarray(exponents, dtype=np.int64) % table.mult_order
-    _, first, inverse = np.unique(table.row_of[exps], return_index=True, return_inverse=True)
-    return emb.embed_rows(table.rows(exps[first]))[inverse]
+def _orbits(tower: FieldTower, exps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The p-orbits a sweep's exponents fall in: the orbit minima in
+    ascending order, the index of one exponent of each orbit, and the orbit
+    of each exponent.  A sweep whose histograms would count more than
+    MAX_HISTOGRAM_TERMS terms is refused here, before any table."""
+    N = tower.mult_order
+    reps, first, inverse = np.unique(orbit_minima(N, tower.p, tower.n, exps),
+                                     return_index=True, return_inverse=True)
+    if len(reps) * N > MAX_HISTOGRAM_TERMS:
+        raise ResourceCapError(
+            f"{len(reps)} orbits x {N} terms = {len(reps) * N} histogram terms exceed the "
+            f"histogram-term cap {MAX_HISTOGRAM_TERMS}")
+    return reps, first, inverse
+
+
+def _read_orbits(emb: PadicEmbedding, orbits, expected: np.ndarray, modulus: int):
+    """The measured valuation of S(chi_e) for every exponent of a sweep, and
+    S(chi_e) / pi^expected[i] mod `modulus` where that valuation is
+    expected[i] (zeros elsewhere), (len, p-1, n).
+
+    The sums, valuations and pi-shifts are taken once per orbit, at the
+    orbit's expected valuation (a digit statistic, equal along the orbit),
+    and spread back over the exponents through the inverse index.
+    """
+    reps, first, inverse = orbits
+    X = emb.gauss_sums(reps)
+    by_orbit = emb.ctx.valuations(X)
+    shift = expected[first]
+    at = [o for o, v in enumerate(by_orbit) if v == shift[o]]
+    shifted = np.zeros(X.shape, dtype=np.int64)
+    if at:
+        shifted[at] = emb.ctx.shift_down(X[at], shift[at]) % modulus
+    return [by_orbit[o] for o in inverse.tolist()], shifted[inverse]
 
 
 def stickelberger_check(tower: FieldTower, exponents) -> list[StickelbergerReport]:
@@ -345,22 +435,18 @@ def stickelberger_check(tower: FieldTower, exponents) -> list[StickelbergerRepor
         raise ArgumentError("Stickelberger check needs a nontrivial character (e != 0)")
     if not es:
         return []
+    orbits = _orbits(tower, [-e for e in es])
     table = digits.digit_table(p, n, es)
-    s = table.sum(axis=1).tolist()
-    emb = embedding_for(tower)
-    X = _embedded_gauss_sums(emb, [-e for e in es])
-    measured = emb.ctx.valuations(X)
-    at_s = [i for i, mv in enumerate(measured) if mv == s[i]]
-    congruent = set()
-    if at_s:
-        head = emb.ctx.shift_down(X[at_s], [s[i] for i in at_s])[:, 0, :]
-        t = digits.factorial_residues(p, table[at_s])
-        unit = [p - 1] + [0] * (n - 1)
-        congruent = {i for i, r in zip(at_s, (head * t[:, None] % p).tolist()) if r == unit}
+    sums = table.sum(axis=1)
+    s = sums.tolist()
+    measured, shifted = _read_orbits(embedding_for(tower), orbits, sums, p)
+    t = digits.factorial_residues(p, table)
+    unit = [p - 1] + [0] * (n - 1)
+    congruent = (shifted[:, 0, :] * t[:, None] % p == unit).all(axis=1).tolist()
     return [
         StickelbergerReport(
             p=p, n=n, e=e, s=s[i], measured_valuation=measured[i],
-            valuation_ok=measured[i] == s[i], congruence_ok=i in congruent,
+            valuation_ok=measured[i] == s[i], congruence_ok=measured[i] == s[i] and congruent[i],
         )
         for i, e in enumerate(es)
     ]
@@ -399,8 +485,14 @@ def gross_koblitz_check(tower: FieldTower, exponents, window: int = 1) -> list[G
         # Gamma_2 is not 1-Lipschitz: x = y mod 4 does not force
         # Gamma_2(x) = Gamma_2(y) mod 4, so the window routes only certify mod 2.
         raise ArgumentError("for p = 2 the comparison is only valid at window 0")
+    # p^(window+1) is compared with the cap without being formed: every
+    # power p^k, p >= 2, with k >= the cap's bit length exceeds it
+    if p ** min(window + 1, MAX_WINDOW_MODULUS.bit_length()) > MAX_WINDOW_MODULUS:
+        raise ResourceCapError(
+            f"comparison modulus {p}^{window + 1} exceeds the window cap {MAX_WINDOW_MODULUS}")
     if not es:
         return []
+    orbits = _orbits(tower, es)
     mod = p ** (window + 1)
     top = n * (p - 1)
     table = digits.digit_table(p, n, es)
@@ -422,26 +514,21 @@ def gross_koblitz_check(tower: FieldTower, exponents, window: int = 1) -> list[G
         direct = direct * column % mod
     prod_direct = direct.tolist()
 
-    emb = embedding_for(tower, top + window + 8)
-    X = _embedded_gauss_sums(emb, es)
-    measured = emb.ctx.valuations(X)
-    at_top = [i for i, mv in enumerate(measured) if mv == top - s[i]]
-    identity = set()
-    if at_top:
-        # under the Dwork pinning the exact identity is
-        #   S(omega^e) * pi^s(e) = -pi^(n(p-1)) * prod_i Gamma_p(1 - <p^i e/N>)
-        # (the global sign is part of the pinning, not n-dependent), so
-        # -S(omega^e) / pi^(n(p-1) - s(e)) is the Gamma product
-        w = -emb.ctx.shift_down(X[at_top], [top - s[i] for i in at_top]) % mod
-        want = np.zeros_like(w)
-        want[:, 0, 0] = [prod_digit[i] for i in at_top]
-        identity = {i for i, ok in zip(at_top, (w == want).all(axis=(1, 2))) if ok}
+    # under the Dwork pinning the exact identity is
+    #   S(omega^e) * pi^s(e) = -pi^(n(p-1)) * prod_i Gamma_p(1 - <p^i e/N>)
+    # (the global sign is part of the pinning, not n-dependent), so
+    # -S(omega^e) / pi^(n(p-1) - s(e)) is the Gamma product
+    measured, shifted = _read_orbits(embedding_for(tower, top + window + 8), orbits, top - sums, mod)
+    want = np.zeros_like(shifted)
+    want[:, 0, 0] = prod_digit
+    identity = (-shifted % mod == want).all(axis=(1, 2)).tolist()
     return [
         GrossKoblitzReport(
             p=p, n=n, e=e, window=window,
             gamma_digit_route=prod_digit[i], gamma_direct_route=prod_direct[i],
             routes_agree=prod_digit[i] == prod_direct[i],
-            valuation_ok=measured[i] == top - s[i], identity_ok=i in identity,
+            valuation_ok=measured[i] == top - s[i],
+            identity_ok=measured[i] == top - s[i] and identity[i],
         )
         for i, e in enumerate(es)
     ]

@@ -57,7 +57,7 @@ MUTANTS = [
     ),
     Mutant(
         "padic-kronecker-factors-swapped",
-        "src/gausslab/padic.py",
+        "tests/reference.py",
         "np.kron(Za.astype(object), Tb.astype(object))",
         "np.kron(Tb.astype(object), Za.astype(object))",
         ("tests/test_padic.py::test_image_matrix_is_the_sequential_powers",
@@ -149,15 +149,15 @@ MUTANTS = [
     Mutant(
         "stickelberger-residue-shift-s-plus-1",
         "src/gausslab/padic.py",
-        "head = emb.ctx.shift_down(X[at_s], [s[i] for i in at_s])[:, 0, :]",
-        "head = emb.ctx.shift_down(X[at_s], [s[i] + 1 for i in at_s])[:, 0, :]",
+        "shifted[at] = emb.ctx.shift_down(X[at], shift[at]) % modulus",
+        "shifted[at] = emb.ctx.shift_down(X[at], shift[at] + 1) % modulus",
         ("tests/test_padic.py::test_stickelberger_examples[3-2]",),
     ),
     Mutant(
         "stickelberger-factorial-residue-dropped",
         "src/gausslab/padic.py",
-        "t = digits.factorial_residues(p, table[at_s])",
-        "t = np.ones(len(at_s), dtype=np.int64)",
+        "t = digits.factorial_residues(p, table)",
+        "t = np.ones(len(es), dtype=np.int64)",
         ("tests/test_padic.py::test_stickelberger_examples[3-2]",
          "tests/test_padic.py::test_batched_reports_match_the_per_element_route[5-2]"),
     ),
@@ -190,7 +190,7 @@ MUTANTS = [
         "            return A @ B % modulus",
         "            return A @ B",
         ("tests/test_padic.py::test_embed_matches_per_term_sum[3-2]",
-         "tests/test_padic.py::test_image_matrix_is_the_sequential_powers[3-2]"),
+         "tests/test_padic.py::test_power_tables_are_the_sequential_powers[3-2]"),
     ),
     Mutant(
         "pi-shift-sign-plus-p",
@@ -203,16 +203,40 @@ MUTANTS = [
     Mutant(
         "image-rows-one-power-high",
         "src/gausslab/padic.py",
-        "rows[filled:filled + take] = _matmul_mod(rows[:take], power, ctx.pK)",
-        "rows[filled:filled + take] = _matmul_mod(rows[1:take + 1], power, ctx.pK)",
-        ("tests/test_padic.py::test_image_matrix_is_the_sequential_powers[3-2]",),
+        "rows[filled:filled + take] = _matmul_mod(rows[:take], power, modulus)",
+        "rows[filled:filled + take] = _matmul_mod(rows[1:take + 1], power, modulus)",
+        ("tests/test_padic.py::test_power_tables_are_the_sequential_powers[3-2]",),
     ),
     Mutant(
         "image-doubling-mod-dropped",
         "src/gausslab/padic.py",
-        "power = _matmul_mod(power, power, ctx.pK)",
+        "power = _matmul_mod(power, power, modulus)",
         "power = power @ power",
-        ("tests/test_padic.py::test_image_matrix_is_the_sequential_powers[3-2]",),
+        ("tests/test_padic.py::test_power_tables_are_the_sequential_powers[3-2]",),
+    ),
+    Mutant(
+        "histogram-position-inverses-swapped",
+        "src/gausslab/padic.py",
+        "return v * pow(N, -1, p) % p * N + v * pow(p, -1, N) % N",
+        "return v * pow(p, -1, N) % p * N + v * pow(N, -1, p) % N",
+        ("tests/test_padic.py::test_gauss_sums_match_the_ring_route[3-2]",
+         "tests/test_padic.py::test_embed_matches_per_term_sum[3-2]"),
+    ),
+    Mutant(
+        "histogram-trace-offsets-dropped",
+        "src/gausslab/padic.py",
+        "offsets = tower.mult_order * tower.subfield_traces(tower.n) % m",
+        "offsets = 0 * tower.subfield_traces(tower.n)",
+        ("tests/test_padic.py::test_gauss_sums_match_the_ring_route[3-2]",
+         "tests/test_padic.py::test_stickelberger_examples[3-2]"),
+    ),
+    Mutant(
+        "orbit-valuations-not-spread",
+        "src/gausslab/padic.py",
+        "return [by_orbit[o] for o in inverse.tolist()], shifted[inverse]",
+        "return by_orbit, shifted[inverse]",
+        ("tests/test_padic.py::test_batched_reports_match_the_per_element_route[3-3]",
+         "tests/test_padic.py::test_stickelberger_examples[3-2]"),
     ),
     Mutant(
         "pi-power-is-plus-p",

@@ -15,11 +15,15 @@ Python ints; Phi_m by stretching the squarefree-radical polynomial;
 Frobenius orbits by walking them; p-free factorials by a loop; the digit
 statistics t, window values and Gamma_p by the digit window one digit
 vector at a time, where the library reads digit tables; and the p-adic
-side by a schoolbook product of (p-1, n) coordinate arrays, which reduces
-x^n by the modulus and pi^(p-1) by -p where the library multiplies by
-Kronecker products of matrices.  On it the p-adic verifiers run one
-exponent at a time on sequential image powers, with valuations read off
-coordinates and pi-divisions one step at a time.
+side twice: embedded Gauss sums through Z[zeta_m] (`ring_embed_rows`:
+power-basis rows of the Gauss table times an image matrix of img(zeta_m)^k,
+doubled through Kronecker products of the two lifts' matrices), where the
+library reads them from histograms over (zeta_p power, teich(g) power);
+and a schoolbook product of (p-1, n) coordinate arrays, which reduces x^n
+by the modulus and pi^(p-1) by -p where the library multiplies matrices.
+On the schoolbook product the p-adic verifiers run one exponent at a time
+on sequential image powers, with valuations read off coordinates and
+pi-divisions one step at a time.
 """
 
 import functools
@@ -31,12 +35,13 @@ import numpy as np
 from gausslab import digits
 from gausslab.chars import MultChar, orbit_count, orbit_minima, regular_exponents, ring_for
 from gausslab.converse import Assertion, Report, _check_pairs, _partitions, check, convention_stamp
-from gausslab.cyclo import _cyclotomic_radical, canonical_key
+from gausslab.cyclo import _I64_SAFE, _cyclotomic_radical, canonical_key
 from gausslab.errors import ArgumentError
 from gausslab.ff import DEFAULT_MAX_ELEMENTS, build_tower, check_field
 from gausslab.gauss import GaussTable, gauss_S
 from gausslab.numth import prime_divisors, proper_divisors, radical
-from gausslab.padic import GrossKoblitzReport, StickelbergerReport, embedding_for
+from gausslab.padic import (GrossKoblitzReport, StickelbergerReport, _matmul_mod, _matpow_mod,
+                            embedding_for)
 
 
 def _digest(key):
@@ -573,6 +578,51 @@ def image_powers(emb, count):
     while len(pows) < count:
         pows.append(mul(ctx, pows[-1], img))
     return np.array([x.ravel().tolist() for x in pows], dtype=object)
+
+
+def ring_step_matrix(emb):
+    """(D, D) matrix, D = (p-1)*n, of multiplication by img(zeta_m), so that
+    a coordinate row v of x gives v @ M, the coordinates of x * img(zeta_m).
+
+    zeta_m = zeta_p^a * zeta_N^b with a*N + b*p = 1 mod m, and the ring is
+    Z/p^K[pi]/(pi^(p-1) + p) tensor W, so M is the Kronecker product of
+    the two factors' multiplication matrices.
+    """
+    ctx, N = emb.ctx, emb.tower.mult_order
+    Za = _matpow_mod(emb.zeta_p, pow(N, -1, ctx.p), ctx.pK)
+    Tb = _matpow_mod(emb.teich_g, pow(ctx.p, -1, N), ctx.pK)
+    return np.kron(Za.astype(object), Tb.astype(object)) % ctx.pK
+
+
+def ring_image_matrix(emb, phi):
+    """(phi, (p-1)*n) matrix whose row k is img(zeta_m)^k, pi-degree major.
+
+    Built by doubling: rows L..2L-1 are rows 0..L-1 times M^L, M the step
+    matrix, and M^L is squared between steps.  int64 while every entry
+    (< p^K) fits with headroom, Python ints otherwise.
+    """
+    ctx = emb.ctx
+    dtype = np.int64 if ctx.pK < _I64_SAFE else object
+    power = ring_step_matrix(emb).astype(dtype)
+    rows = np.zeros((phi, len(power)), dtype=dtype)
+    rows[0, 0] = 1
+    filled = 1
+    while filled < phi:
+        take = min(filled, phi - filled)
+        rows[filled:filled + take] = _matmul_mod(rows[:take], power, ctx.pK)
+        filled += take
+        if filled < phi:
+            power = _matmul_mod(power, power, ctx.pK)
+    return rows
+
+
+def ring_embed_rows(emb, C):
+    """Embed every row of C, power-basis coefficients in Z[zeta_m], with one
+    product against the image matrix; (rows, p-1, n).  With C the rows of a
+    Gauss table (`GaussTable.rows`) this is the Z[zeta_m] route of the
+    embedded Gauss sums."""
+    ctx = emb.ctx
+    return _matmul_mod(C, ring_image_matrix(emb, C.shape[1]), ctx.pK).reshape(len(C), ctx.e, ctx.n)
 
 
 def embed_by_terms(emb, elt):

@@ -343,6 +343,42 @@ def test_groupings_past_the_twist_pair_cap_are_refused_at_once(capsys, argv, pai
     assert f"{pairs} x twist pairs exceed the twist-pair cap" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    # 4,114 orbits x 65,535 field elements; uncapped this sweep took 52 s
+    ("stickelberger --p 2 --n 16",
+     "4114 orbits x 65535 terms = 269610990 histogram terms exceed the histogram-term cap 16777216"),
+    # a Gamma_p prefix table of 3^13 entries (70 MB) and int64 products past 3e9
+    ("gross-koblitz --p 3 --n 2 --window 12", "comparison modulus 3^13 exceeds the window cap 1048576"),
+])
+def test_padic_sweeps_past_their_caps_are_refused_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    status, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (status, out) == (EXIT_RESOURCE, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", ["stickelberger --p 2 --n 13", "gross-koblitz --p 3 --n 8 --window 1"])
+def test_padic_sweeps_past_the_conductor_cap(capsys, argv):
+    # m = 16,382 and 19,680: the sweeps build no Z[zeta_m] ring, so the
+    # conductor cap does not bind on them, and their histogram terms (about
+    # 5.2 and 5.5 million) are under the histogram-term cap
+    start = time.perf_counter()
+    status, out, _ = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 5
+    assert status == EXIT_OK and json.loads(out)["result"]["failures"] == 0
+
+
+def test_padic_sweep_builds_no_ring_and_no_gauss_table(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a p-adic sweep reached Z[zeta_m]")
+
+    monkeypatch.setattr(cyclo, "get_ring", refuse)
+    monkeypatch.setattr(gauss.GaussTable, "__init__", refuse)
+    status, out, _ = run(capsys, *"stickelberger --p 3 --n 6".split())
+    assert status == EXIT_OK and json.loads(out)["result"]["checked"] == 727
+
+
 def test_gl2_caps_bind_before_primality(capsys, monkeypatch):
     # a q above --max-q is refused before any trial division of q
     def refuse(n):
@@ -564,7 +600,7 @@ def test_main_leaves_few_reference_cycles(capsys):
 
 
 @pytest.mark.parametrize("argv,exit_code", [
-    ("gross-koblitz --p 3 --n 3 --window 2", EXIT_OK),  # ring, table, embedding, factorials
+    ("gross-koblitz --p 3 --n 3 --window 2", EXIT_OK),  # embedding, factorials
     ("gl2-check --q 3", EXIT_OK),  # the GL2 group
     ("scan --p 3 --n 6", EXIT_VIOLATION),  # collisions not expected
     ("tensor-rhs --p 3 --n 2 --m 1 --chi-e 0 --eta-e 1", EXIT_CONFIG),  # refused after its table

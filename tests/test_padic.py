@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from gausslab import build_tower, digits
-from gausslab.chars import MultChar, ring_for
+from gausslab import _accel, build_tower, digits, numth
+from gausslab.chars import MultChar, orbit_minima, ring_for
 from gausslab.errors import ArgumentError
 from gausslab.ff import smallest_irreducible
 from gausslab.gauss import gauss_S, gauss_table
 from gausslab.padic import (
     PadicEmbedding,
     RamifiedContext,
-    _embedded_gauss_sums,
     _matpow_mod,
     embedding_for,
     gross_koblitz_check,
@@ -27,6 +26,9 @@ from reference import (
     mul,
     power,
     residue,
+    ring_embed_rows,
+    ring_image_matrix,
+    ring_step_matrix,
     scalar,
     stickelberger_one,
     teich_element,
@@ -145,8 +147,8 @@ def test_embed_matches_per_term_sum(p, n):
         got = emb.embed(elt)
         assert got.tolist() == embed_by_terms(emb, elt).tolist()
         assert got.shape == (p - 1, n) and 0 <= got.min() and got.max() < emb.ctx.pK
-    # p^K = 7^26 > 2^62: the image matrix holds Python ints
-    assert (emb._images.dtype == object) == (emb.ctx.pK >= 2**62)
+    # p^K = 7^26 > 2^62: the power tables hold Python ints
+    assert (emb.teich_powers.dtype == object) == (emb.ctx.pK >= 2**62)
     # one input on both routes: int64 coefficients against the same values as objects
     elt = elts[3]
     as_objects = ring.element(elt.coeffs.astype(object))
@@ -156,16 +158,67 @@ def test_embed_matches_per_term_sum(p, n):
 
 @pytest.mark.parametrize("p,n", [(3, 2), (2, 5), (5, 2), (7, 2), (2, 1), (13, 1)])
 def test_image_matrix_is_the_sequential_powers(p, n):
-    # row k of the doubled matrix is img(zeta_m)^k, entry for entry in
-    # [0, p^K), for the tower's phi and for counts that stop the doubling
-    # at every kind of step: 1, powers of two and 2^k + 1; at (13, 1),
-    # p^K = 13^20 >= 2^62 and the rows hold Python ints
+    # the oracle's doubled image matrix: row k is img(zeta_m)^k, entry for
+    # entry in [0, p^K), for the tower's phi and for counts that stop the
+    # doubling at every kind of step: 1, powers of two and 2^k + 1; at
+    # (13, 1), p^K = 13^20 >= 2^62 and the rows hold Python ints
     T = build_tower(p, 1, n)
     emb = embedding_for(T)
     for count in sorted({ring_for(T).phi, 1, 2, 3, 4, 8, 9, 16, 17, 33}):
-        got = emb._image_matrix(count)
+        got = ring_image_matrix(emb, count)
         assert got.tolist() == image_powers(emb, count).tolist(), count
         assert got.dtype == (object if emb.ctx.pK >= 2**62 else np.int64)
+
+
+# (2, 1) has N = 1, (3, 1) N = 2 and (2, 2) N = 3 = 2^1 + 1; (2, 5) has
+# N = 31 = 2^5 - 1, one short of a power of two; at (13, 1) and (7, 3),
+# p^K >= 2^62 and the tables hold Python ints
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 5), (5, 2), (7, 3), (2, 1), (3, 1), (2, 2), (13, 1)])
+def test_power_tables_are_the_sequential_powers(p, n):
+    # row k of `teich_powers` holds the W-coordinates of teich(g)^k, k < N,
+    # and row t of `zeta_powers` the pi-coordinates of zeta_p^t, t < p,
+    # entry for entry in [0, p^K), each power one schoolbook product after
+    # the last
+    T = build_tower(p, 1, n)
+    emb = embedding_for(T)
+    ctx = emb.ctx
+    for table, x, count, coordinates in [(emb.teich_powers, teich_element(emb), T.mult_order, lambda y: y[0]),
+                                         (emb.zeta_powers, zeta_p_element(emb), p, lambda y: y[:, 0])]:
+        want, y = [], scalar(ctx, 1)
+        for _ in range(count):
+            want.append(coordinates(y).tolist())
+            y = mul(ctx, y, x)
+        assert table.tolist() == want
+        assert table.dtype == (object if ctx.pK >= 2**62 else np.int64)
+
+
+def _ring_route_fields():
+    """Every prime-base field (p, n) whose ring Z[zeta_m], m = p (p^n - 1),
+    is under the 8192 conductor cap, for p < 20: that is every one with
+    n >= 2, and n = 1 up to p = 19.  The n = 1 fields from p = 23 to 89 are
+    left out because each embedding there costs seconds to minutes in
+    `zeta_p_lift` (31 s at p = 47)."""
+    return [(p, n) for p in range(2, 20) if numth.is_prime(p)
+            for n in range(1, 14) if p * (p**n - 1) <= 8192]
+
+
+@pytest.mark.parametrize("p,n", _ring_route_fields(), ids=lambda v: str(v))
+def test_gauss_sums_match_the_ring_route(p, n):
+    # the embedded sum of every orbit, read from its (zeta_p, teich) histogram,
+    # equals its Gauss-table row embedded through Z[zeta_m], at the default
+    # precision and at the Gross-Koblitz precisions of windows 1..3 (window 0
+    # reads the default); the oracle runs once, at the highest precision,
+    # and is read mod p^K below it: teich(g) and zeta_p mod p^K are the
+    # reductions of their lifts at any higher precision
+    T = build_tower(p, 1, n)
+    reps = np.unique(orbit_minima(T.mult_order, p, n))
+    top = n * (p - 1)
+    highest = PadicEmbedding(T, top + 11)
+    want = ring_embed_rows(highest, gauss_table(T).rows(reps))
+    for emb in [PadicEmbedding(T), PadicEmbedding(T, top + 9), PadicEmbedding(T, top + 10), highest]:
+        got = emb.gauss_sums(reps)
+        assert got.tolist() == (want % emb.ctx.pK).tolist(), emb.ctx.K
+        assert emb.teich_powers.dtype == (object if emb.ctx.pK >= 2**62 else np.int64)
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["below-2^62", "past-2^62"])
@@ -187,7 +240,7 @@ def test_kronecker_matrices_match_the_schoolbook_product(p, n, Ks, wide):
     N = T.mult_order
     cases = [(np.kron(ctx.pi, np.identity(n, dtype=int)), pi),
              (np.kron(np.identity(p - 1, dtype=int), ctx.x), x),
-             (emb._step_matrix(), mul(ctx, power(ctx, z, pow(N, -1, p)), power(ctx, t, pow(p, -1, N))))]
+             (ring_step_matrix(emb), mul(ctx, power(ctx, z, pow(N, -1, p)), power(ctx, t, pow(p, -1, N))))]
     for a, b in [(0, 0), (1, 1)] + [tuple(int(c) for c in rng.integers(0, 50, 2)) for _ in range(3)]:
         M = np.kron(_matpow_mod(emb.zeta_p, a, ctx.pK), _matpow_mod(emb.teich_g, b, ctx.pK))
         cases.append((M, mul(ctx, power(ctx, z, a), power(ctx, t, b))))
@@ -224,7 +277,7 @@ def test_unit_residues_are_the_gross_koblitz_unit(p, n):
     emb = embedding_for(T)
     a = np.arange(T.mult_order)
     s = [digits.digit_sum(digits.expand(p, n, int(x))) for x in a]
-    head = emb.ctx.shift_down(_embedded_gauss_sums(emb, -a), s)[:, 0, :]
+    head = emb.ctx.shift_down(emb.gauss_sums(-a), s)[:, 0, :]
     mod = 4 if p == 2 else p
     want = np.zeros((len(a), n), dtype=np.int64)
     want[:, 0] = -digits.unit_residues(p, n, a) % mod
@@ -328,25 +381,25 @@ def test_batched_reports_match_the_per_element_route(p, n):
 
 @pytest.mark.parametrize("p,n", [(3, 3), (2, 5)])
 def test_full_sweeps_embed_each_needed_row_once(monkeypatch, p, n):
-    # a sweep over every nontrivial exponent embeds each row of S that its
-    # exponents read, once, in row order
+    # a sweep over every nontrivial exponent computes the histogram of each
+    # orbit its exponents read, once, at the orbit minimum, in ascending
+    # order: one histogram row per orbit, not one per exponent
     T = build_tower(p, 1, n)
-    table = gauss_table(T)
-    want = table.S[np.unique(table.row_of[1:])]
-    embedded = []
-    embed_rows = PadicEmbedding.embed_rows
+    want = np.unique(orbit_minima(T.mult_order, p, n)[1:])
+    counted = []
+    gauss_counts = _accel.gauss_counts
 
-    def recording(self, C):
-        embedded.append(C.copy())
-        return embed_rows(self, C)
+    def recording(*args, exps, **kwargs):
+        counted.append(exps.copy())
+        return gauss_counts(*args, exps=exps, **kwargs)
 
-    monkeypatch.setattr(PadicEmbedding, "embed_rows", recording)
+    monkeypatch.setattr(_accel, "gauss_counts", recording)
     exponents = range(1, T.mult_order)
     stickelberger_check(T, exponents)
     gross_koblitz_check(T, exponents, 0)
-    assert len(embedded) == 2
-    for got in embedded:
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert len(counted) == 2  # one row block per sweep at these sizes
+    for got in counted:
+        assert got.tolist() == want.tolist()
 
 
 def test_quadratic_gauss_sum_is_minus_pi():
