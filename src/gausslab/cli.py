@@ -417,9 +417,9 @@ def _check_common(args) -> None:
 def _release_caches() -> None:
     """Empty every module-level cache of the library in place.  A call builds
     its own tower, and tables and embeddings are keyed by it, so no later
-    call could hit what they hold; rings and groups are rebuilt on demand."""
+    call could hit what they hold; rings are rebuilt on demand."""
     for cache in (cyclo._RING_CACHE, gauss._TABLE_CACHE, padic._EMBED_CACHE,
-                  gl2._GROUP_CACHE, digits._PRIME_FREE_TABLES):
+                  digits._PRIME_FREE_TABLES):
         cache.clear()
 
 

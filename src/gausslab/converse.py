@@ -7,15 +7,19 @@ test say the signature separates orbits (within their stated populations).
 The scans (`scan_converse`, `primitive_scan`, the family of
 `counterexample_search`, the groupings of `lemma_suite` and
 `etale_signature_scan`) decide the equality of sums from integers alone,
-through `digits.twist_classes` and `digits.product_labels`: the
-Stickelberger valuations at every prime above p and the Gross-Koblitz unit
-residue.  They build no field table, no Z[zeta_m] ring and no Gauss table
-to group, so the conductor cap does not bind on them; one up-front cap on
-the (orbit, exponent or character) x twist pairs they key does, before
-any length-N array exists.  `counterexample_search` still reads its
-family's sums from the Gauss table for their pure value.  The etale scan
-numbers the signed products of all its algebras in one numbering, so a
-signature key depends on the values alone.
+through the one key `digits.product_labels`: the Stickelberger valuations
+at every prime above p and the Gross-Koblitz unit residue.  The first
+three key each (orbit, twist) pair (`digits.twist_classes`).  The lemma
+suite and the etale scan key each sum once and read its twists (and the
+lemma suite its inverses) by lookup, as their populations are closed
+under twisting and negation.  No scan builds a field table, a Z[zeta_m]
+ring or a Gauss table to group, so the conductor cap does not bind on
+them; one up-front cap on the (orbit, exponent or character) x twist
+pairs they read does, before any length-N array exists.
+`counterexample_search` still reads its family's sums from the Gauss
+table for their pure value.  The etale scan numbers the signed products of
+all its algebras in one numbering, so a signature key depends on the
+values alone.
 
 Scans never compare floating point and never sample: populations are
 exhaustive over the stated character sets.
@@ -122,13 +126,6 @@ class Report:
             raise AttributeError(name) from None
 
 
-def _orbits_under(exponents, mult: int, N: int, period: int) -> list[int]:
-    """Sorted orbit minima of an exponent set closed under e -> mult*e mod N;
-    `period` must satisfy mult^period = 1 mod N."""
-    mins = orbit_minima(N, mult, period)
-    return sorted(set(mins[np.asarray(exponents, dtype=np.int64)].tolist()))
-
-
 def _scan_result(kind: str, stamp: dict, population: str, equivalence: str,
                  reps: list[int], classes: list[list[int]]) -> dict:
     return {
@@ -150,12 +147,11 @@ def scan_converse(tower: FieldTower, population: str = "regular") -> Report:
     """
     if population not in ("regular", "all"):
         raise ArgumentError(f"unknown population {population!r}")
-    N, q = tower.mult_order, tower.q
+    q = tower.q
     regular = population == "regular"
     _check_pairs(orbit_count(q, tower.n, regular) * (q - 1), "orbit")
-    stride = N // (q - 1)
     reps = orbit_reps(tower, regular_only=regular)
-    classes = digits.twist_classes(tower.p, tower.degree, reps, stride, q - 1)
+    classes = digits.twist_classes(tower.p, tower.f, tower.n, reps)
     result = _scan_result("converse-scan", convention_stamp(tower), population,
                           f"frobenius-orbit (x{q})", reps, classes)
     collisions = result["collision_classes"]
@@ -199,11 +195,12 @@ def primitive_scan(
     Q = tower.q
     # the n * orbit_count(q, n) exponents of full degree n fall into orbits of r under x Q
     _check_pairs(n * orbit_count(q, n) // r * (Q - 1), "orbit")
-    stride = N // (Q - 1)
 
-    # full degree n over F_q: regular as characters of F_{q^n}^x
-    reps = _orbits_under(np.flatnonzero(regular_mask(N, q, n)), Q, N, r)
-    classes = digits.twist_classes(p, f * n, reps, stride, Q - 1)
+    # full degree n over F_q: regular as characters of F_{q^n}^x, a set closed
+    # under x Q, so its orbit minima are the members that are their own
+    regular = np.flatnonzero(regular_mask(N, q, n))
+    reps = regular[orbit_minima(N, Q, r, regular) == regular].tolist()
+    classes = digits.twist_classes(p, f * (n // r), r, reps)
     stamp = convention_stamp(tower)
     stamp["original_base"] = {"p": p, "f": f, "q": q, "n": n, "r": r}
     result = _scan_result("primitive-scan", stamp, f"regular over F_{q} (full degree {n})",
@@ -237,8 +234,9 @@ def counterexample_search(
     tower = build_tower(p, 1, n, max_elements=max_elements)
     N = tower.mult_order
     tab = gauss_table(tower)
-    family = [a * (p**t - 1) % N for a in range(1, d) if math.gcd(a, d) == 1]
-    reps = _orbits_under(family, p, N, n)
+    # ascending and closed under x p, so its orbit minima are the members that are their own
+    family = np.array([a * (p**t - 1) for a in range(1, d) if math.gcd(a, d) == 1], dtype=np.int64)
+    reps = family[orbit_minima(N, p, n, family) == family].tolist()
     values: list[int] = []
     all_int = True
     for row in tab.rows(family):  # the family's sums alone, not the whole S
@@ -250,7 +248,7 @@ def counterexample_search(
     all_match = all_int and all(v == expected for v in values)
     # group the family orbits by full twist signature; the field-size cap
     # bounds these pairs, fewer than phi(p^t + 1) * (p - 1) < p^(2t)
-    classes = digits.twist_classes(p, n, reps, N // (p - 1), p - 1)
+    classes = digits.twist_classes(p, 1, n, reps)
     colliding = sorted(v for v in classes if len(v) > 1)
     result = {
         "p": p,
@@ -277,21 +275,16 @@ def counterexample_search(
 # Mersenne spectra
 
 
-def _coset_reps_mod2(n: int) -> list[int]:
-    N = 2**n - 1
-    if not numth.is_prime(N):
-        fac = numth.prime_divisors(N)
-        raise ArgumentError(f"2^{n}-1 = {N} is not prime (factor {fac[0]})")
-    return _orbits_under(range(1, N), 2, N, n)
-
-
 def mersenne_check(n: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Report:
     """Spectrum injectivity across nontrivial orbits when 2^n - 1 is prime."""
     if n < 2:
         raise ArgumentError(f"mersenne needs n >= 2, got n={n}")
     check_field(2, n, max_elements)
     N = 2**n - 1
-    reps = _coset_reps_mod2(n)
+    if not numth.is_prime(N):
+        raise ArgumentError(f"2^{n}-1 = {N} is not prime (factor {numth.prime_divisors(N)[0]})")
+    # N is prime, so every nonzero class is a unit: the orbits are the cosets of <2>
+    reps = digits._coset_reps(2, n, N).tolist()
     # s(c), the binary digit sum of every c in [0, N): at most n, so a
     # spectrum entry takes one byte
     s = digits.digit_sum_table(2, n)
@@ -365,7 +358,7 @@ def _pair_lemma(name: str, exps: np.ndarray, classes, orbit: np.ndarray, stat: n
     # (labels number the classes 0, 1, ... in first-seen order)
     flat = stat.reshape(R, -1)
     first = np.unique(classes, return_index=True)[1][classes]
-    mixed = np.unique(classes[(flat != flat[first]).any(axis=1)])
+    mixed = np.flatnonzero(np.bincount(classes[(flat != flat[first]).any(axis=1)]))
     violations = []
     for label in mixed.tolist():
         for i, j in itertools.combinations(np.flatnonzero(classes == label).tolist(), 2):
@@ -401,23 +394,24 @@ def lemma_suite(tower: FieldTower) -> Report:
     _check_pairs(n * orbit_count(p, n) * (p + 1), "exponent")
     stride = N // (p - 1)
     regular = np.array(regular_exponents(tower), dtype=np.int64)
-    orbit = orbit_minima(N, p, n)[regular]
-    # S(chi_{pe}) = S(chi_e), and x p maps the twists of e to those of pe, so
-    # every label is keyed once per orbit, at its minimum, and spread over it
-    reps, where = np.unique(orbit, return_inverse=True)
-    where = where.ravel()
+    orbit = orbit_minima(N, p, n, regular)
+    # S(chi_{pe}) = S(chi_e), so each sum is keyed once, at its orbit minimum.
+    # The regular exponents are closed under twists and negation, so every
+    # sum the statements compare is read from these labels by lookup
+    reps = regular[orbit == regular]
+    value = digits.product_labels(p, 1, [(1, (n,), reps[:, None])])
 
-    def labels(exps, shift: int, n_twists: int) -> np.ndarray:
-        per_rep = digits.twist_labels(p, n, exps, shift, n_twists)
-        return digits.refine(len(where), [lambda alive: per_rep[where[alive], None]])
+    def read(exps: np.ndarray) -> np.ndarray:
+        return value[np.searchsorted(reps, orbit_minima(N, p, n, exps))]
 
     # classes of equal single sums S(omega^alpha)
-    by_S = labels(reps, stride, 1)
-    # classes of equal full twist signatures of omega^{-alpha}: the twists of
-    # -e with stride -stride are the exponents -(e + k*stride)
-    by_sig = labels(-reps % N, -stride % N, p - 1)
-    # the class of S(omega^-e); at p = 2 the one twist is the signature itself
-    inverse = by_sig if p == 2 else labels(-reps % N, 0, 1)
+    by_S = digits.refine(len(regular), [lambda alive: value[np.searchsorted(reps, orbit[alive]), None]])
+    # classes of equal full twist signatures of omega^{-alpha}, the sums of
+    # -(e + k*stride), k < p - 1
+    twists = stride * np.arange(p - 1)
+    by_sig = digits.refine(len(regular), [lambda alive: read(-(regular[alive, None] + twists))])
+    # the value of S(omega^-e)
+    inverse = read(-regular)
 
     table = digits.digit_table(p, n, regular)
     sums = np.column_stack([table.sum(axis=1), digits.factorial_residues(p, table), inverse])
@@ -562,7 +556,7 @@ def etale_signature_scan(
     divisor = digits.refine(len(points), [lambda alive: points[alive]])
 
     n_classes, n_divisors = int(signature.max()) + 1, int(divisor.max()) + 1
-    pairs = np.unique(signature * n_divisors + divisor)
+    pairs = np.unique(signature * n_divisors + divisor, return_counts=True)[0]
     shared = np.flatnonzero(np.bincount(pairs % n_divisors, minlength=n_divisors) > 1)
     result = {
         "p": p,

@@ -17,11 +17,13 @@ windowed-factorial product mod p^(m+1), is `window_products`, and
 `cyclic_runs` gives the start and length of the one cyclic run that the
 places of a digit value may form.
 
-Twist signatures: `twist_classes` partitions characters by the exact Gauss
-sums of their twists from integers alone, the Stickelberger valuations at
-every prime above p and the Gross-Koblitz unit residue (`unit_residues`);
-`product_labels` numbers products of subfield sums the same way, and
-`refine` is the block-by-block grouping both rest on.
+The one Gauss-sum key: `product_labels` numbers signed products of
+subfield Gauss sums, and their twists by the characters of F_q^x through
+the norm, by their exact values from integers alone, the Stickelberger
+valuations at every prime above p and the Gross-Koblitz unit residue
+(`unit_residues`).  A single sum is a product of one factor.
+`twist_classes` is its partition of characters by all their twists, and
+`refine` is the block-by-block grouping it rests on.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chars import orbit_minima
 from .errors import ArgumentError
 from .numth import is_prime, k_hat, prime_divisors
 
@@ -290,135 +293,107 @@ def unit_residues(p: int, d: int, a) -> np.ndarray:
 
 def digit_sum_table(p: int, d: int) -> np.ndarray:
     """s(c), the base-p digit sum over d digits, for every c in [0, p^d - 1)."""
-    s = np.zeros(1, dtype=np.uint8 if d * (p - 1) < 256 else np.uint16)
+    s = np.zeros(1, dtype=np.min_scalar_type(d * (p - 1)))
     for _ in range(d):
         s = (s[:, None] + np.arange(p, dtype=s.dtype)).ravel()  # c = p * (c // p) + c % p
     return s[:-1]
 
 
-def _coset_reps(p: int, d: int, N: int | None = None) -> np.ndarray:
-    """The smallest member of each coset of <p> in (Z/N)^x, N = p^d - 1 by
-    default (else p^d = 1 mod N), ascending, so u = 1 comes first: one per
-    prime above p of Q(zeta_N)."""
-    N = p**d - 1 if N is None else N
+def _coset_reps(p: int, d: int, N: int) -> np.ndarray:
+    """The smallest member of each coset of <p> in (Z/N)^x, p^d = 1 mod N,
+    ascending, so u = 1 comes first: one per prime above p of Q(zeta_N)."""
     unit = np.ones(N, dtype=bool)
     for ell in prime_divisors(N):
         unit[::ell] = False
     u = np.flatnonzero(unit)
-    lowest, x = u.copy(), u
-    for _ in range(d - 1):
-        x = x * p % N
-        np.minimum(lowest, x, out=lowest)
-    return u[lowest == u]
+    return u[orbit_minima(N, p, d, u) == u]
 
 
-def twist_labels(p: int, d: int, exps, stride: int, n_twists: int) -> np.ndarray:
-    """Labels of `exps` by the exact Gauss sums over F_{p^d} of their twists
-    x + k*stride, k < n_twists: equal labels exactly for equal sums at every
-    twist, numbered in first-seen order.
-
-    With a = -x mod N, N = p^d - 1, Gross-Koblitz gives S(chi_x) =
-    -pi^s(a) U(a) in the p-adic embedding (see `padic`).  Two sums are
-    equal exactly when their valuations s(u*a mod N) agree at every prime
-    above p, one per coset representative u of <p> in (Z/N)^x, and their
-    unit residues agree: the quotient of two such sums is then a unit at
-    every prime, of absolute value 1 at every complex place, hence a root
-    of unity, and one in Z_p (mu_{p-1}, or +-1 at p = 2), where those
-    roots are told apart by U mod p (mod 4).
-
-    Rows are grouped by the unit residues of all twists first, then split
-    by blocks of valuation columns (`refine`).
-    """
-    N = p**d - 1
+def twist_classes(p: int, f: int, n: int, exps) -> list[list[int]]:
+    """`exps`, characters of F_{q^n}^x with q = p^f, partitioned by the exact
+    Gauss sums of their twists by every eta_k o Nr, k < q - 1
+    (`product_labels`): classes in first-seen order, members in input order."""
     exps = np.asarray(exps, dtype=np.int64)
-    shifts = stride * np.arange(n_twists, dtype=np.int64) % N
-    sums = digit_sum_table(p, d)
-    cosets = _coset_reps(p, d)
-
-    def units(twists):
-        return lambda alive: unit_residues(p, d, -(exps[alive, None] + twists) % N).astype(sums.dtype)
-
-    def valuations(twist, u):
-        return lambda alive: sums[-(exps[alive, None] + twist) % N * u % N]
-
-    return refine(len(exps), itertools.chain(
-        (units(shifts[lo:lo + KEY_COLUMNS]) for lo in range(0, n_twists, KEY_COLUMNS)),
-        (valuations(shift, cosets[lo:lo + KEY_COLUMNS])
-         for lo in range(0, len(cosets), KEY_COLUMNS) for shift in shifts),
-    ))
-
-
-def _classes_of(items, labels: np.ndarray) -> list[list]:
-    """`items` grouped by their first-seen labels: classes in label order,
-    members in input order."""
-    classes: list[list] = [[] for _ in range(int(labels.max(initial=-1)) + 1)]
-    for item, label in zip(items, labels.tolist()):
-        classes[label].append(item)
+    labels = product_labels(p, f, [(1, (n,), exps[:, None])], p**f - 1)
+    classes: list[list[int]] = [[] for _ in range(int(labels.max(initial=-1)) + 1)]
+    for e, label in zip(exps.tolist(), labels.tolist()):
+        classes[label].append(e)
     return classes
 
 
-def twist_classes(p: int, d: int, exps, stride: int, n_twists: int) -> list[list[int]]:
-    """`exps` partitioned by `twist_labels`: classes in first-seen order,
-    members in input order."""
-    exps = np.asarray(exps, dtype=np.int64)
-    return _classes_of(exps.tolist(), twist_labels(p, d, exps, stride, n_twists))
-
-
-def product_labels(p: int, f: int, products) -> np.ndarray:
+def product_labels(p: int, f: int, products, twists: int = 1) -> np.ndarray:
     """Labels of signed products sign * prod_i S_i(chi_{c_i}) of Gauss sums
-    over subfields F_{q^(d_i)}, q = p^f, by their exact values: equal labels
-    exactly for equal products, numbered in first-seen order.
+    over subfields F_{q^(d_i)}, q = p^f, by their exact values at each of
+    the twists by eta_k o Nr, k < `twists`: equal labels exactly for equal
+    products at every twist, numbered in first-seen order.
 
     `products` lists (sign, parts, exps) triples: one shape of product, the
     degrees d_i, and an (rows, len(parts)) array of its exponents c_i, each
     indexed against the norm of one common generator, so every factor is
     omega_d^-a, a = -c, for the Teichmueller character of one p-adic
-    embedding.  Rows number the products of all triples in order.
+    embedding.  Rows number the products of all triples in order.  The twist
+    by eta_k o Nr adds k (q^d_i - 1)/(q - 1) to each c_i.
 
-    The key of `twist_labels` multiplies: with M = lcm(q^d_i - 1), a product
-    has valuation sum_i s_{f d_i}(u * a_i mod (q^d_i - 1)) at the prime of
-    each coset representative u of <p> in (Z/M)^x, and its unit is sign *
-    prod_i (-U(a_i)), mod p (mod 4 at p = 2).  Two products of equal
-    valuations differ by a unit of absolute value 1 everywhere, a root of
-    unity in Z_p, which that residue tells apart.
+    With a = -c mod q^d - 1, Gross-Koblitz gives S(chi_c) = -pi^s(a) U(a)
+    in the p-adic embedding (see `padic`), s the base-p digit sum over f d
+    digits.  So with M = lcm(q^d_i - 1), a product has valuation
+    sum_i s(u * a_i mod (q^d_i - 1)) at the prime of each coset
+    representative u of <p> in (Z/M)^x, and its unit is sign *
+    prod_i (-U(a_i)), mod p (mod 4 at p = 2).  Two products are equal
+    exactly when both agree: their quotient is then a unit at every prime
+    above p, of absolute value 1 at every complex place, hence a root of
+    unity, and one in Z_p (mu_{p-1}, or +-1 at p = 2), where those roots are
+    told apart by the residue mod p (mod 4).
+
+    Rows are grouped by the units of all twists first, KEY_COLUMNS twists a
+    block, then split by blocks of valuation columns, one block per coset
+    block and twist (`refine`).
     """
     q = p**f
     degrees = sorted({d for _, parts, _ in products for d in parts})
     M = math.lcm(*(q**d - 1 for d in degrees))
     cosets = _coset_reps(p, f * math.lcm(*degrees), M)
-    # valuations stay below f * (p - 1) * (the largest sum of degrees)
+    # valuations stay below f * (p - 1) * (the largest sum of degrees), units below p
     top = f * (p - 1) * max(sum(parts) for _, parts, _ in products)
     vtype = np.min_scalar_type(top)
-    sums = {d: digit_sum_table(p, f * d).astype(vtype) for d in degrees}
+    sums = {d: digit_sum_table(p, f * d).astype(vtype, copy=False) for d in degrees}
     u_of = {d: cosets % (q**d - 1) for d in degrees}
     mod = 4 if p == 2 else p
     groups = [(sign, parts, -np.asarray(exps, dtype=np.int64).reshape(-1, len(parts))
                % [q**d - 1 for d in parts]) for sign, parts, exps in products]
     starts = np.cumsum([0] + [len(a) for _, _, a in groups])
 
-    def per_group(key):
+    def per_group(key, *args):
         def block(alive):
             cut = np.searchsorted(alive, starts)
-            return np.concatenate([key(sign, parts, a[alive[lo:hi] - start])
+            return np.concatenate([key(sign, parts, a[alive[lo:hi] - start], *args)
                                    for (sign, parts, a), lo, hi, start
                                    in zip(groups, cut[:-1], cut[1:], starts)])
         return block
 
-    def unit(sign, parts, a):
-        out = np.full(len(a), sign, dtype=np.int64)
-        for d, column in zip(parts, a.T):
+    def twist(parts, a, k):
+        """The a_i of the twists by eta_k o Nr, k a twist or an array of
+        them: one (rows, twists) array per factor."""
+        return [(column - k * ((q**d - 1) // (q - 1))) % (q**d - 1)
+                for d, column in zip(parts, a.T[:, :, None])]
+
+    def units(sign, parts, a, ks):
+        out = np.full((len(a), len(ks)), sign, dtype=np.int64)
+        for d, column in zip(parts, twist(parts, a, ks)):
             out = out * -unit_residues(p, f * d, column) % mod
-        return out[:, None]
+        return out.astype(vtype)
 
-    def valuations(u):
-        def key(sign, parts, a):
-            out = np.zeros((len(a), len(cosets[u])), dtype=vtype)
-            for d, column in zip(parts, a.T):
-                out += sums[d][column[:, None] * u_of[d][u] % (q**d - 1)]
-            return out
-        return key
+    def valuations(sign, parts, a, u, k):
+        out = 0
+        for d, column in zip(parts, twist(parts, a, k)):
+            at = column * u_of[d][u]
+            at %= q**d - 1  # in place: this int64 array is the largest a block holds
+            out = out + sums[d][at]
+        return out
 
+    ks = np.arange(twists, dtype=np.int64)
     return refine(int(starts[-1]), itertools.chain(
-        [per_group(unit)],
-        (per_group(valuations(slice(lo, lo + KEY_COLUMNS))) for lo in range(0, len(cosets), KEY_COLUMNS)),
+        (per_group(units, ks[lo:lo + KEY_COLUMNS]) for lo in range(0, twists, KEY_COLUMNS)),
+        (per_group(valuations, slice(lo, lo + KEY_COLUMNS), k)
+         for lo in range(0, len(cosets), KEY_COLUMNS) for k in range(twists)),
     ))

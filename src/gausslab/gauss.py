@@ -15,16 +15,17 @@ S(chi_{pe}) = S(chi_e).  A table keeps only the recipe of its rows and
 computes them when read, in row blocks of about 1 MiB of histogram, so a
 reader never holds an (R, m) or (R, phi) matrix of all its rows.  The
 histograms reduce to exact tensor-basis coordinates by subtractions alone.
-Integer ids of the rows' values (`value_id`, `key`) come from integers
-alone, the Stickelberger valuations and Gross-Koblitz unit of each row's
-character (`digits.product_labels`), and compute no row; the tests hold
-them to the Z[zeta_m] numbering of the rows' coordinates.  The
-power-basis coefficients are computed, by matrix reduction, only when a
-sum is read: all of them for `S`, a few for `rows`.  The whole-field table
-is cached per tower in `_TABLE_CACHE` and serves gauss_S; a CLI call
-empties that cache when it ends, so a table lives as long as the call that
-built its tower.  A table over a subfield F_{q^d} is owned by its caller
-and serves the subfield sums of Hasse-Davenport and the tensor RHS.
+Integer ids of the rows' values (`value_id`, `key`) come from the one
+Gauss-sum key, which the scans read too (`digits.product_labels`: the
+Stickelberger valuations and Gross-Koblitz unit of each row's character),
+and compute no row; the tests hold them to the Z[zeta_m] numbering of the
+rows' coordinates.  The power-basis coefficients are computed, by matrix
+reduction, only when a sum is read: all of them for `S`, a few for `rows`.
+The whole-field table is cached per tower in `_TABLE_CACHE` and serves
+gauss_S; a CLI call empties that cache when it ends, so a table lives as
+long as the call that built its tower.  A table over a subfield F_{q^d} is
+owned by its caller and serves the subfield sums of Hasse-Davenport and the
+tensor RHS.
 
 Every character of a subfield F_{q^d} is an exponent on the one ambient
 tower, indexed against h = Nr_{n:d}(g), the norm of the tower generator, so

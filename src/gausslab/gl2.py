@@ -203,27 +203,17 @@ class GL2Group:
         return dlogs, coefs
 
 
-_GROUP_CACHE: dict[int, GL2Group] = {}
-
-
 def gl2_group(
     q: int, max_q: int = DEFAULT_MAX_Q, *, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> GL2Group:
-    """The group GL2(F_q), built once per q and cached until the CLI call
-    that built it ends (a library caller keeps it for the life of the
-    process)."""
-    # the caps bind on cache hits too, so they never depend on earlier calls,
-    # and before primality, so no q above them is trial-divided
+    """The group GL2(F_q), built after its caps are checked."""
+    # the caps bind before primality, so no q above them is trial-divided
     if q > max_q:
         raise ResourceCapError(f"q = {q} exceeds the GL2 cap max_q = {max_q}")
     check_field(q, 2, max_elements)
     if q == 2:
         raise ArgumentError(f"GL2 oracle needs an odd prime q, got {q}")
-    g = _GROUP_CACHE.get(q)
-    if g is None:
-        g = GL2Group(q, max_elements=max_elements)
-        _GROUP_CACHE[q] = g
-    return g
+    return GL2Group(q, max_elements=max_elements)
 
 
 # ---------------------------------------------------------------------------

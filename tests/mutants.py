@@ -302,8 +302,8 @@ MUTANTS = [
     Mutant(
         "twist-keys-without-unit-residues",
         "src/gausslab/digits.py",
-        "return lambda alive: unit_residues(",
-        "return lambda alive: 0 * unit_residues(",
+        "out = out * -unit_residues(p, f * d, column) % mod",
+        "out = out * 0 * unit_residues(p, f * d, column) % mod",
         ("tests/test_converse.py::test_integer_classes_match_the_ring_route[3-1-4]",
          "tests/test_converse.py::test_integer_classes_match_the_ring_route[2-1-8]"),
     ),
@@ -318,11 +318,26 @@ MUTANTS = [
     Mutant(
         "valuations-at-one-prime-only",
         "src/gausslab/digits.py",
-        "return u[lowest == u]",
-        "return u[lowest == u][:1]",
+        "return u[orbit_minima(N, p, d, u) == u]",
+        "return u[orbit_minima(N, p, d, u) == u][:1]",
         ("tests/test_converse.py::test_integer_classes_match_the_ring_route[3-1-5]",
          "tests/test_converse.py::test_collision_classes_past_the_conductor_cap[2-13-sizes4]",
          "tests/test_digits.py::test_twist_key_tables[3-5]"),
+    ),
+    Mutant(
+        "twist-step-over-p-minus-1",
+        "src/gausslab/digits.py",
+        "return [(column - k * ((q**d - 1) // (q - 1))) % (q**d - 1)",
+        "return [(column - k * ((q**d - 1) // (p - 1))) % (q**d - 1)",
+        ("tests/test_converse.py::test_integer_classes_match_the_ring_route[2-2-3]",
+         "tests/test_converse.py::test_twisted_product_labels_are_the_etale_signatures[2-2-3]"),
+    ),
+    Mutant(
+        "lemma-inverse-sums-read-at-plus-e",
+        "src/gausslab/converse.py",
+        "inverse = read(-regular)",
+        "inverse = read(regular)",
+        ("tests/test_converse.py::test_lemma_suite_reads_the_inverse_sums_at_minus_e",),
     ),
     Mutant(
         "rabin-gcd-at-the-largest-proper-divisor-skipped",

@@ -238,11 +238,15 @@ def lemma_suite_pairwise(tower):
     negated = [(-e) % N for e in regular]
     vecs = {e: digits.expand(p, n, e) for e in regular}
     orbit_min = orbit_minima(N, p, n).tolist()
-    by_S = digits.twist_classes(p, n, regular, stride, 1)
-    by_sig = [[(-x) % N for x in cls]
-              for cls in digits.twist_classes(p, n, negated, -stride % N, p - 1)]
-    inverse_id = {(-x) % N: i for i, cls in enumerate(digits.twist_classes(p, n, negated, 0, 1))
-                  for x in cls}
+    # every exponent keyed on its own: the sums and their inverses in one
+    # numbering, and the twists of -e, the set of the -(e + k*stride)
+    single = digits.product_labels(p, 1, [(1, (n,), np.array(regular + negated)[:, None])]).tolist()
+    by_S = {}
+    for e, label in zip(regular, single):
+        by_S.setdefault(label, []).append(e)
+    by_S = list(by_S.values())
+    inverse_id = dict(zip(regular, single[len(regular):]))
+    by_sig = [[(-x) % N for x in cls] for cls in digits.twist_classes(p, 1, n, negated)]
 
     @functools.cache
     def sums(e):

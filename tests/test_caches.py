@@ -38,7 +38,7 @@ def _module_caches():
 
 def test_every_module_cache_is_released_or_allowed():
     caches = dict(_module_caches())
-    assert {"cyclo._RING_CACHE", "gauss._TABLE_CACHE", "padic._EMBED_CACHE", "gl2._GROUP_CACHE",
+    assert {"cyclo._RING_CACHE", "gauss._TABLE_CACHE", "padic._EMBED_CACHE",
             "digits._PRIME_FREE_TABLES"} <= set(caches)
     pinned = []
     for name, cache in caches.items():

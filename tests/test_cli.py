@@ -247,6 +247,22 @@ def test_the_cli_does_not_load_openssl():
     assert proc.returncode == 0
 
 
+def test_the_grouping_workflows_do_not_load_numpy_ma():
+    # numpy 2's first plain np.unique (no return_* flag) imports numpy.ma,
+    # about 9 ms and 1.6 MB of RSS in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(gausslab.__file__))
+    code = ("import contextlib, io, sys\n"
+            "from gausslab import cli\n"
+            "for argv in ['scan --p 3 --n 6', 'counterexample --t 3', 'lemmas --p 3 --n 5',\n"
+            "             'primitive-scan --p 3 --n 6 --r 2', 'etale-scan --p 5 --n 2']:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(argv.split())\n"
+            "sys.exit('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0
+
+
 def test_etale_scan_command(capsys):
     status, out, _ = run(capsys, "etale-scan", "--p", "5", "--n", "2")
     assert status == EXIT_OK
@@ -601,7 +617,7 @@ def test_main_leaves_few_reference_cycles(capsys):
 
 @pytest.mark.parametrize("argv,exit_code", [
     ("gross-koblitz --p 3 --n 3 --window 2", EXIT_OK),  # embedding, factorials
-    ("gl2-check --q 3", EXIT_OK),  # the GL2 group
+    ("gl2-check --q 3", EXIT_OK),  # the GL2 group and its tower, in no cache
     ("scan --p 3 --n 6", EXIT_VIOLATION),  # collisions not expected
     ("tensor-rhs --p 3 --n 2 --m 1 --chi-e 0 --eta-e 1", EXIT_CONFIG),  # refused after its table
     ("gauss --p 3 --n 8 --e 1", EXIT_RESOURCE),  # the conductor cap, after the tower
@@ -616,8 +632,7 @@ def test_every_exit_path_releases_the_caches(capsys, monkeypatch, argv, exit_cod
 
     for module in (cli, gl2):
         monkeypatch.setattr(module, "build_tower", recording)
-    caches = (cyclo._RING_CACHE, gauss._TABLE_CACHE, padic._EMBED_CACHE, gl2._GROUP_CACHE,
-              digits._PRIME_FREE_TABLES)
+    caches = (cyclo._RING_CACHE, gauss._TABLE_CACHE, padic._EMBED_CACHE, digits._PRIME_FREE_TABLES)
     for cache in caches:
         cache[-1] = None  # what earlier calls left goes too
     assert run(capsys, *argv.split())[0] == exit_code

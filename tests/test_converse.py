@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from gausslab import build_tower, cyclo, gauss
-from gausslab.chars import MultChar, orbit_count, orbit_reps, regular_exponents, regular_mask
+from gausslab import build_tower, converse, cyclo, gauss
+from gausslab.chars import MultChar, orbit_count, orbit_reps, regular_exponents
 from gausslab.cli import EXIT_VIOLATION, main
 from gausslab.converse import (
     convention_stamp,
@@ -17,7 +17,6 @@ from gausslab.converse import (
     mersenne_check,
     primitive_scan,
     scan_converse,
-    _orbits_under,
     _partitions,
     _signature_key,
 )
@@ -177,7 +176,7 @@ def test_mersenne_clash_is_the_first_repeat_in_order(monkeypatch, n):
     N = 2**n - 1
     s = (np.arange(N) == 3).astype(np.uint8)
     monkeypatch.setattr(D, "digit_sum_table", lambda p, d: s)
-    reps = _orbits_under(range(1, N), 2, N, n)
+    reps = sorted({min(a * 2**i % N for i in range(n)) for a in range(1, N)})
     seen, want = {}, None
     for a in reps:
         spectrum = [int(s[a * j % N]) for j in reps]
@@ -308,6 +307,23 @@ def test_lemma_suite_reports_violations(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["result"]["lemmas"] == rep.result["lemmas"]
 
 
+def test_lemma_suite_reads_the_inverse_sums_at_minus_e(monkeypatch):
+    # the values of the orbits of 1 and 2 in F_81 merged: one class of equal
+    # sums, whose inverse sums S(omega^-1) and S(omega^-2) still differ
+    # (valuations 1 and 2), so the inverse-sums statistic must report them
+    labels = D.product_labels
+
+    def merged(p, f, products, twists=1):
+        out = labels(p, f, products, twists)
+        exps = np.asarray(products[0][2])[:, 0]
+        out[exps == 2] = out[exps == 1]
+        return out
+
+    monkeypatch.setattr(D, "product_labels", merged)
+    rep = lemma_suite(build_tower(3, 1, 4))
+    assert {"pair": [1, 2], "stat": "inverse-sums"} in rep.assertions[0].witness["violations"]
+
+
 def _report_body(rep):
     return rep.result, [(a.name, a.status, a.witness) for a in rep.assertions]
 
@@ -366,6 +382,31 @@ def test_product_labels_match_the_ring_route(p, f, n):
         products.append(((-1) ** (sum(parts) - len(parts)), parts, np.array(exps)))
         ring.append(value_ids((etale_gauss(master, tables, parts, c).coeffs for c in exps), ids))
     assert D.product_labels(p, f, products).tolist() == np.concatenate(ring).tolist()
+
+
+@pytest.mark.parametrize("p,f,n", [(13, 1, 2), (2, 2, 3)])
+def test_twisted_product_labels_are_the_etale_signatures(monkeypatch, p, f, n):
+    # the two ways of reading the key: every (character, twist) pair keyed
+    # by product_labels, and the etale scan's lookup of each twist in the
+    # value labels of the characters
+    signatures = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(D, name)
+
+        def refine(self, rows, blocks):
+            signatures.append(D.refine(rows, blocks))
+            return signatures[-1]
+
+    monkeypatch.setattr(converse, "digits", Spy())
+    etale_signature_scan(p, f, n)
+    q = p**f
+    products = [((-1) ** (sum(parts) - len(parts)), parts,
+                 np.array(list(itertools.product(*(range(q**d - 1) for d in parts)))))
+                for parts in _partitions(n)]
+    # the scan's first refine is its signature grouping, the second its divisors
+    assert D.product_labels(p, f, products, q - 1).tolist() == signatures[0].tolist()
 
 
 @pytest.mark.parametrize("p,f,n,classes", [(5, 1, 3, 100), (7, 1, 3, 294), (3, 2, 3, 648)])
@@ -475,7 +516,7 @@ def test_integer_classes_match_the_ring_route(p, f, n):
     for population in ("regular", "all"):
         ref = _ring_route_scan(T, population)
         reps = orbit_reps(T, regular_only=population == "regular")
-        assert D.twist_classes(p, f * n, reps, T.mult_order // (T.q - 1), T.q - 1) == ref
+        assert D.twist_classes(p, f, n, reps) == ref
         rep = scan_converse(T, population)
         assert rep.n_classes == len(ref), population
         assert rep.collision_classes == sorted(c for c in ref if len(c) > 1), population
@@ -485,9 +526,9 @@ def test_integer_classes_match_the_ring_route_on_primitive_scan():
     rep = primitive_scan(3, 1, 6, 2)
     T = build_tower(3, 3, 2)  # its tower: degree 2 over F_27
     N, Q = T.mult_order, T.q
-    reps = _orbits_under(np.flatnonzero(regular_mask(N, 3, 6)), Q, N, 2)
+    reps = sorted(_primitive_population_by_orbit_walk(3, 1, 6, 2))
     ref = signature_classes(gauss_table(T), reps, N // (Q - 1), Q - 1)
-    assert D.twist_classes(3, 6, reps, N // (Q - 1), Q - 1) == ref
+    assert D.twist_classes(3, 3, 2, reps) == ref
     assert (rep.n_orbits, rep.n_classes) == (len(reps), len(ref))
 
 
@@ -498,8 +539,14 @@ def test_integer_classes_match_the_ring_route_on_lemmas(p, n):
     stride = N // (p - 1)
     regular = regular_exponents(T)
     negated = [-e % N for e in regular]
-    for exps, args in [(regular, (stride, 1)), (negated, (-stride % N, p - 1)), (negated, (0, 1))]:
-        assert D.twist_classes(p, n, exps, *args) == signature_classes(tab, exps, *args)
+    # the sums, their inverses and the twists of the inverses; the suite
+    # reads the twists of -e at -(e + k*stride), the same set of exponents
+    for exps, twists in [(regular, 1), (negated, 1), (negated, p - 1)]:
+        classes = {}
+        for e, label in zip(exps, D.product_labels(p, 1, [(1, (n,), np.array(exps)[:, None])], twists)):
+            classes.setdefault(label, []).append(e)
+        assert list(classes.values()) == signature_classes(tab, exps, stride, twists)
+    assert D.twist_classes(p, 1, n, negated) == signature_classes(tab, negated, -stride % N, p - 1)
 
 
 @pytest.mark.parametrize("p,n,classes", [

@@ -202,4 +202,10 @@ def test_twist_key_tables(p, d):
     # one representative per coset of <p> in the units, the smallest, u = 1 first
     units = [u for u in range(N) if math.gcd(u, N) == 1]
     cosets = {frozenset(u * p**i % N for i in range(d)) for u in units}
-    assert D._coset_reps(p, d).tolist() == sorted(min(c) for c in cosets)
+    assert D._coset_reps(p, d, N).tolist() == sorted(min(c) for c in cosets)
+
+
+def test_digit_sum_table_holds_sums_past_two_bytes():
+    # d (p - 1) = 65538 needs more than 16 bits
+    sums = D.digit_sum_table(65539, 1)
+    assert sums.tolist() == list(range(65538))
