@@ -84,12 +84,13 @@ def regular_exponents(tower: FieldTower) -> list[int]:
 def orbit_minima(N: int, mult: int, period: int, exps=None) -> np.ndarray:
     """Smallest member of the orbit of e under e -> mult*e mod N, for every
     e of `exps` (default: every e in [0, N)); `period` must satisfy
-    mult^period = 1 mod N."""
-    e = np.arange(N, dtype=np.int64) if exps is None else np.asarray(exps, dtype=np.int64) % N
-    out = e.copy()
-    x = e
+    mult^period = 1 mod N.  Two arrays the size of `exps` are held: the
+    minima and the current power, reduced in place."""
+    out = np.arange(N, dtype=np.int64) if exps is None else np.asarray(exps, dtype=np.int64) % N
+    x = out.copy()
     for _ in range(period - 1):
-        x = x * mult % N
+        np.multiply(x, mult, out=x)
+        np.remainder(x, N, out=x)
         np.minimum(out, x, out=out)
     return out
 

@@ -24,10 +24,11 @@ Under this joint pinning the classical statements hold verbatim:
 ord S(omega^{-k}) = s(k), the unit congruence -t(k)^{-1} (zeta_p - 1)^{s(k)},
 and S(omega^a) = (-1)^n p^n pi^(-s(a)) prod Gamma_p(1 - <p^i a/(p^n-1)>).
 
-Precision bookkeeping is coarse: contexts are built with slack beyond the
-valuations being measured, and pi-divisions (one exact division of each
-coordinate by a power of -p) stay far from the floor.  Valuations that reach
-the floor read as unknown, never as a comparison of truncated zeros.
+Precision: a sweep works at K = n + r + 1 p-adic digits, r the digits it
+reads after its pi-shift (`_sweep_precision`, which holds the derivation).
+Every valuation a sweep reads is at most n(p-1) pi-units, below the floor
+(p-1)K, and its pi-shift leaves K - n digits of residue.  Valuations that
+reach the floor read as unknown, never as a comparison of truncated zeros.
 
 The embedding never passes through Z[zeta_m].  It sends zeta_m^v to
 zeta_p^t teich(g)^k, t = v N^-1 mod p and k = v p^-1 mod N, so a sum is
@@ -75,6 +76,23 @@ MAX_HISTOGRAM_TERMS = 1 << 24
 # Gamma_p values come from a prefix table of that many p-free factorials,
 # and its products stay in int64 (below 2^40).
 MAX_WINDOW_MODULUS = 1 << 20
+
+
+def _sweep_precision(n: int, read: int) -> int:
+    """The precision K, in p-adic digits, of a sweep over F_{p^n} that reads
+    `read` digits of each residue after its pi-shift: n + read + 1.
+
+    Every Gauss sum S has v(S) <= n(p-1) in pi-units, because
+    S * conj(S) = p^n and both factors are integral; so does every element
+    a sweep reads, p^n itself included, and K >= n + 1 puts each such
+    valuation below the floor (p-1)K.  A sweep shifts by s <= n(p-1) - 1:
+    with i + s = q(p-1) + j, q <= n, coefficient i of x / pi^s is
+    x_j / (-p)^q, known mod p^(K-n) when x is known mod p^K.  So
+    K = n + read suffices, and one guard digit is kept beyond it.
+    Stickelberger reads pi-degree 0 mod p (read = 1), Gross-Koblitz every
+    coordinate mod p^(window+1) (read = window + 1).
+    """
+    return n + read + 1
 
 
 class RamifiedContext:
@@ -143,8 +161,11 @@ def teichmuller(ctx: RamifiedContext, residue_vec) -> np.ndarray:
     """The (n, n) matrix of multiplication on W by the unique root of
     y^(p^n) = y lifting the residue (zero excluded).
 
-    Each step T <- T^(p^n) fixes one more p-adic digit; row 0 of T holds the
-    lift's W-coordinates.
+    A lift right mod p^j, j >= 1, is teich * (1 + p^j z), and its p^n-th
+    power teich * (1 + p^j z)^(p^n) is right mod p^(j+n): each step
+    T <- T^(p^n) fixes n more p-adic digits, so T is right mod p^K after
+    ceil((K-1)/n) steps and the next one finds it stable.  Row 0 of T holds
+    the lift's W-coordinates.
     """
     if not any(int(c) % ctx.p for c in residue_vec):
         raise ArgumentError("Teichmueller lift of zero is not defined")
@@ -152,7 +173,7 @@ def teichmuller(ctx: RamifiedContext, residue_vec) -> np.ndarray:
     T = 0 * one
     for c in reversed(residue_vec):  # Horner in the companion matrix
         T = (_matmul_mod(T, ctx.x, ctx.pK) + int(c) % ctx.pK * one) % ctx.pK
-    for _ in range(ctx.K + 3):
+    for _ in range(-(-ctx.K // ctx.n) + 2):
         T2 = _matpow_mod(T, ctx.p**ctx.n, ctx.pK)
         if (T2 == T).all():
             return T
@@ -170,18 +191,17 @@ def zeta_p_lift(ctx: RamifiedContext) -> np.ndarray:
     Phi_p(1 + pi*u) / (-p) since pi^(p-1) = -p.  G'(u) = p - 1 mod pi, so
     Newton needs no division: the inverse w of G'(u) starts at the integer
     inverse of p - 1 and is refined by w <- w(2 - G'(u)w) before each step
-    u <- u - G(u)w.  The iteration runs in a padded-precision context until
-    G, and with it Phi_p, vanishes mod p^K; the result reduced mod p^K is
-    then an exact truncated root.  A step takes e = v(G(u)) and
-    f = v(1 - G'(u)w) to at least min(2e, e + 2f) and min(2f, e); both start
-    >= 1, so G(u_k) lies in pi^(2^k) and step ceil(log2((p-1)K)) is the last
-    one the loop needs.
+    u <- u - G(u)w.  G'(u) is a unit, so Newton is exact in Z/p^K[pi]: the
+    iteration runs in `ctx` itself until G, and with it Phi_p, vanishes
+    mod p^K, and u is then an exact truncated root.  A step takes
+    e = v(G(u)) and f = v(1 - G'(u)w) to at least min(2e, e + 2f) and
+    min(2f, e); both start >= 1, so G(u_k) lies in pi^(2^k) and step
+    ceil(log2((p-1)K)) is the last one the loop needs.
     """
     p = ctx.p
     if p == 2:
         return np.array([[ctx.pK - 1]], dtype=ctx.pi.dtype)
-    pad = RamifiedContext(p, ctx.n, ctx.modulus, ctx.K + 8)
-    pi, mod = pad.pi, pad.pK
+    pi, mod = ctx.pi, ctx.pK
     one = np.identity(p - 1, dtype=pi.dtype)
     # G(u) = sum_j a[j] u^j, constant term first
     a = ([one * (mod - 1)]
@@ -195,8 +215,8 @@ def zeta_p_lift(ctx: RamifiedContext) -> np.ndarray:
         for c in reversed(a[:-1]):
             dg = (_matmul_mod(dg, u, mod) + g) % mod
             g = (_matmul_mod(g, u, mod) + c) % mod
-        if not (g % ctx.pK).any():
-            return (one + _matmul_mod(pi, u, mod)) % ctx.pK
+        if not g.any():
+            return (one + _matmul_mod(pi, u, mod)) % mod
         w = _matmul_mod(w, (2 * one - _matmul_mod(dg, w, mod)) % mod, mod)
         u = (u - _matmul_mod(g, w, mod)) % mod
     raise PrecisionError("Newton iteration for zeta_p did not converge")  # pragma: no cover
@@ -210,10 +230,11 @@ class PadicEmbedding:
     """Ring morphism zeta_{p^n-1} -> teich(g), zeta_p -> Dwork zeta_p.
 
     Realizes the choice of prime over p: its kernel is reduction mod pi.
-    Prime-base towers only (q = p).  `zeta_p` and `teich_g` hold the
-    multiplication matrices of the two images, and `zeta_powers` and
-    `teich_powers` the coordinates of their powers.  Every embedded value is
-    a histogram over (t, k), read as sum H[t, k] zeta_p^t teich(g)^k.
+    Prime-base towers only (q = p).  K defaults to the Stickelberger
+    sweep's precision, `_sweep_precision(n, 1)`.  `zeta_p` and `teich_g`
+    hold the multiplication matrices of the two images, and `zeta_powers`
+    and `teich_powers` the coordinates of their powers.  Every embedded
+    value is a histogram over (t, k), read as sum H[t, k] zeta_p^t teich(g)^k.
     """
 
     def __init__(self, tower: FieldTower, K: int | None = None):
@@ -222,7 +243,7 @@ class PadicEmbedding:
         self.tower = tower
         p, n, N = tower.p, tower.n, tower.mult_order
         if K is None:
-            K = n * (p - 1) + 8
+            K = _sweep_precision(n, 1)
         self.ctx = RamifiedContext(p, n, tower.modulus, K)
         self.teich_g = teichmuller(self.ctx, tower.exp_vec[1 % N].astype(int))  # g = 1 on F_2
         self.zeta_p = zeta_p_lift(self.ctx)
@@ -328,13 +349,17 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, modulus: int) -> np.ndarray:
     """A @ B mod `modulus`, exactly, for integer matrices.
 
     The product runs in int64 only when (largest row sum of |A|) * max |B|
-    < 2^63 bounds every partial sum; otherwise in Python ints.
+    < 2^63 bounds every partial sum; otherwise in Python ints.  The row sums
+    are only formed where their bound max |A| * (columns of A) does not
+    already certify the product, as it does for every reduced factor once
+    columns * modulus^2 < 2^63.
     """
     if A.dtype != object and B.dtype != object:
         a_max = max(-int(A.min(initial=0)), int(A.max(initial=0)))
         b_max = max(-int(B.min(initial=0)), int(B.max(initial=0)))
-        # the first test keeps the int64 row sums of |A| themselves from wrapping
-        if (a_max * A.shape[1] < _I64_LIMIT
+        # the second test keeps the int64 row sums of |A| themselves from wrapping
+        if (a_max * A.shape[1] * b_max < _I64_LIMIT
+                or a_max * A.shape[1] < _I64_LIMIT
                 and int(np.abs(A).sum(axis=1).max(initial=0)) * b_max < _I64_LIMIT):
             return A @ B % modulus
     return A.astype(object) @ B.astype(object) % modulus
@@ -518,7 +543,8 @@ def gross_koblitz_check(tower: FieldTower, exponents, window: int = 1) -> list[G
     #   S(omega^e) * pi^s(e) = -pi^(n(p-1)) * prod_i Gamma_p(1 - <p^i e/N>)
     # (the global sign is part of the pinning, not n-dependent), so
     # -S(omega^e) / pi^(n(p-1) - s(e)) is the Gamma product
-    measured, shifted = _read_orbits(embedding_for(tower, top + window + 8), orbits, top - sums, mod)
+    measured, shifted = _read_orbits(embedding_for(tower, _sweep_precision(n, window + 1)),
+                                     orbits, top - sums, mod)
     want = np.zeros_like(shifted)
     want[:, 0, 0] = prod_digit
     identity = (-shifted % mod == want).all(axis=(1, 2)).tolist()

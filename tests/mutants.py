@@ -193,6 +193,13 @@ MUTANTS = [
          "tests/test_padic.py::test_power_tables_are_the_sequential_powers[3-2]"),
     ),
     Mutant(
+        "int64-product-bound-without-the-columns",
+        "src/gausslab/padic.py",
+        "if (a_max * A.shape[1] * b_max < _I64_LIMIT",
+        "if (a_max * b_max < _I64_LIMIT",
+        ("tests/test_padic.py::test_matmul_mod_certifies_every_partial_sum",),
+    ),
+    Mutant(
         "pi-shift-sign-plus-p",
         "src/gausslab/padic.py",
         "return src // ((-self.p) ** (t // self.e).astype(object))[:, :, None] % self.pK",
@@ -212,7 +219,7 @@ MUTANTS = [
         "src/gausslab/padic.py",
         "power = _matmul_mod(power, power, modulus)",
         "power = power @ power",
-        ("tests/test_padic.py::test_power_tables_are_the_sequential_powers[3-2]",),
+        ("tests/test_padic.py::test_power_tables_are_the_sequential_powers[7-3]",),
     ),
     Mutant(
         "histogram-position-inverses-swapped",
@@ -256,11 +263,28 @@ MUTANTS = [
          "tests/test_padic.py::test_quadratic_gauss_sum_is_minus_pi"),
     ),
     Mutant(
-        "newton-stop-tested-at-padded-precision",
+        "newton-stop-tested-mod-p-to-the-K-minus-1",
         "src/gausslab/padic.py",
-        "if not (g % ctx.pK).any():",
         "if not g.any():",
-        ("tests/test_padic.py::test_zeta_p_lift_is_the_dwork_root[3-1]",),
+        "if not (g % ctx.p ** (ctx.K - 1)).any():",
+        ("tests/test_padic.py::test_quadratic_gauss_sum_is_minus_pi",
+         "tests/test_padic.py::test_gauss_sums_match_the_ring_route[3-2]"),
+    ),
+    Mutant(
+        "stickelberger-precision-n",
+        "src/gausslab/padic.py",
+        "            K = _sweep_precision(n, 1)",
+        "            K = n",
+        ("tests/test_padic.py::test_valuations",
+         "tests/test_padic.py::test_division"),
+    ),
+    Mutant(
+        "gross-koblitz-precision-n-plus-window",
+        "src/gausslab/padic.py",
+        "embedding_for(tower, _sweep_precision(n, window + 1))",
+        "embedding_for(tower, n + window)",
+        ("tests/test_padic.py::test_gross_koblitz_reads_the_top_compared_digit[5-2-1]",
+         "tests/test_padic.py::test_gross_koblitz_reads_the_top_compared_digit[7-2-0]"),
     ),
     Mutant(
         "lemma-violations-dropped",

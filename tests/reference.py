@@ -23,7 +23,8 @@ and a schoolbook product of (p-1, n) coordinate arrays, which reduces x^n
 by the modulus and pi^(p-1) by -p where the library multiplies matrices.
 On the schoolbook product the p-adic verifiers run one exponent at a time
 on sequential image powers, with valuations read off coordinates and
-pi-divisions one step at a time.
+pi-divisions one step at a time, at the precision n(p-1) + window + 8
+(window 0 for Stickelberger), far above the library's.
 """
 
 import functools
@@ -675,12 +676,13 @@ def padic_gamma_window(i, v, m):
 
 
 def stickelberger_one(tower, e):
-    """The Stickelberger report of one exponent, by the per-element route."""
+    """The Stickelberger report of one exponent, by the per-element route at
+    precision n(p-1) + 8."""
     p, n, N = tower.p, tower.n, tower.mult_order
     e %= N
     v = digits.expand(p, n, e)
     s = digits.digit_sum(v)
-    emb = embedding_for(tower)
+    emb = embedding_for(tower, n * (p - 1) + 8)
     x = embed_by_terms(emb, gauss_S(MultChar(tower, -e)))
     mv = valuation(emb.ctx, x)
     congruence_ok = False
@@ -693,8 +695,9 @@ def stickelberger_one(tower, e):
 
 
 def gross_koblitz_one(tower, e, window):
-    """The Gross-Koblitz report of one exponent, by the per-element route:
-    multiply by pi^s(e), then divide by pi one step at a time."""
+    """The Gross-Koblitz report of one exponent, by the per-element route at
+    precision n(p-1) + window + 8: multiply by pi^s(e), then divide by pi
+    one step at a time."""
     p, n, N = tower.p, tower.n, tower.mult_order
     e %= N
     v = digits.expand(p, n, e)

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from gausslab import build_tower
@@ -116,3 +119,18 @@ def test_orbit_reps(f9):
 def test_orbit_minima_match_frobenius_orbit_walk(f729):
     mins = orbit_minima(f729.mult_order, f729.q, f729.n)
     assert mins.tolist() == [frobenius_orbit(f729, e)[0] for e in range(f729.mult_order)]
+
+
+def test_orbit_minima_hold_two_input_sized_arrays():
+    # (2,16): the minima and the current power, each reduced in place, are
+    # the only arrays the size of the input that one call holds
+    N = 2**16 - 1
+    exps = np.arange(N, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        mins = orbit_minima(N, 2, 16, exps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * exps.nbytes, peak / exps.nbytes
+    assert mins.tolist() == [min(e * 2**i % N for i in range(16)) for e in range(N)]

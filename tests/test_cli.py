@@ -552,7 +552,6 @@ PINNED_REPORTS = [
      "13337c0be850bf4ee6b10d6f070f78e9020266dc362395ac03e0108f1e596b59"),
     ("gross-koblitz --p 2 --n 1 --window 0", 0,
      "59aa0cbbf37a77bb311f5ccbfceeeae667e04e36256296adeb730e198aa9c544"),
-    # p^K = 7^26 >= 2^62: the image matrix holds Python ints
     ("stickelberger --p 7 --n 3", 0,
      "2c78de3fb5656899ae82f117ce0b916bd6ff02e2957015a76c0ca73895607b27"),
     ("gross-koblitz --p 5 --n 3 --window 1", 0,

@@ -194,7 +194,7 @@ def test_digit_tables_match_the_vector_statistics(p, n):
         assert _runs(table, values) == [cyclic_run(v, x) for v, x in zip(vecs, values)]
 
 
-@pytest.mark.parametrize("p,d", [(2, 1), (2, 7), (3, 5), (5, 2), (7, 3)])
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 7), (3, 5), (5, 2), (7, 3), (2, 16)])
 def test_twist_key_tables(p, d):
     N = p**d - 1
     sums = D.digit_sum_table(p, d)

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from gausslab import _accel, build_tower, digits, numth
+from gausslab import _accel, build_tower, digits, numth, padic
 from gausslab.chars import MultChar, orbit_minima, ring_for
 from gausslab.errors import ArgumentError
 from gausslab.ff import smallest_irreducible
 from gausslab.gauss import gauss_S, gauss_table
 from gausslab.padic import (
+    MAX_WINDOW_MODULUS,
     PadicEmbedding,
     RamifiedContext,
+    _matmul_mod,
     _matpow_mod,
+    _sweep_precision,
     embedding_for,
     gross_koblitz_check,
     stickelberger_check,
@@ -59,6 +62,28 @@ def test_teichmuller_basics(f9, emb9):
         assert valuation(ctx, (power(ctx, t, 8) - scalar(ctx, 1)) % ctx.pK) is None
         assert residue(ctx, t) == tuple(int(c) for c in f9.vec(x))
         assert T[1].tolist() == mul(ctx, from_w(ctx, (0, 1)), t)[0].tolist()
+
+
+@pytest.mark.parametrize("p,n,K", [(3, 6, 20), (5, 3, 21), (2, 5, 30), (7, 1, 9), (3, 2, 4)])
+def test_teichmuller_fixes_n_digits_a_step(monkeypatch, p, n, K):
+    # each step T <- T^(p^n) fixes n more p-adic digits, so the lift of x is
+    # right mod p^(1 + n k) after k steps, and the loop ends at the step
+    # that first finds T stable, by step ceil((K-1)/n) + 1 (at step 1 where
+    # x is a root of unity in Z[x]/(M~) already, as at (3, 2))
+    ctx = RamifiedContext(p, n, tuple(int(c) for c in smallest_irreducible(p, n)), K)
+    steps = []
+    matpow = padic._matpow_mod
+
+    def recording(A, k, modulus):
+        steps.append(A.copy())
+        return matpow(A, k, modulus)
+
+    monkeypatch.setattr(padic, "_matpow_mod", recording)
+    T = teichmuller(ctx, (0, 1) + (0,) * (n - 2) if n > 1 else (2,))
+    assert len(steps) <= -(-(K - 1) // n) + 1
+    right = [max(j for j in range(K + 1) if (S % p**j == T % p**j).all()) for S in steps]
+    assert all(r >= min(K, 1 + n * k) for k, r in enumerate(right)), right
+    assert right[-1] == K
 
 
 def test_zeta_p_lift(emb9):
@@ -129,93 +154,117 @@ def test_embed_is_morphism(f9, emb9):
         assert not dsum.any()
 
 
+def _past_2_62(p):
+    """The least K with p^K >= 2^62, where the power tables hold Python ints."""
+    return next(K for K in range(1, 63) if p**K >= 2**62)
+
+
 # (2, 1), (3, 1) and (2, 4) are the doubling's edge cases: phi = 1,
 # phi = 2 = 2^0 + 1 and phi = 8, a power of two
 @pytest.mark.parametrize("p,n", [(3, 2), (2, 5), (5, 2), (7, 3), (2, 1), (3, 1), (2, 4)])
 def test_embed_matches_per_term_sum(p, n):
+    # at the default precision and at the least K with p^K >= 2^62 (7^23 at p = 7)
     T = build_tower(p, 1, n)
-    emb = embedding_for(T)
     ring = ring_for(T)
     rng = np.random.default_rng(p * 100 + n)
     elts = [gauss_S(MultChar(T, e)) for e in (1, 2, T.mult_order - 1)]
     for bound in (9, 2**40, 2**60):
         elts += [ring.element(rng.integers(-bound, bound, ring.phi)) for _ in range(3)]
+    wide = PadicEmbedding(T, _past_2_62(p))
     # the int64 product is certified only while sum|c_k| * (p^K - 1) < 2^63;
     # the last elements break that bound, so they take the Python-int product
-    assert sum(abs(int(c)) for c in elts[-1].coeffs) * (emb.ctx.pK - 1) >= 2**63
-    for elt in elts:
-        got = emb.embed(elt)
-        assert got.tolist() == embed_by_terms(emb, elt).tolist()
-        assert got.shape == (p - 1, n) and 0 <= got.min() and got.max() < emb.ctx.pK
-    # p^K = 7^26 > 2^62: the power tables hold Python ints
-    assert (emb.teich_powers.dtype == object) == (emb.ctx.pK >= 2**62)
-    # one input on both routes: int64 coefficients against the same values as objects
-    elt = elts[3]
-    as_objects = ring.element(elt.coeffs.astype(object))
-    assert as_objects.coeffs.dtype == object
-    assert emb.embed(as_objects).tolist() == emb.embed(elt).tolist()
+    assert sum(abs(int(c)) for c in elts[-1].coeffs) * (wide.ctx.pK - 1) >= 2**63
+    for emb in (embedding_for(T), wide):
+        for elt in elts:
+            got = emb.embed(elt)
+            assert got.tolist() == embed_by_terms(emb, elt).tolist()
+            assert got.shape == (p - 1, n) and 0 <= got.min() and got.max() < emb.ctx.pK
+        # past 2^62 the power tables hold Python ints
+        assert (emb.teich_powers.dtype == object) == (emb is wide)
+        # one input on both routes: int64 coefficients against the same values as objects
+        elt = elts[3]
+        as_objects = ring.element(elt.coeffs.astype(object))
+        assert as_objects.coeffs.dtype == object
+        assert emb.embed(as_objects).tolist() == emb.embed(elt).tolist()
+
+
+def test_matmul_mod_certifies_every_partial_sum():
+    # int64 only where the row sums of |A| times max |B| stay below 2^63:
+    # rows of 2^60 with max |B| = 3 leave it though each product fits, and
+    # one 2^58 per row with max |B| = 16 stays inside it though
+    # max |A| * columns * max |B| does not; both against Python ints
+    modulus = 2**61 - 1
+    for A, B in [(np.full((2, 8), 2**60), np.full((8, 2), 3)),
+                 (np.eye(2, 8, dtype=np.int64) * 2**58 + 1, np.full((8, 2), -16))]:
+        A, B = A.astype(np.int64), B.astype(np.int64)
+        want = A.astype(object) @ B.astype(object) % modulus
+        assert _matmul_mod(A, B, modulus).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (2, 5), (5, 2), (7, 2), (2, 1), (13, 1)])
 def test_image_matrix_is_the_sequential_powers(p, n):
     # the oracle's doubled image matrix: row k is img(zeta_m)^k, entry for
     # entry in [0, p^K), for the tower's phi and for counts that stop the
-    # doubling at every kind of step: 1, powers of two and 2^k + 1; at
-    # (13, 1), p^K = 13^20 >= 2^62 and the rows hold Python ints
+    # doubling at every kind of step: 1, powers of two and 2^k + 1; at the
+    # default precision, and past 2^62, where the rows hold Python ints
     T = build_tower(p, 1, n)
-    emb = embedding_for(T)
-    for count in sorted({ring_for(T).phi, 1, 2, 3, 4, 8, 9, 16, 17, 33}):
-        got = ring_image_matrix(emb, count)
-        assert got.tolist() == image_powers(emb, count).tolist(), count
-        assert got.dtype == (object if emb.ctx.pK >= 2**62 else np.int64)
+    for emb in (embedding_for(T), PadicEmbedding(T, _past_2_62(p))):
+        for count in sorted({ring_for(T).phi, 1, 2, 3, 4, 8, 9, 16, 17, 33}):
+            got = ring_image_matrix(emb, count)
+            assert got.tolist() == image_powers(emb, count).tolist(), count
+            assert got.dtype == (object if emb.ctx.pK >= 2**62 else np.int64)
 
 
 # (2, 1) has N = 1, (3, 1) N = 2 and (2, 2) N = 3 = 2^1 + 1; (2, 5) has
-# N = 31 = 2^5 - 1, one short of a power of two; at (13, 1) and (7, 3),
-# p^K >= 2^62 and the tables hold Python ints
+# N = 31 = 2^5 - 1, one short of a power of two
 @pytest.mark.parametrize("p,n", [(3, 2), (2, 5), (5, 2), (7, 3), (2, 1), (3, 1), (2, 2), (13, 1)])
 def test_power_tables_are_the_sequential_powers(p, n):
     # row k of `teich_powers` holds the W-coordinates of teich(g)^k, k < N,
     # and row t of `zeta_powers` the pi-coordinates of zeta_p^t, t < p,
     # entry for entry in [0, p^K), each power one schoolbook product after
-    # the last
+    # the last; at the default precision, and past 2^62, where the tables
+    # hold Python ints
     T = build_tower(p, 1, n)
-    emb = embedding_for(T)
-    ctx = emb.ctx
-    for table, x, count, coordinates in [(emb.teich_powers, teich_element(emb), T.mult_order, lambda y: y[0]),
-                                         (emb.zeta_powers, zeta_p_element(emb), p, lambda y: y[:, 0])]:
-        want, y = [], scalar(ctx, 1)
-        for _ in range(count):
-            want.append(coordinates(y).tolist())
-            y = mul(ctx, y, x)
-        assert table.tolist() == want
-        assert table.dtype == (object if ctx.pK >= 2**62 else np.int64)
+    for emb in (embedding_for(T), PadicEmbedding(T, _past_2_62(p))):
+        ctx = emb.ctx
+        for table, x, count, coordinates in [(emb.teich_powers, teich_element(emb), T.mult_order, lambda y: y[0]),
+                                             (emb.zeta_powers, zeta_p_element(emb), p, lambda y: y[:, 0])]:
+            want, y = [], scalar(ctx, 1)
+            for _ in range(count):
+                want.append(coordinates(y).tolist())
+                y = mul(ctx, y, x)
+            assert table.tolist() == want
+            assert table.dtype == (object if ctx.pK >= 2**62 else np.int64)
 
 
 def _ring_route_fields():
     """Every prime-base field (p, n) whose ring Z[zeta_m], m = p (p^n - 1),
-    is under the 8192 conductor cap, for p < 20: that is every one with
-    n >= 2, and n = 1 up to p = 19.  The n = 1 fields from p = 23 to 89 are
-    left out because each embedding there costs seconds to minutes in
-    `zeta_p_lift` (31 s at p = 47)."""
-    return [(p, n) for p in range(2, 20) if numth.is_prime(p)
+    is under the 8192 conductor cap, for p < 48: that is every one with
+    n >= 2, and n = 1 up to p = 47.  The n = 1 fields from p = 53 to 89 are
+    left out for time: `zeta_p_lift` multiplies (p-1) x (p-1) matrices, and
+    p = 89 takes about 1.3 s an embedding."""
+    return [(p, n) for p in range(2, 48) if numth.is_prime(p)
             for n in range(1, 14) if p * (p**n - 1) <= 8192]
 
 
 @pytest.mark.parametrize("p,n", _ring_route_fields(), ids=lambda v: str(v))
 def test_gauss_sums_match_the_ring_route(p, n):
     # the embedded sum of every orbit, read from its (zeta_p, teich) histogram,
-    # equals its Gauss-table row embedded through Z[zeta_m], at the default
-    # precision and at the Gross-Koblitz precisions of windows 1..3 (window 0
-    # reads the default); the oracle runs once, at the highest precision,
-    # and is read mod p^K below it: teich(g) and zeta_p mod p^K are the
-    # reductions of their lifts at any higher precision
+    # equals its Gauss-table row embedded through Z[zeta_m], at every sweep
+    # precision of windows 0..3 that the window cap allows (window 0 reads
+    # the default, Stickelberger's precision), and at (5, 2) also past 2^62;
+    # the oracle runs once, at the highest precision, and is read mod p^K
+    # below it: teich(g) and zeta_p mod p^K are the reductions of their lifts
+    # at any higher precision
     T = build_tower(p, 1, n)
     reps = np.unique(orbit_minima(T.mult_order, p, n))
-    top = n * (p - 1)
-    highest = PadicEmbedding(T, top + 11)
-    want = ring_embed_rows(highest, gauss_table(T).rows(reps))
-    for emb in [PadicEmbedding(T), PadicEmbedding(T, top + 9), PadicEmbedding(T, top + 10), highest]:
+    Ks = [_sweep_precision(n, w + 1) for w in range(1, 4) if p ** (w + 1) <= MAX_WINDOW_MODULUS]
+    if (p, n) == (5, 2):
+        Ks.append(_past_2_62(p))
+    embs = [PadicEmbedding(T)] + [PadicEmbedding(T, K) for K in Ks]
+    assert embs[0].ctx.K == _sweep_precision(n, 1)
+    want = ring_embed_rows(embs[-1], gauss_table(T).rows(reps))
+    for emb in embs:
         got = emb.gauss_sums(reps)
         assert got.tolist() == (want % emb.ctx.pK).tolist(), emb.ctx.K
         assert emb.teich_powers.dtype == (object if emb.ctx.pK >= 2**62 else np.int64)
@@ -299,24 +348,27 @@ def test_embed_examples(f9, emb9):
 
 def test_division():
     # x / pi^s in one shift equals s single pi-divisions, up to the top
-    # p-adic digits that each wrap of pi^(p-1) = -p leaves undetermined
+    # p-adic digits that each wrap of pi^(p-1) = -p leaves undetermined; at
+    # the default precision and at n(p-1) + 8, for every s < 3(p-1) + 2
+    # whose wraps leave a digit
     for p, n in [(3, 2), (5, 1), (2, 3)]:
-        ctx = embedding_for(build_tower(p, 1, n)).ctx
-        rng = np.random.default_rng(p + n)
-        xs, shifts = [], []
-        for s in range(0, 3 * ctx.e + 2):
-            for a in (s, s + 1, s + ctx.e):
-                y = from_w(ctx, rng.integers(0, p**3, n))
-                xs += [scalar(ctx, 1, a), mul(ctx, mul(ctx, scalar(ctx, 1, s), y), scalar(ctx, 1, a - s))]
-                shifts += [s, s]
-        got = ctx.shift_down(_rows(*xs), shifts)
-        for x, s, row in zip(xs, shifts, got.tolist()):
-            prec = p ** (ctx.K - -(-s // ctx.e))
-            want = div_by_pi_power(ctx, x, s)
-            assert [[c % prec for c in w] for w in row] == (want % prec).tolist()
-        # pi^(p-1) = -p: -p / pi^(p-1) is one, to the p^(K-1) the wrap leaves
-        one = ctx.shift_down(_rows(scalar(ctx, -p)), [ctx.e]) % p ** (ctx.K - 1)
-        assert one.tolist() == _rows(scalar(ctx, 1)).tolist()
+        T = build_tower(p, 1, n)
+        for ctx in (embedding_for(T).ctx, PadicEmbedding(T, n * (p - 1) + 8).ctx):
+            rng = np.random.default_rng(p + n)
+            xs, shifts = [], []
+            for s in range(min(3 * ctx.e + 2, ctx.e * (ctx.K - 1) + 1)):
+                for a in (s, s + 1, s + ctx.e):
+                    y = from_w(ctx, rng.integers(0, p**3, n))
+                    xs += [scalar(ctx, 1, a), mul(ctx, mul(ctx, scalar(ctx, 1, s), y), scalar(ctx, 1, a - s))]
+                    shifts += [s, s]
+            got = ctx.shift_down(_rows(*xs), shifts)
+            for x, s, row in zip(xs, shifts, got.tolist()):
+                prec = p ** (ctx.K - -(-s // ctx.e))
+                want = div_by_pi_power(ctx, x, s)
+                assert [[c % prec for c in w] for w in row] == (want % prec).tolist()
+            # pi^(p-1) = -p: -p / pi^(p-1) is one, to the p^(K-1) the wrap leaves
+            one = ctx.shift_down(_rows(scalar(ctx, -p)), [ctx.e]) % p ** (ctx.K - 1)
+            assert one.tolist() == _rows(scalar(ctx, 1)).tolist()
 
 
 def test_valuation_symmetry(f9):
@@ -352,6 +404,27 @@ def test_gross_koblitz_windows(p, n):
         reports = gross_koblitz_check(T, range(1, T.mult_order), w)
         assert len(reports) == T.mult_order - 1
         assert all(r.ok for r in reports), (p, n, w)
+
+
+@pytest.mark.parametrize("p,n,window", [(3, 2, 1), (5, 2, 1), (5, 2, 2), (7, 2, 0), (3, 3, 2)])
+def test_gross_koblitz_reads_the_top_compared_digit(monkeypatch, p, n, window):
+    # adding p^(n+window) at pi-degree 0 keeps a sum's valuation, and moves
+    # its quotient by pi^(n(p-1) - s(e)) by (-1)^n p^window at pi-degree s(e),
+    # where a true quotient is 0; for 1 <= s(e) <= p-2 the sweep's precision
+    # must keep that digit, so the identity fails.  p^(n+window+1) moves the
+    # quotient by p^(window+1), past the compared digits, and it holds
+    T = build_tower(p, 1, n)
+    es = [e for e in range(1, T.mult_order) if digits.digit_sum(digits.expand(p, n, e)) <= p - 2]
+    gauss_sums = PadicEmbedding.gauss_sums
+    for k, holds in ((n + window, False), (n + window + 1, True)):
+        def perturbed(self, exps, k=k):
+            X = gauss_sums(self, exps)
+            X[:, 0, 0] = (X[:, 0, 0] + p**k) % self.ctx.pK
+            return X
+
+        monkeypatch.setattr(PadicEmbedding, "gauss_sums", perturbed)
+        reports = gross_koblitz_check(T, es, window)
+        assert reports and all(r.valuation_ok and r.identity_ok == holds for r in reports), k
 
 
 def test_gross_koblitz_p2_degenerate():
