@@ -13,10 +13,13 @@ Power-basis reduction runs through the odd kernel k of rad(m).  With
 s = m / rad(m), Phi_m(x) = Phi_rad(x^s), so a row splits into s interleaved
 rows in y = x^s that reduce mod Phi_rad independently.  Phi_rad divides
 y^k - 1 when rad = k is odd, and y^k + 1 when rad = 2k
-(Phi_2k(y) = Phi_k(-y)), so each row first folds to width k; the table then
-holds y^j mod Phi_rad for phi(k) <= j < k only.  A ring builds that one
-(k - phi(k)) x phi(k) table, stored as float64 with exact integer entries,
-on the first `CycloRing.reduce_matrix` call that reads it.
+(Phi_2k(y) = Phi_k(-y)), so each row first folds to width k.  For the least
+prime l of k, +-y^(k/l) (minus when rad = 2k, as k/l is odd) is a primitive
+l-th root of unity, and those sum to 0:
+y^((l-1)k/l + u) = -sum_{t<l-1} (+-1)^t y^(t*k/l + u).  So the ring's one
+float64 table of exact integers, built on first use by
+`CycloRing.reduce_matrix`, holds y^j mod Phi_rad for phi(k) <= j < (l-1)k/l;
+none when k is prime or 1.
 
 Rows that are only compared, never read as coefficients, need no table.
 Over the prime powers m_i of m, Z[zeta_m] is the tensor product of the
@@ -52,43 +55,25 @@ _I64_SAFE = 1 << 62
 # cyclotomic polynomials (Python-int lists, ascending)
 
 
-def _mul_sparse_binomial(a: list[int], k: int) -> list[int]:
-    # a * (x^k - 1)
-    out = [0] * (len(a) + k)
-    for i, c in enumerate(a):
-        if c:
-            out[i + k] += c
-            out[i] -= c
-    return out
-
-
-def _div_sparse_binomial(a: list[int], k: int) -> list[int]:
-    # exact division by (x^k - 1); remainder must vanish
-    n = len(a) - 1 - k
-    q = [0] * (n + 1)
-    rem = list(a)
-    for i in range(n, -1, -1):
-        c = rem[i + k]
-        q[i] = c
-        if c:
-            rem[i + k] -= c
-            rem[i] += c
-    if any(rem):
-        raise ArithmeticError("inexact division by sparse binomial")
-    return q
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic_radical(r: int) -> tuple[int, ...]:
-    # r squarefree: Phi_r = prod_{d | r} (x^d - 1)^{mu(r/d)}
-    a = [1]
-    divs = numth.divisors(r)
-    for d in divs:
-        if numth.moebius(r // d) == 1:
-            a = _mul_sparse_binomial(a, d)
-    for d in sorted(divs, reverse=True):
-        if numth.moebius(r // d) == -1:
-            a = _div_sparse_binomial(a, d)
+    # r squarefree: for r > 1, Phi_r = prod_{d | r} (1 - x^d)^{mu(r/d)} (the
+    # mu sum to 0), a power series to degree phi(r): a factor 1 - x^d
+    # subtracts the series shifted by d, and 1 / (1 - x^d) adds it back
+    if r == 1:
+        return (-1, 1)
+    n = numth.euler_phi(r) + 1
+    a = [1] + [0] * (n - 1)
+    for d in numth.divisors(r):
+        mu = numth.moebius(r // d)
+        if mu == 1:
+            for i in range(n - 1, d - 1, -1):
+                a[i] -= a[i - d]
+        elif mu == -1:
+            for i in range(d, n):
+                a[i] += a[i - d]
+    if a != a[::-1]:  # Phi_r is a palindrome for r > 1
+        raise ArithmeticError(f"Phi_{r} is not a palindrome")
     return tuple(a)
 
 
@@ -154,14 +139,16 @@ class CycloRing:
         self._sign = -1 if rad % 2 == 0 else 1  # zeta^(s*k) = -1 or 1
         # (l, m_i) for the prime powers m_i = l^a of m, ascending: the tensor axes
         self._axes = tuple((l, l**a) for l, a in numth.factorize(m).items())
+        # the least prime l of k; the relation leaves width s*(l-1)k/l
+        self._l = l = next((p for p, _ in self._axes if p % 2), 1)
+        self._top = self._s * (self._k - self._k // l if l > 1 else 1)
 
     @cached_property
     def table(self) -> np.ndarray:
-        """Row r holds y^(d + r) mod Phi_rad, r < k - d, d = phi(k) = deg Phi_rad;
-        built by the first reduction that reads it."""
+        """Row r holds y^(d + r) mod Phi_rad, d = phi(k) <= d + r < (l-1)k/l."""
         poly = _cyclotomic_radical(self._rad)
         d = len(poly) - 1
-        n = self._k - d
+        n = self._top // self._s - d
         nz = np.flatnonzero(poly[:d])
         minus_head = -np.asarray(poly[:d], dtype=np.int64)[nz]  # y^d = -head
         table = np.empty((n, d), dtype=np.float64)
@@ -181,13 +168,9 @@ class CycloRing:
 
     @cached_property
     def _rows_max(self) -> int:
-        # every row is stored, so one check on the table sees every row
         rows_max = _max_abs(self.table)
         if rows_max > 1 << 50:  # pragma: no cover
-            raise OverflowError(
-                "reduction-row coefficients exceeded the exact-integer guard; "
-                "object-precision rebuild required"
-            )
+            raise OverflowError("reduction-table entries exceed the exact-integer guard")
         return rows_max
 
     # -- reduction ----------------------------------------------------------
@@ -195,14 +178,18 @@ class CycloRing:
     def reduce_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Canonical coefficients of sum_k mat[b, k] * zeta^k for each row b.
 
-        Rows may have any width.  Rows wider than s*k fold first
-        (zeta^(s*k) = +-1).  Coefficient i + s*t then sits at place t of kernel
-        row i, and each kernel row reduces as head + tail @ table, reading
-        only the table rows the width needs, in float64 when
-        |head| + |tail|_1 * max|table| < 2^52 over every kernel row (every
-        partial sum is then an exact integer) and in Python ints otherwise.
+        Rows wider than s*(l-1)k/l fold to width s*k (zeta^(s*k) = +-1);
+        of l blocks of s*k/l places, block t < l-1 then takes -(+-1)^t times
+        the last, dropped.  Kernel row i (coefficient i + s*t at place t)
+        reduces as head + tail @ table[:n].
+
+        Bounds: fold and relation add at most 2*segs entries, segs =
+        ceil(width / (s*k)), so int64 holds while 2*segs*max|mat| < 2^62.
+        Then each partial sum of head + sum_{r<n} tail_r*table_r is an
+        integer of size <= M*(1 + n*max|table|), M = max|entry|: exact in
+        float64 below 2^52, else Python ints.
         """
-        s, phi = self._s, self.phi
+        s, phi, l, top = self._s, self.phi, self._l, self._top
         fold = s * self._k
         mat = np.asarray(mat)
         b, width = mat.shape
@@ -210,26 +197,29 @@ class CycloRing:
             out = np.zeros((b, phi), dtype=mat.dtype)
             out[:, :width] = mat
             return out
-        if width > fold:
+        if width > top:
             segs = -(-width // fold)
-            if mat.dtype != object and segs * _max_abs(mat) >= _I64_SAFE:
+            if mat.dtype != object and 2 * segs * _max_abs(mat) >= _I64_SAFE:
                 mat = mat.astype(object)
             wide = _pad(mat, segs * fold).reshape(b, segs, fold)
             mat = wide[:, 0].copy()
             for j in range(1, segs):  # zeta^(j*fold) = sign^j
                 (np.add if self._sign ** j > 0 else np.subtract)(mat, wide[:, j], out=mat)
+            if l > 1:
+                blocks = mat.reshape(b, l, fold // l)
+                last, odd = blocks[:, -1:], blocks[:, 1:-1:2]
+                blocks[:, :-1:2] -= last
+                (np.subtract if self._sign > 0 else np.add)(odd, last, out=odd)
+                mat = mat[:, :top]
         else:
             mat = _pad(mat, -(-width // s) * s)
         head, tail = mat[:, :phi], mat[:, phi:]
-        n = tail.shape[1] // s
-        tail = tail.reshape(b, n, s)  # [b, r, i] = coefficient of x^(phi + i + s*r)
-        tail_abs = np.abs(tail)
-        tail_max = int(tail_abs.max(initial=0))
+        tail_max = _max_abs(tail)
         if not tail_max:
             return head.copy()
-        if mat.dtype != object and tail_max * n >= _I64_SAFE:
-            tail_abs = tail_abs.astype(object)  # int64 row sums could wrap
-        bound = _max_abs(head) + int(tail_abs.sum(axis=1).max()) * self._rows_max
+        n = tail.shape[1] // s
+        tail = tail.reshape(b, n, s)  # [b, r, i] = coefficient of x^(phi + i + s*r)
+        bound = max(_max_abs(head), tail_max) * (1 + n * self._rows_max)
         rows = self.table[:n]
         carrier = np.float64 if bound < _F64_SAFE else object
         if carrier is object:
@@ -310,6 +300,15 @@ class CycloRing:
         return self.reduce_matrix(mat.T)
 
     # -- element constructors -------------------------------------------
+
+    def _from_exponents(self, exps: np.ndarray, coeffs: np.ndarray) -> "CycloElement":
+        # sum coeffs[i] * zeta^exps[i]; the exps (in [0, m)) are distinct
+        # mod m/2 when m is even, so the fold adds no two of them
+        v = np.zeros(self.m, dtype=object if coeffs.dtype == object else np.int64)
+        v[exps] = coeffs
+        if self._sign < 0:
+            v = v[: self.m // 2] - v[self.m // 2 :]
+        return CycloElement(self, self.reduce_vector(v))
 
     def element(self, coeffs) -> "CycloElement":
         arr = np.asarray(coeffs)
@@ -401,12 +400,9 @@ class CycloElement:
     def __add__(self, other: "CycloElement") -> "CycloElement":
         self._check_ring(other)
         a, b = self.coeffs, other.coeffs
-        if a.dtype == object or b.dtype == object:
-            return CycloElement(self.ring, a.astype(object) + b.astype(object))
-        bound = int(np.abs(a).max(initial=0)) + int(np.abs(b).max(initial=0))
-        if bound < _I64_SAFE:
-            return CycloElement(self.ring, a + b)
-        return CycloElement(self.ring, a.astype(object) + b.astype(object))
+        if a.dtype == object or b.dtype == object or _max_abs(a) + _max_abs(b) >= _I64_SAFE:
+            a, b = a.astype(object), b.astype(object)
+        return CycloElement(self.ring, a + b)
 
     def __neg__(self) -> "CycloElement":
         return CycloElement(self.ring, -self.coeffs)
@@ -427,12 +423,9 @@ class CycloElement:
 
     def scale(self, c: int) -> "CycloElement":
         a = self.coeffs
-        if a.dtype == object or abs(c) >= _I64_SAFE:
-            return CycloElement(self.ring, a.astype(object) * c)
-        amax = int(np.abs(a).max(initial=0))
-        if amax * abs(c) < _I64_SAFE:
-            return CycloElement(self.ring, a * c)
-        return CycloElement(self.ring, a.astype(object) * c)
+        if a.dtype == object or max(_max_abs(a), 1) * abs(c) >= _I64_SAFE:
+            a = a.astype(object)  # |c| >= 2^62 has no int64 form either
+        return CycloElement(self.ring, a * c)
 
     def __pow__(self, k: int) -> "CycloElement":
         if k < 0:
@@ -454,10 +447,8 @@ class CycloElement:
         if math.gcd(j, m) != 1:
             raise ArgumentError(f"galois index {j} is not coprime to {m}")
         j %= m
-        dtype = object if self.coeffs.dtype == object else np.int64
-        v = np.zeros(m, dtype=dtype)
-        v[(j * np.arange(self.ring.phi, dtype=np.int64)) % m] = self.coeffs  # distinct: j is a unit
-        return CycloElement(self.ring, self.ring.reduce_vector(v))
+        # j is odd for even m: j*i, j*i' m/2 apart need |i - i'| = m/2 >= phi
+        return self.ring._from_exponents(j * np.arange(self.ring.phi, dtype=np.int64) % m, self.coeffs)
 
     def conj(self) -> "CycloElement":
         return self.galois(self.ring.m - 1)
@@ -468,11 +459,8 @@ class CycloElement:
             raise ArgumentError(
                 f"cannot lift conductor {self.ring.m} into {big.m}"
             )
-        s = big.m // self.ring.m
-        dtype = object if self.coeffs.dtype == object else np.int64
-        v = np.zeros(big.m, dtype=dtype)
-        v[s * np.arange(self.ring.phi, dtype=np.int64)] = self.coeffs  # s*k < s*phi(m) <= M
-        return CycloElement(big, big.reduce_vector(v))
+        # exponents M/2 apart need |i - i'| = m/2 >= phi(m), or m odd: none
+        return big._from_exponents(big.m // self.ring.m * np.arange(self.ring.phi, dtype=np.int64), self.coeffs)
 
     # -- integer divisibility -------------------------------------------------
 

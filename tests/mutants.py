@@ -79,6 +79,36 @@ MUTANTS = [
         ("tests/test_cyclo.py::test_reduce_matrix_matches_dense_table_reference[120]",),
     ),
     Mutant(
+        "relation-sign-dropped-for-even-radical",
+        "src/gausslab/cyclo.py",
+        "(np.subtract if self._sign > 0 else np.add)(odd, last, out=odd)",
+        "np.subtract(odd, last, out=odd)",
+        ("tests/test_cyclo.py::test_reduce_matrix_matches_sympy_remainder[54]",
+         "tests/test_cyclo.py::test_reduce_matrix_matches_dense_table_reference[2046]"),
+    ),
+    Mutant(
+        "residual-table-one-row-short",
+        "src/gausslab/cyclo.py",
+        "n = self._top // self._s - d",
+        "n = self._top // self._s - d - 1",
+        ("tests/test_cyclo.py::test_ring_holds_one_float64_table",
+         "tests/test_cyclo.py::test_reduce_matrix_matches_dense_table_reference[120]"),
+    ),
+    Mutant(
+        "int64-guard-without-the-relation-factor",
+        "src/gausslab/cyclo.py",
+        "if mat.dtype != object and 2 * segs * _max_abs(mat) >= _I64_SAFE:",
+        "if mat.dtype != object and segs * _max_abs(mat) >= _I64_SAFE:",
+        ("tests/test_cyclo.py::test_reduce_matrix_matches_sympy_remainder[13]",),
+    ),
+    Mutant(
+        "folded-scatter-not-negated",
+        "src/gausslab/cyclo.py",
+        "v = v[: self.m // 2] - v[self.m // 2 :]",
+        "v = v[: self.m // 2] + v[self.m // 2 :]",
+        ("tests/test_cyclo.py::test_galois_and_lift_match_the_unfolded_row[2046-6138]",),
+    ),
+    Mutant(
         "tensor-last-block-not-subtracted",
         "src/gausslab/cyclo.py",
         "out = (head - last).reshape(",

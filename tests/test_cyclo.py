@@ -112,8 +112,9 @@ def test_reduce_matrix_matches_dense_table_reference(m):
         assert got.dtype == object and np.array_equal(got, want[:1].astype(object) * 2**60)
 
 
-# k = 1 with an empty table (1, 2, 2^e); a prime; an odd prime power (s = 9);
-# an even radical with s > 1; an odd squarefree conductor (s = 1)
+# k = 1 with an empty table (1, 2, 2^e); k prime, so no table (a prime, an odd
+# prime power with s = 9, an even radical with s > 1); an odd squarefree
+# conductor (k = 105, s = 1, a 22-row table)
 @pytest.mark.parametrize("m", [1, 2, 8, 13, 27, 54, 105])
 def test_reduce_matrix_matches_sympy_remainder(m):
     R = get_ring(m)
@@ -122,23 +123,22 @@ def test_reduce_matrix_matches_sympy_remainder(m):
     for width in sorted({max(phi - 3, 0), phi, phi + 2, m - 1, m, m + 1, 3 * m + 5}):
         mat = rng.integers(-50, 50, (4, width))
         mat[1, phi:] = 0  # a row with an all-zero tail
-        # the tail places of kernel row 0: x^(s*t), phi(k) <= t < k
-        cols = R._s * np.arange(phi // R._s, R._k)
-        cols = cols[cols < width]
-        if len(cols):
-            # |head| + |tail|_1 * max|table| just below and at 2^52
-            per = len(cols) * R._rows_max
-            c = (2**52 - 1) // per
+        # the table rows this width reads: its places below s*(l-1)k/l past phi
+        n = (min(-(-width // R._s) * R._s, R._top) - phi) // R._s
+        if n > 0:
+            # max|entry| * (1 + n * max|table|) just below and at 2^52; nothing
+            # sits at or above s*(l-1)k/l, so neither fold nor relation acts
+            per = 1 + n * R._rows_max
+            low = min(width, R._top)
             mat[2:] = 0
-            mat[2:, cols] = c
-            mat[2, 0] = 2**52 - 1 - c * per
-            mat[3, 0] = 2**52 - c * per
+            mat[2, :low] = (2**52 - 1) // per * rng.choice([-1, 1], low)
+            mat[3, :low] = -(-(2**52) // per) * rng.choice([-1, 1], low)
         out = R.reduce_matrix(mat)
         assert out.shape == (4, phi)
         for row, got in zip(mat, out):
             assert [int(v) for v in got] == _sympy_remainder(row, m)
             assert np.array_equal(R.reduce_vector(row), got)
-        if len(cols):
+        if n > 0:
             assert R.reduce_matrix(mat[2:3]).dtype == np.int64  # float64 carrier
             assert R.reduce_matrix(mat[3:4]).dtype == object  # Python-int carrier
     mat = np.zeros((2, 0), dtype=np.int64)
@@ -148,6 +148,65 @@ def test_reduce_matrix_matches_sympy_remainder(m):
     wide[0, ::2] = -(2**61) + 7
     for row in (wide, wide.astype(object) * 2**40):
         assert [int(v) for v in R.reduce_matrix(row)[0]] == _sympy_remainder(row[0], m)
+    if R._l > 1:
+        # one row of width s*k, which needs no fold: x^0 and x^top at -c and c
+        # put -2c at x^0 through the relation, so the int64 tier, which holds only
+        # |values| < 2^62, must certify 2 * max|row| < 2^62 and not max|row|
+        for c in (2**61 - 1, 2**61):
+            row = np.zeros((1, R._s * R._k), dtype=np.int64)
+            row[0, 0], row[0, R._top] = -c, c
+            got = R.reduce_matrix(row)
+            assert [int(v) for v in got[0]] == _sympy_remainder(row[0], m)
+            assert got.dtype == object or -(2**62) < got.min() and got.max() < 2**62
+
+
+@lru_cache(maxsize=None)
+def _sympy_cyclotomic(m: int) -> np.ndarray:
+    return np.array(sympy.cyclotomic_poly(m, polys=True).all_coeffs()[::-1], dtype=np.int64)
+
+
+def _schoolbook_remainder(mat: np.ndarray, m: int) -> np.ndarray:
+    """Rows of small integers mod Phi_m, with Phi_m from sympy: mod x^m - 1
+    first (Phi_m divides it), then by schoolbook division in int64."""
+    Phi = _sympy_cyclotomic(m)
+    phi = len(Phi) - 1
+    b, width = mat.shape
+    segs = -(-width // m)
+    assert segs * int(np.abs(mat).max(initial=0)) < 2**62
+    rem = np.zeros((b, segs * m), dtype=np.int64)
+    rem[:, :width] = mat
+    rem = rem.reshape(b, segs, m).sum(axis=1)
+    start, c_max = int(np.abs(rem).max(initial=0)), 0
+    for i in range(m - 1, phi - 1, -1):
+        c = rem[:, i].copy()
+        rem[:, i - phi : i + 1] -= c[:, None] * Phi
+        c_max = max(c_max, int(np.abs(c).max()))
+    # each entry is its start minus at most m - phi products c * Phi_j, so
+    # this bound certifies that no int64 step wrapped
+    assert start + (m - phi) * c_max * int(np.abs(Phi).max()) < 2**62
+    return rem[:, :phi]
+
+
+# rad even with s > 1 (2184, 8190), k = 3 * 1093 (6558), k prime (16382) and
+# multi-prime k (2046, 15620), with CycloRing(m) built past the conductor cap
+@pytest.mark.parametrize("m, table_rows", [(2046, 82), (2184, 38), (6558, 2), (8190, 334),
+                                           (15620, 324), (16382, 0)])
+def test_reduce_matrix_matches_sympy_at_large_conductors(m, table_rows):
+    R = CycloRing(m)
+    rng = np.random.default_rng(m)
+    # up to s*(l-1)k/l, where no relation acts; s*k; and 2m + 5, which folds
+    widths = (R.phi + 1, R._top, R._s * R._k, 2 * m + 5)
+    mats = [rng.integers(-50, 50, (2, w)) for w in widths]
+    full = np.zeros((2 * len(widths), max(widths)), dtype=np.int64)
+    for i, mat in enumerate(mats):
+        full[2 * i : 2 * i + 2, : mat.shape[1]] = mat
+    want = _schoolbook_remainder(full, m)
+    for i, mat in enumerate(mats):
+        got = R.reduce_matrix(mat)
+        assert got.dtype == np.int64 and np.array_equal(got, want[2 * i : 2 * i + 2])
+        big = R.reduce_matrix(mat.astype(object) * 2**60)
+        assert big.dtype == object and np.array_equal(big, want[2 * i : 2 * i + 2].astype(object) * 2**60)
+    assert R.table.shape == (table_rows, R.phi // R._s)
 
 
 def _arrays(obj) -> list[tuple[tuple[int, ...], np.dtype]]:
@@ -155,12 +214,12 @@ def _arrays(obj) -> list[tuple[tuple[int, ...], np.dtype]]:
 
 
 def test_ring_holds_one_float64_table():
-    # the (k - phi(k)) x phi(k) table of the odd kernel k of rad(m), built
-    # by the first reduction that reads it
+    # the ((l-1)k/l - phi(k)) x phi(k) table of the odd kernel k of rad(m)
+    # and its least prime l, built by the first reduction that reads it
     R = CycloRing(8190)
     assert _arrays(R) == []
     R.reduce_vector(np.arange(2 * R.m))
-    assert _arrays(R) == [((789, 576), np.float64)]
+    assert _arrays(R) == [((334, 576), np.float64)]
     # at m = 2^e a folded row has no tail, so no reduction reads the empty table
     R = CycloRing(8192)
     R.reduce_vector(np.arange(2 * R.m))
@@ -241,6 +300,24 @@ def test_galois_group_action():
     assert a.galois(5).galois(7) == a.galois(35 % 24)
     with pytest.raises(ArgumentError):
         a.galois(6)
+
+
+# Galois images at an odd radical (105) and at m = 2 * s*k with s = 1 (2046,
+# 6558) and s = 4 (2184); lifts into an odd radical (315), from odd m into
+# M = 2 * s*k (210), and from even m (the rest)
+@pytest.mark.parametrize("m, big", [(105, 315), (105, 210), (2046, 6138), (2184, 4368), (6558, 6558)])
+def test_galois_and_lift_match_the_unfolded_row(m, big):
+    R, S = CycloRing(m), CycloRing(big)
+    rng = np.random.default_rng(m)
+    for coeffs in (rng.integers(-50, 50, R.phi), rng.integers(-50, 50, R.phi).astype(object) * 2**61):
+        a = CycloElement(R, coeffs)
+        for j in rng.choice([j for j in range(1, m) if np.gcd(j, m) == 1], 4):
+            v = np.zeros(m, dtype=coeffs.dtype)
+            v[j * np.arange(R.phi) % m] = coeffs
+            assert a.galois(int(j)) == R.element(v)
+        v = np.zeros(big, dtype=coeffs.dtype)
+        v[big // m * np.arange(R.phi)] = coeffs
+        assert a.lift_to(S) == S.element(v)
 
 
 def test_lift_to_bigger_conductor():
